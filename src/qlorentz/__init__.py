@@ -39,6 +39,7 @@ from .matrep import (
 )
 from .verify import (
     RelationResidual,
+    Tolerances,
     VerificationReport,
     check_casimir,
     check_lorentz_relations,

@@ -38,7 +38,7 @@ from .matrep import (
 )
 from .verify import (
     RelationResidual,
-    TOLERANCES,
+    Tolerances,
     VerificationReport,
     _masked_max,
     _pair_scale,
@@ -158,20 +158,22 @@ def build_chiral(gens: GeneratorSet, d: Optional[Deformation] = None) -> ChiralS
     )
 
 
-def check_chiral_relations(cs: ChiralSet) -> VerificationReport:
+def check_chiral_relations(
+    cs: ChiralSet, tols: Tolerances = Tolerances()
+) -> VerificationReport:
     """The ten chiral relation lines plus the left-right commutativity block."""
     q = cs.d.q
     rq = math.sqrt(q)
     mask = cs._mask(2)
     cols = cs._cols()
     tier = 1 if cs.tier1 else 2
-    tol = TOLERANCES["tier1"] if cs.tier1 else TOLERANCES["tier2"]
+    tol = tols.of(tier)
 
     rep = VerificationReport(
         suite="chiral_relations",
         subject={"tag": cs.tag, "dim": cs.dim},
         convention=DEFAULT_CONVENTION,
-        environment={"q": q, "tier1_tol": TOLERANCES["tier1"], "tier2_tol": TOLERANCES["tier2"]},
+        environment={"q": q, "tier1_tol": tols.tier1, "tier2_tol": tols.tier2},
     )
     for side in ("L", "R"):
         t = cs.triple(side)
@@ -206,7 +208,9 @@ def check_chiral_relations(cs: ChiralSet) -> VerificationReport:
     return rep
 
 
-def check_reduction_identities(cs: ChiralSet) -> VerificationReport:
+def check_reduction_identities(
+    cs: ChiralSet, tols: Tolerances = Tolerances()
+) -> VerificationReport:
     """The two identities eliminating the redundant diagonal generators:
 
         1 + alpha(I3t^L + I3t^R) = (1 - alpha I3^L - alpha I3^R)^(-1)
@@ -221,13 +225,13 @@ def check_reduction_identities(cs: ChiralSet) -> VerificationReport:
     lhs1 = eye + a * (cs.I3_L_tilde.data + cs.I3_R_tilde.data)
     base = eye - a * cs.I3_L.data - a * cs.I3_R.data
     tier = 1 if cs.factors is None else 2
-    tol = TOLERANCES["tier1"] if tier == 1 else TOLERANCES["tier2"]
+    tol = tols.of(tier)
 
     rep = VerificationReport(
         suite="reduction_identities",
         subject={"tag": cs.tag, "dim": cs.dim},
         convention=DEFAULT_CONVENTION,
-        environment={"q": cs.d.q, "tier1_tol": TOLERANCES["tier1"]},
+        environment={"q": cs.d.q, "tier1_tol": tols.tier1},
     )
     cond = float(np.linalg.cond(base))
     if not math.isfinite(cond) or cond > 1e14:
@@ -266,7 +270,10 @@ def check_reduction_identities(cs: ChiralSet) -> VerificationReport:
 
 
 def check_chiral_adjoint(
-    label: RepLabel, j_max: HalfInt, conv: ConventionId = DEFAULT_CONVENTION
+    label: RepLabel,
+    j_max: HalfInt,
+    conv: ConventionId = DEFAULT_CONVENTION,
+    tols: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Adjoint involution on the chiral generators.
 
@@ -290,7 +297,7 @@ def check_chiral_adjoint(
     cls = classify(label)
     exact = cls.unitary != "non_unitary" or len(g.basis.spins) == 1
     tier = 1 if exact else 2
-    tol = TOLERANCES["tier1"] if exact else TOLERANCES["tier2"]
+    tol = tols.of(tier)
 
     rep = VerificationReport(
         suite="chiral_adjoint",
@@ -300,7 +307,7 @@ def check_chiral_adjoint(
             "dim": g.basis.dim,
         },
         convention=conv,
-        environment={"q": label.d.q, "j_max": str(j_max), "tier1_tol": TOLERANCES["tier1"]},
+        environment={"q": label.d.q, "j_max": str(j_max), "tier1_tol": tols.tier1},
     )
 
     def dag(op: OperatorMatrix) -> np.ndarray:
@@ -474,7 +481,9 @@ def _swap_operator(n_a: int, n_b: int) -> np.ndarray:
     return p
 
 
-def check_coproduct_homomorphism(dcs: ChiralSet) -> VerificationReport:
+def check_coproduct_homomorphism(
+    dcs: ChiralSet, tols: Tolerances = Tolerances()
+) -> VerificationReport:
     """Verify the coproduct respects the chiral algebra and is not cocommutative.
 
     Runs the full chiral relation suite on the coproduct images, re-asserts
@@ -489,9 +498,9 @@ def check_coproduct_homomorphism(dcs: ChiralSet) -> VerificationReport:
         suite="coproduct_homomorphism",
         subject={"tag": dcs.tag, "dim": dcs.dim},
         convention=DEFAULT_CONVENTION,
-        environment={"q": dcs.d.q, "tier1_tol": TOLERANCES["tier1"], "tier2_tol": TOLERANCES["tier2"]},
+        environment={"q": dcs.d.q, "tier1_tol": tols.tier1, "tier2_tol": tols.tier2},
     )
-    inner = check_chiral_relations(dcs)
+    inner = check_chiral_relations(dcs, tols)
     for rr in inner.residuals:
         rep.add(
             RelationResidual(

@@ -29,6 +29,9 @@ from .matrep import (
     import_generator_set,
 )
 from .verify import (
+    TIER1_TOL,
+    TIER2_TOL,
+    Tolerances,
     VerificationReport,
     check_casimir,
     check_lorentz_relations,
@@ -37,7 +40,6 @@ from .verify import (
     check_unitary_coeffs,
     classical_limit_compare,
     resolve_conventions,
-    set_tolerances,
 )
 from .chiral import (
     build_chiral,
@@ -99,6 +101,12 @@ class RunConfig:
 
     def effective_j_max(self) -> HalfInt:
         return self.j_max if self.j_max is not None else self.l0 + 8
+
+    def tolerances(self) -> Tolerances:
+        return Tolerances(
+            TIER1_TOL if self.tier1_tol is None else self.tier1_tol,
+            TIER2_TOL if self.tier2_tol is None else self.tier2_tol,
+        )
 
 
 def _render_text(doc: dict, out: list[str], depth: int = 0) -> None:
@@ -166,14 +174,9 @@ def _bundle(kind: str, cfg_desc: dict, reports: list[VerificationReport]) -> tup
     return doc, tier1
 
 
-def _conv_desc(conv: ConventionId) -> list[int]:
-    return conv.to_list()
-
-
 def run(cfg: RunConfig) -> int:
     """Execute one parsed invocation; returns the process exit code."""
-    if cfg.tier1_tol is not None or cfg.tier2_tol is not None:
-        set_tolerances(tier1=cfg.tier1_tol, tier2=cfg.tier2_tol)
+    tols = cfg.tolerances()
     conv = cfg.convention if cfg.convention is not None else RESOLVED_CONVENTION
 
     if cfg.command == "classify":
@@ -189,7 +192,7 @@ def run(cfg: RunConfig) -> int:
         doc = {
             "command": "build",
             "label": label.to_record(),
-            "convention": _conv_desc(conv),
+            "convention": conv.to_list(),
             "basis": {
                 "dim": gens.basis.dim,
                 "spins": [str(j) for j in gens.basis.spins],
@@ -213,16 +216,16 @@ def run(cfg: RunConfig) -> int:
             j_max = cfg.effective_j_max()
             gens = build_generator_set(label, j_max, conv)
         reports = [
-            check_lorentz_relations(gens),
-            check_casimir(gens),
-            check_recurrence_suite(label, label.l0 + 20),
-            check_unitary_coeffs(label, j_max),
+            check_lorentz_relations(gens, tols=tols),
+            check_casimir(gens, tols=tols),
+            check_recurrence_suite(label, label.l0 + 20, tols),
+            check_unitary_coeffs(label, j_max, tols),
         ]
         if not cfg.import_dir:
-            reports.append(check_q_adjoint(label, j_max, conv))
+            reports.append(check_q_adjoint(label, j_max, conv, tols))
         doc, tier1 = _bundle(
             "verify",
-            {"label": label.to_record(), "j_max": str(j_max), "convention": _conv_desc(gens.convention)},
+            {"label": label.to_record(), "j_max": str(j_max), "convention": gens.convention.to_list()},
             reports,
         )
         _emit(doc, cfg)
@@ -240,12 +243,12 @@ def run(cfg: RunConfig) -> int:
             subject = {"label": label.to_record()}
         cs = build_chiral(gens)
         reports = [
-            check_chiral_relations(cs),
-            check_reduction_identities(cs),
+            check_chiral_relations(cs, tols),
+            check_reduction_identities(cs, tols),
             check_spinor_annihilation(gens.d),
         ]
         if cfg.spin_two_j is None:
-            reports.append(check_chiral_adjoint(gens.label, j_max, conv))
+            reports.append(check_chiral_adjoint(gens.label, j_max, conv, tols))
         doc, tier1 = _bundle("chiral", subject, reports)
         _emit(doc, cfg)
         return 0 if tier1 else 1
@@ -257,13 +260,13 @@ def run(cfg: RunConfig) -> int:
         cs_a = build_chiral(build_generator_set(la, la.l0 + 2, conv))
         cs_b = build_chiral(build_generator_set(lb, lb.l0 + 2, conv))
         dc = coproduct(cs_a, cs_b, conv)
-        reports = [check_coproduct_homomorphism(dc)]
+        reports = [check_coproduct_homomorphism(dc, tols)]
         doc, tier1 = _bundle(
             "coproduct",
             {
                 "factor_a": la.to_record(),
                 "factor_b": lb.to_record(),
-                "convention": _conv_desc(conv),
+                "convention": conv.to_list(),
             },
             reports,
         )
@@ -426,7 +429,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return run(cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,9 +31,10 @@ readings under which every defining relation closes to machine precision.
 from __future__ import annotations
 
 import math
+import os
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -79,11 +80,18 @@ class ConstructionInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Basis:
-    """Ordered (j, m) index set: ascending j blocks, m = -j..j inside each."""
+    """Ordered (j, m) index set: ascending j blocks, m = -j..j inside each.
+
+    j2[i], m2[i] are twice the j and m of state i; starts[k] is the index of
+    the first state of block spins[k].
+    """
 
     spins: tuple[HalfInt, ...]
     truncated: bool
     j_max: Optional[HalfInt] = None
+    j2: np.ndarray = field(init=False, repr=False, compare=False)
+    m2: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.spins:
@@ -91,49 +99,41 @@ class Basis:
         for a, b in zip(self.spins, self.spins[1:]):
             if b.twice - a.twice != 2:
                 raise ValueError("spin blocks must ascend in unit steps")
-
-    @property
-    def offsets(self) -> dict[HalfInt, int]:
-        off, pos = {}, 0
-        for j in self.spins:
-            off[j] = pos
-            pos += j.twice + 1
-        return off
+        sizes = np.array([j.twice + 1 for j in self.spins], dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        j2 = np.repeat(sizes - 1, sizes)
+        m2 = 2 * (np.arange(int(sizes.sum())) - np.repeat(starts, sizes)) - j2
+        for name, arr in (("j2", j2), ("m2", m2), ("starts", starts)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
-        return sum(j.twice + 1 for j in self.spins)
-
-    def index(self, j: HalfInt, m: HalfInt) -> int:
-        if j not in self.offsets:
-            raise KeyError(f"no block j = {j}")
-        if abs(m.twice) > j.twice:
-            raise KeyError(f"|m| > j for (j, m) = ({j}, {m})")
-        return self.offsets[j] + (m.twice + j.twice) // 2
-
-    def state(self, i: int) -> tuple[HalfInt, HalfInt]:
-        i = int(i)
-        for j, off in self.offsets.items():
-            if off <= i <= off + j.twice:
-                return j, HalfInt(2 * (i - off) - j.twice)
-        raise IndexError(i)
-
-    def states(self) -> list[tuple[HalfInt, HalfInt]]:
-        return [(j, m) for j in self.spins for m in half_range(-j, j)]
+        return len(self.j2)
 
     def has(self, j: HalfInt, m: HalfInt) -> bool:
-        return j in self.offsets and abs(m.twice) <= j.twice
+        k2 = j.twice - self.spins[0].twice
+        return 0 <= k2 < 2 * len(self.spins) and k2 % 2 == 0 and abs(m.twice) <= j.twice
+
+    def index(self, j: HalfInt, m: HalfInt) -> int:
+        if not self.has(j, m):
+            raise KeyError(f"no state (j, m) = ({j}, {m})")
+        return int(self.starts[(j.twice - self.spins[0].twice) // 2]) + (m.twice + j.twice) // 2
+
+    def locate(self, tj2: np.ndarray, tm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized `has`/`index` on twice-(j, m) arrays: (valid, rows),
+        with rows = -1 where the state is not in the basis."""
+        k2 = tj2 - self.spins[0].twice
+        valid = (k2 >= 0) & (k2 < 2 * len(self.spins)) & (k2 % 2 == 0) & (np.abs(tm2) <= tj2)
+        rows = self.starts[np.where(valid, k2 // 2, 0)] + (tm2 + tj2) // 2
+        return valid, np.where(valid, rows, -1)
 
     def interior_columns(self, order: int) -> np.ndarray:
         """Boolean column mask exact under truncation for an `order`-fold
         generator product (each factor moves j by at most one block)."""
-        mask = np.ones(self.dim, dtype=bool)
         if self.truncated and self.j_max is not None:
-            cut = self.j_max.twice - 2 * order
-            for i, (j, _m) in enumerate(self.states()):
-                if j.twice > cut:
-                    mask[i] = False
-        return mask
+            return self.j2 <= self.j_max.twice - 2 * order
+        return np.ones(self.dim, dtype=bool)
 
 
 def build_basis(label: RepLabel, j_max: HalfInt) -> Basis:
@@ -192,20 +192,25 @@ def pattern_violation(op: OperatorMatrix, basis: Basis) -> float:
     """Largest |entry| outside the declared pattern (0.0 for clean matrices)."""
     if op.pattern is None:
         return 0.0
-    states = basis.states()
-    worst = 0.0
-    a = op.data
-    for r, (jr, mr) in enumerate(states):
-        for c, (jc, mc) in enumerate(states):
-            step = ((jr.twice - jc.twice) // 2, (mr.twice - mc.twice) // 2)
-            if step not in op.pattern and abs(a[r, c]) > worst:
-                worst = abs(a[r, c])
-    return worst
+    mag = np.abs(op.data)
+    for dj, dm in op.pattern:
+        valid, rows = basis.locate(basis.j2 + 2 * dj, basis.m2 + 2 * dm)
+        mag[rows[valid], np.flatnonzero(valid)] = 0.0
+    worst = int(np.argmax(mag))
+    # np.abs and the scalar abs of a complex may differ in the last bit;
+    # the reported magnitude is the scalar one
+    return abs(complex(op.data.flat[worst])) if mag.flat[worst] else 0.0
+
+
+def _gather(f: Callable[[int], complex], keys: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """f(k) for every entry of an integer array, called once per distinct k."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return np.array([f(int(k)) for k in uniq], dtype=dtype)[inverse]
 
 
 def diag_from_m(basis: Basis, f: Callable[[HalfInt], complex]) -> np.ndarray:
     """Diagonal matrix with entry f(m) on state (j, m), evaluated spectrally."""
-    return np.diag(np.array([f(m) for _j, m in basis.states()], dtype=np.complex128))
+    return np.diag(_gather(lambda t: f(HalfInt(t)), basis.m2, np.complex128))
 
 
 # --------------------------------------------------------------------------
@@ -237,15 +242,6 @@ class ConventionId:
     line45_swap: int = 0
     cop_r_grouplike: int = 0
 
-    _FIELDS = (
-        "n_mid_exp",
-        "n_down_dm",
-        "n_first_shift",
-        "n_third_shift",
-        "st_quarters",
-        "line45_swap",
-        "cop_r_grouplike",
-    )
     _RANGES = {
         "n_mid_exp": (0, 1),
         "n_down_dm": (0, 1),
@@ -255,6 +251,7 @@ class ConventionId:
         "line45_swap": (0, 1),
         "cop_r_grouplike": (0, 1),
     }
+    _FIELDS = tuple(_RANGES)
 
     def __post_init__(self):
         for name in self._FIELDS:
@@ -266,7 +263,6 @@ class ConventionId:
 
     @staticmethod
     def from_list(vals: Iterable[int]) -> "ConventionId":
-        vals = list(vals)
         return ConventionId(**dict(zip(ConventionId._FIELDS, vals)))
 
     def __str__(self) -> str:
@@ -289,39 +285,94 @@ RESOLVED_CONVENTION = ConventionId(st_quarters=2, cop_r_grouplike=1)
 # generator construction on a labelled basis
 
 
-def _qn(x: HalfInt, d: Deformation) -> float:
-    return q_number(x, d)
+class _Term(NamedTuple):
+    """One ladder term: column (j, m) -> row (j + dj, m + dm) with amplitude
+
+        coef_j * sqrt([x1][x2]) * q^e     (or coef_j * [x1] for one bracket)
+
+    coef is None (1), "a" (a_j), "c" (c_j) or "c1" (c_{j+1}), "-" negates it;
+    each bracket (sj, sm, k) is [sj*j + sm*m + k]; qexp (sj, sm, quarters) is
+    e = quarters/4 + (sj*j + sm*m)/2, None for no q-power.
+    """
+
+    dj: int
+    dm: int
+    coef: Optional[str]
+    brackets: tuple[tuple[int, int, int], ...]
+    qexp: Optional[tuple[int, int, int]]
+
+
+_ROTATION_TERMS = {
+    "m_plus": (_Term(0, 1, None, ((1, -1, 0), (1, 1, 1)), (0, -1, -1)),),
+    "m_minus": (_Term(0, -1, None, ((1, 1, 0), (1, -1, 1)), (0, 1, -1)),),
+}
+
+
+def _boost_terms(conv: ConventionId) -> tuple[tuple[_Term, ...], ...]:
+    down = 0 if conv.n_down_dm else 1
+    q1 = (-1, 0, 1)[conv.n_first_shift]
+    q3 = (1, 0, -1)[conv.n_third_shift]
+    mid = -1 if conv.n_mid_exp == 0 else 1
+    return (  # N+, N-, N3
+        (
+            _Term(-1, down, "c", ((1, -1, 0), (1, -1, -1)), (-1, -1, q1)),
+            _Term(0, 1, "-a", ((1, -1, 0), (1, 1, 1)), (0, mid, -1)),
+            _Term(1, 1, "c1", ((1, 1, 1), (1, 1, 2)), (1, -1, q3)),
+        ),
+        (
+            _Term(-1, -down, "-c", ((1, 1, 0), (1, 1, -1)), (-1, 1, q1)),
+            _Term(0, -1, "-a", ((1, 1, 0), (1, -1, 1)), (0, -mid, -1)),
+            _Term(1, -1, "-c1", ((1, -1, 1), (1, -1, 2)), (1, 1, q3)),
+        ),
+        (
+            _Term(-1, 0, "c", ((1, -1, 0), (1, 1, 0)), (0, -1, 0)),
+            _Term(0, 0, "-a", ((0, 1, 0),), (0, -1, 0)),
+            _Term(1, 0, "-c1", ((1, 1, 1), (1, -1, 1)), (0, -1, 0)),
+        ),
+    )
+
+
+def _ladder(
+    basis: Basis, terms: tuple[_Term, ...], d: Deformation, coeffs: Optional[dict] = None
+) -> OperatorMatrix:
+    """Matrix of a term table, its pattern the terms' (dj, dm) steps.
+
+    Targets outside the basis are dropped.  Brackets and q-powers come from
+    the scalar code, once per distinct argument; numpy only negates,
+    multiplies and takes square roots, which round exactly as the scalar
+    operations do, so entries are independent of how they are batched.
+    coeffs maps "a", "c", "c1" to per-block values.
+    """
+    lnq = math.log(d.q)
+    out = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    for dj, dm, coef, brackets, qexp in terms:
+        valid, rows = basis.locate(basis.j2 + 2 * dj, basis.m2 + 2 * dm)
+        cols = np.flatnonzero(valid)
+        j2, m2 = basis.j2[cols], basis.m2[cols]
+        qn = [
+            _gather(lambda t: q_number(t / 2, d), sj * j2 + sm * m2 + 2 * k)
+            for sj, sm, k in brackets
+        ]
+        val = np.sqrt(qn[0] * qn[1]) if len(qn) == 2 else qn[0]
+        if coef is not None:
+            c = coeffs[coef.lstrip("-")][(j2 - basis.j2[0]) // 2]
+            val = (-c if coef.startswith("-") else c) * val
+        if qexp is not None:
+            sj, sm, quarters = qexp
+            val = val * _gather(lambda e: math.exp(e / 4 * lnq), quarters + sj * j2 + sm * m2)
+        out[rows[cols], cols] += val
+    return OperatorMatrix(out, frozenset((t.dj, t.dm) for t in terms))
 
 
 def build_M(basis: Basis, d: Deformation) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """Rotation generators: raising/lowering within each spin block, weight on
     the diagonal.  Entries are real; M3 is exact (half-integers are binary)."""
-    n = basis.dim
-    lnq = math.log(d.q)
-    mp = np.zeros((n, n), dtype=np.complex128)
-    mm = np.zeros((n, n), dtype=np.complex128)
-    m3 = np.zeros((n, n), dtype=np.complex128)
-    for j in basis.spins:
-        for m in half_range(-j, j):
-            col = basis.index(j, m)
-            m3[col, col] = float(m)
-            if m < j:
-                amp = math.sqrt(_qn(j - m, d) * _qn(j + m + 1, d))
-                mp[basis.index(j, m + 1), col] = amp * math.exp((-0.25 - float(m) / 2) * lnq)
-            if -j < m:
-                amp = math.sqrt(_qn(j + m, d) * _qn(j - m + 1, d))
-                mm[basis.index(j, m - 1), col] = amp * math.exp((-0.25 + float(m) / 2) * lnq)
     return (
-        OperatorMatrix(mp, GENERATOR_PATTERNS["m_plus"]),
-        OperatorMatrix(mm, GENERATOR_PATTERNS["m_minus"]),
-        OperatorMatrix(m3, GENERATOR_PATTERNS["m3"]),
+        _ladder(basis, _ROTATION_TERMS["m_plus"], d),
+        _ladder(basis, _ROTATION_TERMS["m_minus"], d),
+        # complex from the start: a real dim x dim temporary fragments the heap
+        OperatorMatrix(np.diag(basis.m2 / 2 + 0j), GENERATOR_PATTERNS["m3"]),
     )
-
-
-def _n_pattern(conv: ConventionId, sign: int) -> Pattern:
-    dm = 1 if sign > 0 else -1
-    down_dm = 0 if conv.n_down_dm else dm
-    return frozenset({(-1, down_dm), (0, dm), (1, dm)})
 
 
 def build_N(
@@ -335,77 +386,10 @@ def build_N(
     the top coupling is exactly zero anyway, for truncated bases this is the
     truncation boundary.
     """
-    d = label.d
-    n = basis.dim
-    lnq = math.log(d.q)
-    quarter = {0: -0.25, 1: 0.0, 2: 0.25}[conv.n_first_shift]
-    quarter3 = {0: 0.25, 1: 0.0, 2: -0.25}[conv.n_third_shift]
-    mid_sign = -1.0 if conv.n_mid_exp == 0 else 1.0
-
-    a = {j: coeff_a(j, label) for j in basis.spins}
-    c = {j: coeff_c(j, label) for j in basis.spins}
-    top = basis.spins[-1]
-    c[top + 1] = coeff_c(top + 1, label)
-
-    np_ = np.zeros((n, n), dtype=np.complex128)
-    nm = np.zeros((n, n), dtype=np.complex128)
-    n3 = np.zeros((n, n), dtype=np.complex128)
-
-    def qp(e: float) -> float:
-        return math.exp(e * lnq)
-
-    for j in basis.spins:
-        for m in half_range(-j, j):
-            col = basis.index(j, m)
-            fm = float(m)
-            fj = float(j)
-
-            # raising boost
-            tgt_m = m if conv.n_down_dm else m + 1
-            if basis.has(j - 1, tgt_m):
-                amp = math.sqrt(_qn(j - m, d) * _qn(j - m - 1, d))
-                np_[basis.index(j - 1, tgt_m), col] += (
-                    c[j] * amp * qp(quarter - (fj + fm) / 2)
-                )
-            if basis.has(j, m + 1):
-                amp = math.sqrt(_qn(j - m, d) * _qn(j + m + 1, d))
-                np_[basis.index(j, m + 1), col] += -a[j] * amp * qp(-0.25 + mid_sign * fm / 2)
-            if basis.has(j + 1, m + 1):
-                amp = math.sqrt(_qn(j + m + 1, d) * _qn(j + m + 2, d))
-                np_[basis.index(j + 1, m + 1), col] += (
-                    c[j + 1] * amp * qp(quarter3 + (fj - fm) / 2)
-                )
-
-            # lowering boost
-            tgt_m = m if conv.n_down_dm else m - 1
-            if basis.has(j - 1, tgt_m):
-                amp = math.sqrt(_qn(j + m, d) * _qn(j + m - 1, d))
-                nm[basis.index(j - 1, tgt_m), col] += (
-                    -c[j] * amp * qp(quarter - (fj - fm) / 2)
-                )
-            if basis.has(j, m - 1):
-                amp = math.sqrt(_qn(j + m, d) * _qn(j - m + 1, d))
-                nm[basis.index(j, m - 1), col] += -a[j] * amp * qp(-0.25 - mid_sign * fm / 2)
-            if basis.has(j + 1, m - 1):
-                amp = math.sqrt(_qn(j - m + 1, d) * _qn(j - m + 2, d))
-                nm[basis.index(j + 1, m - 1), col] += (
-                    -c[j + 1] * amp * qp(quarter3 + (fj + fm) / 2)
-                )
-
-            # diagonal boost
-            if basis.has(j - 1, m):
-                amp = math.sqrt(_qn(j - m, d) * _qn(j + m, d))
-                n3[basis.index(j - 1, m), col] += c[j] * amp * qp(-fm / 2)
-            n3[col, col] += -a[j] * _qn(m, d) * qp(-fm / 2)
-            if basis.has(j + 1, m):
-                amp = math.sqrt(_qn(j + m + 1, d) * _qn(j - m + 1, d))
-                n3[basis.index(j + 1, m), col] += -c[j + 1] * amp * qp(-fm / 2)
-
-    return (
-        OperatorMatrix(np_, _n_pattern(conv, +1)),
-        OperatorMatrix(nm, _n_pattern(conv, -1)),
-        OperatorMatrix(n3, GENERATOR_PATTERNS["n3"]),
-    )
+    a = np.array([coeff_a(j, label) for j in basis.spins])
+    c = np.array([coeff_c(j, label) for j in basis.spins + (basis.spins[-1] + 1,)])
+    coeffs = {"a": a, "c": c[:-1], "c1": c[1:]}
+    return tuple(_ladder(basis, terms, label.d, coeffs) for terms in _boost_terms(conv))
 
 
 def build_N3_tilde(
@@ -487,16 +471,7 @@ class GeneratorSet:
     casimir: OperatorMatrix
 
     def matrices(self) -> dict[str, OperatorMatrix]:
-        return {
-            "m_plus": self.m_plus,
-            "m_minus": self.m_minus,
-            "m3": self.m3,
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "n3": self.n3,
-            "n3_tilde": self.n3_tilde,
-            "casimir": self.casimir,
-        }
+        return {name: getattr(self, name) for name in GENERATOR_PATTERNS}
 
     @property
     def d(self) -> Deformation:
@@ -556,26 +531,14 @@ def suq2_matrices(two_j: int, d: Deformation) -> SuQ2Triple:
     """Spin-j matrices with [m+, m-] = [2 m3]: entries sqrt([j-+m][j+-m+1])."""
     if two_j < 1:
         raise ValueError(f"need two_j >= 1, got {two_j}")
-    j = HalfInt(two_j)
-    basis = Basis(spins=(j,), truncated=False)
-    n = basis.dim
-    mp = np.zeros((n, n), dtype=np.complex128)
-    mm = np.zeros((n, n), dtype=np.complex128)
-    m3 = np.zeros((n, n), dtype=np.complex128)
-    for m in half_range(-j, j):
-        col = basis.index(j, m)
-        m3[col, col] = float(m)
-        if m < j:
-            mp[basis.index(j, m + 1), col] = math.sqrt(_qn(j - m, d) * _qn(j + m + 1, d))
-        if -j < m:
-            mm[basis.index(j, m - 1), col] = math.sqrt(_qn(j + m, d) * _qn(j - m + 1, d))
-    return SuQ2Triple(
-        basis=basis,
-        m_plus=OperatorMatrix(mp, GENERATOR_PATTERNS["m_plus"]),
-        m_minus=OperatorMatrix(mm, GENERATOR_PATTERNS["m_minus"]),
-        m3=OperatorMatrix(m3, GENERATOR_PATTERNS["m3"]),
-        d=d,
+    basis = Basis(spins=(HalfInt(two_j),), truncated=False)
+    # the rotation ladder without its q-tensor dressing (no q-power)
+    mp, mm = (
+        _ladder(basis, tuple(t._replace(qexp=None) for t in _ROTATION_TERMS[name]), d)
+        for name in ("m_plus", "m_minus")
     )
+    m3 = OperatorMatrix(np.diag(basis.m2 / 2 + 0j), GENERATOR_PATTERNS["m3"])
+    return SuQ2Triple(basis=basis, m_plus=mp, m_minus=mm, m3=m3, d=d)
 
 
 def build_from_suq2(two_j: int, d: Deformation) -> GeneratorSet:
@@ -698,27 +661,27 @@ def _label_token(label: RepLabel) -> str:
 
 def _parse_label_token(tok: str) -> RepLabel:
     parts = dict(p.split(":", 1) for p in tok.split(";"))
-    re_, im_ = parts["l1"].split(",")
-    return RepLabel(
-        HalfInt.parse(parts["l0"]), complex(float(re_), float(im_)), Deformation(float(parts["q"]))
-    )
+    try:
+        re_, im_ = parts["l1"].split(",")
+        l0, q = parts["l0"], parts["q"]
+    except KeyError as exc:
+        raise ValueError(f"label token {tok!r} lacks {exc}") from None
+    return RepLabel(HalfInt.parse(l0), complex(float(re_), float(im_)), Deformation(float(q)))
 
 
 def export_matrix(op: OperatorMatrix, label: RepLabel, conv: ConventionId, path) -> None:
     """Coordinate text format: header then one "row col re im" line per
     nonzero entry (0-based indices, %.17g, row-major order)."""
     lines = [f"# dim={op.dim} label={_label_token(label)} convention={conv}"]
-    a = op.data
-    for r in range(op.dim):
-        for c in range(op.dim):
-            z = a[r, c]
-            if z != 0:
-                lines.append("%d %d %.17g %.17g" % (r, c, z.real, z.imag))
+    rows, cols = np.nonzero(op.data)
+    for r, c, z in zip(rows.tolist(), cols.tolist(), op.data[rows, cols].tolist()):
+        lines.append("%d %d %.17g %.17g" % (r, c, z.real, z.imag))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def import_matrix(path) -> tuple[np.ndarray, RepLabel, ConventionId]:
+    """Read one coordinate-format file; malformed content raises ValueError."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         m = _HEADER_RE.match(header)
@@ -733,23 +696,19 @@ def import_matrix(path) -> tuple[np.ndarray, RepLabel, ConventionId]:
             if not line or line.startswith("#"):
                 continue
             r, c, re_, im_ = line.split()
-            arr[int(r), int(c)] = complex(float(re_), float(im_))
+            r, c = int(r), int(c)
+            if not (0 <= r < dim and 0 <= c < dim):
+                raise ValueError(f"entry ({r}, {c}) outside the {dim}x{dim} matrix in {path}")
+            arr[r, c] = complex(float(re_), float(im_))
     return arr, label, conv
-
-
-_EXPORT_ORDER = ("m_plus", "m_minus", "m3", "n_plus", "n_minus", "n3", "n3_tilde", "casimir")
 
 
 def export_generator_set(gens: GeneratorSet, directory) -> list[str]:
     """Write every generator to <directory>/<name>.txt; returns the file names."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
-    names = []
-    for name in _EXPORT_ORDER:
-        fname = f"{name}.txt"
-        export_matrix(gens.matrices()[name], gens.label, gens.convention, os.path.join(directory, fname))
-        names.append(fname)
+    names = [f"{name}.txt" for name in GENERATOR_PATTERNS]
+    for fname, op in zip(names, gens.matrices().values()):
+        export_matrix(op, gens.label, gens.convention, os.path.join(directory, fname))
     return names
 
 
@@ -758,33 +717,21 @@ def import_generator_set(directory) -> GeneratorSet:
 
     Patterns are reattached by generator name; imported entries are taken as
     data and validated by the relation suites, not at load time (a perturbed
-    import must surface as relation failures, not a parse error).
+    import must surface as relation failures, not a parse error).  Files that
+    disagree on dim, label or convention, or a dim that no basis of the label
+    has, raise ValueError.
     """
-    import os
-
-    arrays: dict[str, np.ndarray] = {}
-    label: Optional[RepLabel] = None
-    conv = DEFAULT_CONVENTION
-    for name in _EXPORT_ORDER:
-        arr, lab, conv = import_matrix(os.path.join(directory, f"{name}.txt"))
-        arrays[name] = arr
-        label = lab
-    assert label is not None
-    j_max = label.l0 + 8
-    cls = classify(label)
-    if cls.kind == "infinite":
-        n_blocks = 0
-        dim = arrays["m3"].shape[0]
-        j, total = label.l0, 0
-        while total < dim:
-            total += j.twice + 1
-            n_blocks += 1
-            j = j + 1
-        j_max = label.l0 + (n_blocks - 1)
-    basis = build_basis(label, j_max)
-    ops = {
-        name: OperatorMatrix(arrays[name], GENERATOR_PATTERNS[name]) for name in _EXPORT_ORDER
-    }
-    return GeneratorSet(
-        basis=basis, label=label, convention=conv, tag="imported", **ops
-    )
+    files = {n: import_matrix(os.path.join(directory, f"{n}.txt")) for n in GENERATOR_PATTERNS}
+    first, (arr0, label, conv) = next(iter(files.items()))
+    for name, (arr, lab, cv) in files.items():
+        if arr.shape != arr0.shape or lab != label or cv != conv:
+            raise ValueError(f"{name}.txt disagrees with {first}.txt on dim, label or convention")
+    dim = arr0.shape[0]
+    # n blocks from l0 on hold n * (n + 2 l0) states; a finite label ignores j_max
+    t = label.l0.twice
+    n_blocks = (math.isqrt(t * t + 4 * dim) - t) // 2
+    basis = build_basis(label, label.l0 + max(n_blocks - 1, 0))
+    if basis.dim != dim:
+        raise ValueError(f"dim {dim} is not the dim of a basis of {label}")
+    ops = {name: OperatorMatrix(f[0], GENERATOR_PATTERNS[name]) for name, f in files.items()}
+    return GeneratorSet(basis=basis, label=label, convention=conv, tag="imported", **ops)

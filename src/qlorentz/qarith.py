@@ -144,10 +144,6 @@ class Deformation:
         object.__setattr__(self, "q", float(q))
 
     @property
-    def sqrt_q(self) -> float:
-        return math.sqrt(self.q)
-
-    @property
     def delta(self) -> float:
         # equal to sqrt(q) - 1/sqrt(q); the sinh form avoids cancellation
         # near q = 1

@@ -39,6 +39,7 @@ from .matrep import (
     ConstructionInconsistencyError,
     ConventionId,
     DEFAULT_CONVENTION,
+    GENERATOR_PATTERNS,
     GeneratorSet,
     OperatorMatrix,
     SuQ2Triple,
@@ -52,8 +53,7 @@ from .matrep import (
 
 __all__ = [
     "RelationResidual",
-    "set_tolerances",
-    "TOLERANCES",
+    "Tolerances",
     "VerificationReport",
     "TIER1_TOL",
     "TIER2_TOL",
@@ -73,22 +73,16 @@ TIER1_TOL = 1e-10
 TIER2_TOL = 1e-10
 ADJOINT_ELEMENTWISE_TOL = 1e-13
 
-# Live tolerance table; the CLI's override flags mutate this shared object,
-# and the checking code (here and in the chiral module) reads through it.
-TOLERANCES = {"tier1": TIER1_TOL, "tier2": TIER2_TOL, "adjoint": ADJOINT_ELEMENTWISE_TOL}
 
+@dataclass(frozen=True)
+class Tolerances:
+    """Relative tolerances of the tier-1 and tier-2 records of a check."""
 
-def set_tolerances(tier1=None, tier2=None, adjoint=None) -> None:
-    if tier1 is not None:
-        TOLERANCES["tier1"] = float(tier1)
-    if tier2 is not None:
-        TOLERANCES["tier2"] = float(tier2)
-    if adjoint is not None:
-        TOLERANCES["adjoint"] = float(adjoint)
+    tier1: float = TIER1_TOL
+    tier2: float = TIER2_TOL
 
-
-def _t(tier: int) -> float:
-    return TOLERANCES["tier1"] if tier == 1 else TOLERANCES["tier2"]
+    def of(self, tier: int) -> float:
+        return self.tier1 if tier == 1 else self.tier2
 
 
 # Relation lines whose generic-q validity on general labels is analytically
@@ -108,7 +102,7 @@ class RelationResidual:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance * self.scale
+        return bool(self.residual <= self.tolerance * self.scale)
 
     def to_record(self) -> dict:
         rec = {
@@ -137,15 +131,6 @@ class VerificationReport:
 
     def add(self, rr: RelationResidual) -> None:
         self.residuals.append(rr)
-
-    def extend(self, other: "VerificationReport", prefix: str = "") -> None:
-        for rr in other.residuals:
-            rid = prefix + rr.relation_id if prefix else rr.relation_id
-            self.add(
-                RelationResidual(
-                    rid, rr.residual, rr.scale, rr.tolerance, rr.tier, rr.columns, rr.note
-                )
-            )
 
     @property
     def tier1_pass(self) -> bool:
@@ -203,19 +188,19 @@ def _pair_scale(a: OperatorMatrix, b: OperatorMatrix) -> float:
     return max(1.0, a.max_norm * b.max_norm)
 
 
-def _env(gens: GeneratorSet, **extra) -> dict:
+def _env(gens: GeneratorSet, tols: Tolerances, **extra) -> dict:
     env = {
         "q": gens.d.q,
         "j_max": str(gens.basis.j_max) if gens.basis.j_max is not None else None,
-        "tier1_tol": TOLERANCES["tier1"],
-        "tier2_tol": TOLERANCES["tier2"],
+        "tier1_tol": tols.tier1,
+        "tier2_tol": tols.tier2,
     }
     env.update(extra)
     return env
 
 
 def _is_realization(gens: GeneratorSet) -> bool:
-    return gens.tag.startswith("suq2") or len(gens.basis.spins) == 1
+    return len(gens.basis.spins) == 1
 
 
 def _line_tier(line: str, gens: GeneratorSet) -> int:
@@ -229,7 +214,10 @@ def _line_tier(line: str, gens: GeneratorSet) -> int:
 
 
 def check_lorentz_relations(
-    gens: GeneratorSet, c_scalar: Optional[complex] = None, d: Optional[Deformation] = None
+    gens: GeneratorSet,
+    c_scalar: Optional[complex] = None,
+    d: Optional[Deformation] = None,
+    tols: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Residuals for all ten defining relation lines, the vanishing
     commutators among the remaining pairs, and the selection-rule patterns."""
@@ -259,7 +247,7 @@ def check_lorentz_relations(
         suite="lorentz_relations",
         subject=_subject(gens),
         convention=gens.convention,
-        environment=_env(gens),
+        environment=_env(gens, tols),
     )
 
     def add(line_id: str, lhs: np.ndarray, rhs: np.ndarray, a: OperatorMatrix, b: OperatorMatrix):
@@ -269,7 +257,7 @@ def check_lorentz_relations(
                 f"eq4.{line_id}",
                 _masked_max(lhs - rhs, quad),
                 _pair_scale(a, b),
-                _t(tier),
+                tols.of(tier),
                 tier,
                 col_quad,
             )
@@ -282,7 +270,7 @@ def check_lorentz_relations(
     r2b = _masked_max(A(m3) @ A(mm) - A(mm) @ A(m3) + A(mm), quad)
     rep.add(
         RelationResidual(
-            "eq4.line02", max(r2a, r2b), _pair_scale(m3, mp), _t(1), 1, col_quad, "both signs"
+            "eq4.line02", max(r2a, r2b), _pair_scale(m3, mp), tols.tier1, 1, col_quad, "both signs"
         )
     )
     add("line03", A(np_) @ A(nm) - A(nm) @ A(np_), -two_m3, np_, nm)
@@ -292,7 +280,7 @@ def check_lorentz_relations(
     r6b = _masked_max(A(m3) @ A(nm) - A(nm) @ A(m3) + A(nm), quad)
     rep.add(
         RelationResidual(
-            "eq4.line06", max(r6a, r6b), _pair_scale(m3, np_), _t(1), 1, col_quad, "both signs"
+            "eq4.line06", max(r6a, r6b), _pair_scale(m3, np_), tols.tier1, 1, col_quad, "both signs"
         )
     )
     add(
@@ -334,7 +322,9 @@ def check_lorentz_relations(
     return rep
 
 
-def check_casimir(gens: GeneratorSet, c_scalar: Optional[complex] = None) -> VerificationReport:
+def check_casimir(
+    gens: GeneratorSet, c_scalar: Optional[complex] = None, tols: Tolerances = Tolerances()
+) -> VerificationReport:
     """Scalar action and centrality of the quadratic invariant matrix."""
     if c_scalar is None:
         c_scalar = gens.c_scalar
@@ -351,14 +341,14 @@ def check_casimir(gens: GeneratorSet, c_scalar: Optional[complex] = None) -> Ver
         suite="casimir",
         subject=_subject(gens),
         convention=gens.convention,
-        environment=_env(gens, c_scalar={"re": c_scalar.real, "im": c_scalar.imag}),
+        environment=_env(gens, tols, c_scalar={"re": c_scalar.real, "im": c_scalar.imag}),
     )
     rep.add(
         RelationResidual(
             "eq5.scalar",
             _masked_max(cas.data - c_scalar * eye, quad),
             max(1.0, cas.max_norm),
-            _t(tier),
+            tols.of(tier),
             tier,
             col_quad,
         )
@@ -371,7 +361,7 @@ def check_casimir(gens: GeneratorSet, c_scalar: Optional[complex] = None) -> Ver
                 f"eq5.central.{name}",
                 _masked_max(cas.data @ op.data - op.data @ cas.data, cubic),
                 _pair_scale(cas, op),
-                _t(tier),
+                tols.of(tier),
                 tier,
                 col_cubic,
             )
@@ -384,7 +374,11 @@ def check_casimir(gens: GeneratorSet, c_scalar: Optional[complex] = None) -> Ver
 
 
 def check_tensor_operator(
-    tri: SuQ2Triple, tensor: TensorOperator, d: Deformation, name: str = "T"
+    tri: SuQ2Triple,
+    tensor: TensorOperator,
+    d: Deformation,
+    name: str = "T",
+    tols: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Check the deformed tensor-operator relations in both variants.
 
@@ -431,7 +425,7 @@ def check_tensor_operator(
         suite="tensor_operator",
         subject={"tag": f"vector operator {name}", "dim": basis.dim, "satisfies": satisfied},
         convention=DEFAULT_CONVENTION,
-        environment={"q": d.q, "tier1_tol": TOLERANCES["tier1"], "tier2_tol": TOLERANCES["tier2"]},
+        environment={"q": d.q, "tier1_tol": tols.tier1, "tier2_tol": tols.tier2},
     )
     for variant, rows in (("primary", primary), ("alternative", alternative)):
         tier = 1 if variant == satisfied else 2
@@ -441,7 +435,7 @@ def check_tensor_operator(
                     f"eq1.{variant}.{rid}",
                     res,
                     scale,
-                    _t(tier),
+                    tols.of(tier),
                     tier,
                     "all columns",
                 )
@@ -454,7 +448,10 @@ def check_tensor_operator(
 
 
 def check_q_adjoint(
-    label: RepLabel, j_max: HalfInt, conv: ConventionId = DEFAULT_CONVENTION
+    label: RepLabel,
+    j_max: HalfInt,
+    conv: ConventionId = DEFAULT_CONVENTION,
+    tols: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Adjoint involution checks between the builds at q and at 1/q.
 
@@ -475,7 +472,7 @@ def check_q_adjoint(
         suite="q_adjoint",
         subject=_subject(g),
         convention=conv,
-        environment=_env(g, q_inverse=label_inv.d.q, unitary_series=unitary),
+        environment=_env(g, tols, q_inverse=label_inv.d.q, unitary_series=unitary),
     )
 
     def dag(a: np.ndarray) -> np.ndarray:
@@ -497,7 +494,7 @@ def check_q_adjoint(
                 rid,
                 float(np.max(np.abs(lhs - rhs))),
                 max(1.0, op.max_norm),
-                TOLERANCES["adjoint"] if tier == 1 else _t(2),
+                ADJOINT_ELEMENTWISE_TOL if tier == 1 else tols.tier2,
                 tier,
                 "all entries",
                 "elementwise",
@@ -510,7 +507,7 @@ def check_q_adjoint(
             "eq6.suite_at_inverse_q",
             inv_suite.worst_relative(),
             1.0,
-            _t(2),
+            tols.tier2,
             2,
             "interior (quadratic)",
             "worst relative residual of the defining suite at 1/q",
@@ -523,7 +520,9 @@ def check_q_adjoint(
 # unitarity conditions on the coefficients
 
 
-def check_unitary_coeffs(label: RepLabel, j_max: HalfInt) -> VerificationReport:
+def check_unitary_coeffs(
+    label: RepLabel, j_max: HalfInt, tols: Tolerances = Tolerances()
+) -> VerificationReport:
     """Reality of a_j and anti-reality of c_j versus the series classification.
 
     For principal/complementary labels every coefficient condition must hold
@@ -539,7 +538,7 @@ def check_unitary_coeffs(label: RepLabel, j_max: HalfInt) -> VerificationReport:
         suite="unitary_coeffs",
         subject={"label": label.to_record(), "classification": cls.to_record()},
         convention=DEFAULT_CONVENTION,
-        environment={"q": label.d.q, "j_max": str(j_max), "tier1_tol": TOLERANCES["tier1"]},
+        environment={"q": label.d.q, "j_max": str(j_max), "tier1_tol": tols.tier1},
     )
     any_fail = False
     for j in half_range(label.l0, j_max):
@@ -549,7 +548,7 @@ def check_unitary_coeffs(label: RepLabel, j_max: HalfInt) -> VerificationReport:
             f"unit.a_real.j={j}",
             abs(a.imag),
             max(1.0, abs(a)),
-            _t(1),
+            tols.tier1,
             1 if unitary else 2,
             "coefficient",
         )
@@ -557,7 +556,7 @@ def check_unitary_coeffs(label: RepLabel, j_max: HalfInt) -> VerificationReport:
             f"unit.c_imag.j={j}",
             abs(c.real),
             max(1.0, abs(c)),
-            _t(1),
+            tols.tier1,
             1 if unitary else 2,
             "coefficient",
         )
@@ -579,24 +578,26 @@ def check_unitary_coeffs(label: RepLabel, j_max: HalfInt) -> VerificationReport:
     return rep
 
 
-def check_recurrence_suite(label: RepLabel, j_max: HalfInt) -> VerificationReport:
+def check_recurrence_suite(
+    label: RepLabel, j_max: HalfInt, tols: Tolerances = Tolerances()
+) -> VerificationReport:
     """Difference-equation residuals as a report (the coefficient oracle)."""
     rep = VerificationReport(
         suite="recurrences",
         subject={"label": label.to_record()},
         convention=DEFAULT_CONVENTION,
-        environment={"q": label.d.q, "j_max": str(j_max), "tier1_tol": TOLERANCES["tier1"]},
+        environment={"q": label.d.q, "j_max": str(j_max), "tier1_tol": tols.tier1},
     )
     for row in check_recurrences(label, j_max):
         j = row["j"]
         rep.add(
             RelationResidual(
-                f"rec.ladder.j={j}", row["residual_ladder"], 1.0, _t(1), 1, "coefficient"
+                f"rec.ladder.j={j}", row["residual_ladder"], 1.0, tols.tier1, 1, "coefficient"
             )
         )
         rep.add(
             RelationResidual(
-                f"rec.norm.j={j}", row["residual_norm"], 1.0, _t(1), 1, "coefficient"
+                f"rec.norm.j={j}", row["residual_norm"], 1.0, tols.tier1, 1, "coefficient"
             )
         )
     return rep
@@ -625,16 +626,7 @@ class ClassicalGeneratorSet:
     casimir: OperatorMatrix
 
     def matrices(self) -> dict[str, OperatorMatrix]:
-        return {
-            "m_plus": self.m_plus,
-            "m_minus": self.m_minus,
-            "m3": self.m3,
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "n3": self.n3,
-            "n3_tilde": self.n3_tilde,
-            "casimir": self.casimir,
-        }
+        return {name: getattr(self, name) for name in GENERATOR_PATTERNS}
 
 
 def _classical_c(j: float, l0: float, l1: complex) -> complex:
@@ -726,8 +718,6 @@ def classical_oracle(l0: HalfInt, l1: complex, j_max: HalfInt) -> ClassicalGener
                 mats["n3"][basis.index(j + 1, m), col] += -cj1 * math.sqrt(
                     (fj + fm + 1) * (fj - fm + 1)
                 )
-
-    from .matrep import GENERATOR_PATTERNS
 
     ops = {k: OperatorMatrix(v, GENERATOR_PATTERNS[k]) for k, v in mats.items()}
     # quadratic invariant, normalized to the deformed one: brute-force

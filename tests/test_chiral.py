@@ -133,7 +133,7 @@ def test_reduction_identity_is_weight_spectral():
     g = build_generator_set(lab("1", 2.7j, 1.3), HalfInt.parse("5"))
     eye = np.eye(cs.dim)
     lhs = eye - cs.d.alpha * (cs.I3_L.data + cs.I3_R.data)
-    qm = np.diag([cs.d.q ** (-float(m)) for _j, m in g.basis.states()])
+    qm = np.diag([cs.d.q ** (-int(m2) / 2) for m2 in g.basis.m2])
     np.testing.assert_allclose(lhs, qm, atol=1e-13)
 
 

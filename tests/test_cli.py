@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 
 import pytest
 
@@ -69,6 +71,83 @@ def test_verify_passes_on_clean_build(tmp_path):
     assert code == 0
     doc = json.loads(raw)
     assert doc["verdict"]["tier1_pass"] is True
+
+
+def export_build(tmp_path, name, args):
+    exp = tmp_path / name
+    assert main(["build", *args, "--export", str(exp), "--output", str(tmp_path / "b.json")]) == 0
+    return exp
+
+
+SPINOR = ["--l0", "1/2", "--l1", "1.5", "--q", "1.3"]
+PRINCIPAL = ["--l0", "0", "--l1", "2.7i", "--q", "1.3"]
+
+
+def test_verify_import_reports_off_pattern_entry(tmp_path):
+    # an entry moved off the raising pattern (row 1 -> row 0 of column 0)
+    # is a failing selection-rule record in a complete report, not a crash
+    exp = export_build(tmp_path, "exp", SPINOR)
+    target = exp / "m_plus.txt"
+    text = target.read_text()
+    assert "\n1 0 " in text
+    target.write_text(text.replace("\n1 0 ", "\n0 0 "))
+    code, raw = run_cli(["verify", "--import", str(exp)], tmp_path, "v.json")
+    assert code == 1
+    doc = json.loads(raw)
+    struct = [r for rep in doc["reports"] for r in rep["relations"] if r["id"] == "struct.m_plus"]
+    assert len(struct) == 1 and struct[0]["pass"] is False and struct[0]["residual"] > 0
+
+
+def _bad_import(tmp_path, case):
+    exp = export_build(tmp_path, "exp", SPINOR)
+    if case == "row out of range":
+        (exp / "m_plus.txt").write_text((exp / "m_plus.txt").read_text() + "2 0 1 0\n")
+    elif case == "negative index":
+        (exp / "m_plus.txt").write_text((exp / "m_plus.txt").read_text() + "0 -1 1 0\n")
+    elif case == "label mismatch":
+        other = export_build(tmp_path, "other", ["--l0", "1/2", "--l1", "1.5", "--q", "0.7"])
+        shutil.copy(other / "n3.txt", exp / "n3.txt")
+    elif case == "convention mismatch":
+        other = export_build(tmp_path, "other", SPINOR + ["--conv", "printed"])
+        shutil.copy(other / "n3.txt", exp / "n3.txt")
+    elif case == "dim mismatch":
+        exp = export_build(tmp_path, "inf", PRINCIPAL + ["--j-max", "2"])
+        other = export_build(tmp_path, "other", PRINCIPAL + ["--j-max", "1"])
+        shutil.copy(other / "casimir.txt", exp / "casimir.txt")
+    elif case in ("finite dim off the basis", "infinite dim off the basis"):
+        if case.startswith("infinite"):
+            # l0 = 0 blocks have sizes 1, 3, 5: dim 5 is no basis
+            exp = export_build(tmp_path, "inf", PRINCIPAL + ["--j-max", "1"])
+        for f in exp.iterdir():
+            bump = re.sub(r"^# dim=(\d+)", lambda m: f"# dim={int(m.group(1)) + 1}", f.read_text())
+            f.write_text(bump)
+    elif case == "missing file":
+        (exp / "n_minus.txt").unlink()
+    return exp
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "row out of range",
+        "negative index",
+        "label mismatch",
+        "convention mismatch",
+        "dim mismatch",
+        "finite dim off the basis",
+        "infinite dim off the basis",
+        "missing file",
+    ],
+)
+def test_bad_import_exits_2_with_message(tmp_path, capsys, case):
+    from qlorentz.matrep import import_generator_set
+
+    exp = _bad_import(tmp_path, case)
+    with pytest.raises(OSError if case == "missing file" else ValueError):
+        import_generator_set(exp)
+    capsys.readouterr()
+    assert main(["verify", "--import", str(exp), "--output", str(tmp_path / "v.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_fails_on_perturbed_import(tmp_path):
@@ -182,11 +261,13 @@ def test_text_format(tmp_path):
 
 def test_tolerance_override_flags(tmp_path):
     # absurdly tight tier-1 tolerance forces a failure exit
-    code, _ = run_cli(
-        ["verify", "--l0", "1/2", "--l1", "1.5", "--q", "1.3", "--tier1-tol", "1e-30"],
-        tmp_path,
-    )
+    args = ["verify", "--l0", "1/2", "--l1", "1.5", "--q", "1.3"]
+    code, _ = run_cli(args + ["--tier1-tol", "1e-30"], tmp_path)
     assert code == 1
+    # and does not leak into a later run in the same process
+    code, raw = run_cli(args, tmp_path, "plain.json")
+    assert code == 0
+    assert {rep["environment"]["tier1_tol"] for rep in json.loads(raw)["reports"]} == {1e-10}
 
 
 def test_printed_convention_flag(tmp_path):

@@ -39,12 +39,15 @@ def test_basis_ordering_and_round_trip():
     assert [str(j) for j in basis.spins] == ["1/2", "3/2", "5/2", "7/2"]
     assert basis.dim == 2 + 4 + 6 + 8
     assert basis.truncated
-    for i in range(basis.dim):
-        j, m = basis.state(i)
-        assert basis.index(j, m) == i
+    assert basis.j2.tolist() == [1] * 2 + [3] * 4 + [5] * 6 + [7] * 8
+    assert basis.starts.tolist() == [0, 2, 6, 12]
     # m runs -j..j inside each block
-    j0 = basis.spins[0]
-    assert basis.state(basis.offsets[j0]) == (j0, -j0)
+    assert basis.m2[:6].tolist() == [-1, 1, -3, -1, 1, 3]
+    for i in range(basis.dim):
+        assert basis.index(HalfInt(int(basis.j2[i])), HalfInt(int(basis.m2[i]))) == i
+    valid, rows = basis.locate(basis.j2, basis.m2)
+    assert valid.all() and rows.tolist() == list(range(basis.dim))
+    assert not basis.j2.flags.writeable and not basis.m2.flags.writeable
 
 
 def test_basis_dims_on_reference_labels():
@@ -68,9 +71,9 @@ def test_interior_columns():
     b = build_basis(lab("0", 2.7j, 1.3), HalfInt.parse("3"))
     lin = b.interior_columns(1)
     quad = b.interior_columns(2)
-    for i, (j, _m) in enumerate(b.states()):
-        assert lin[i] == (j.twice <= 4)
-        assert quad[i] == (j.twice <= 2)
+    for i, j2 in enumerate(b.j2):
+        assert lin[i] == (j2 <= 4)
+        assert quad[i] == (j2 <= 2)
     full = build_basis(lab("0", 2.0, 1.3), HalfInt(0))
     assert full.interior_columns(2).all()
 
@@ -110,8 +113,8 @@ def test_rotation_classical_limit_entries():
 def test_m3_diagonal_weights():
     basis = build_basis(lab("1/2", 2.7j, 1.3), HalfInt.parse("5/2"))
     _, _, m3 = build_M(basis, Deformation(1.3))
-    for i, (_j, m) in enumerate(basis.states()):
-        assert m3.data[i, i] == float(m)
+    for i, m2 in enumerate(basis.m2):
+        assert m3.data[i, i] == m2 / 2
 
 
 @pytest.mark.parametrize("q", [0.5, 0.9, 1.3, 2.0])
@@ -136,6 +139,95 @@ def test_selection_rules_exact():
     g = build_generator_set(lab("1/2", 2.7j, 1.3), HalfInt.parse("7/2"))
     for name, op in g.matrices().items():
         assert pattern_violation(op, g.basis) == 0.0, name
+
+
+@pytest.mark.parametrize("l0,l1,jm", [("1", 2.7j, "4"), ("1/2", 3.5, "1/2")])
+def test_selection_rule_edges(l0, l1, jm):
+    # one planted entry at every off-pattern neighbour of the |m| = j columns
+    # of the first and last spin block is reported at exactly its magnitude
+    from qlorentz.matrep import OperatorMatrix
+
+    g = build_generator_set(lab(l0, l1, 1.3), HalfInt.parse(jm))
+    b = g.basis
+    edge = [i for i in range(b.dim) if b.j2[i] in (b.j2[0], b.j2[-1]) and abs(b.m2[i]) == b.j2[i]]
+    assert len(edge) == 4
+    planted = 1e-3 * (0.3 - 0.4j)
+    for name in ("n_plus", "n3", "m_minus"):
+        op = g.matrices()[name]
+        checked = 0
+        for col in edge:
+            for dj in range(-2, 3):
+                for dm in range(-2, 3):
+                    if (dj, dm) in op.pattern:
+                        continue
+                    valid, rows = b.locate(b.j2[[col]] + 2 * dj, b.m2[[col]] + 2 * dm)
+                    if not valid[0]:
+                        continue
+                    arr = op.data.copy()
+                    arr[rows[0], col] = planted
+                    got = pattern_violation(OperatorMatrix(arr.copy(), op.pattern), b)
+                    assert got == abs(planted), (name, col, dj, dm)
+                    arr[rows[0], col] = 0
+                    assert pattern_violation(OperatorMatrix(arr, op.pattern), b) == 0.0
+                    checked += 1
+        assert checked >= 8, name
+
+
+def _reference_generators(basis, label, conv):
+    """Per-entry evaluation of the matrix actions in the matrep docstring
+    (with the catalogued readings), the reference for the vectorized build."""
+    d, n = label.d, basis.dim
+    lnq = math.log(d.q)
+    qp = lambda e: math.exp(e * lnq)  # noqa: E731
+    br = lambda x, y: math.sqrt(q_number(x, d) * q_number(y, d))  # noqa: E731
+    from qlorentz.repcore import coeff_a
+
+    q1 = (-0.25, 0.0, 0.25)[conv.n_first_shift]
+    q3 = (0.25, 0.0, -0.25)[conv.n_third_shift]
+    mid = -1.0 if conv.n_mid_exp == 0 else 1.0
+    names = ("m_plus", "m_minus", "n_plus", "n_minus", "n3")
+    out = {k: np.zeros((n, n), dtype=complex) for k in names}
+    for j in basis.spins:
+        a, c, c1 = coeff_a(j, label), coeff_c(j, label), coeff_c(j + 1, label)
+        fj = float(j)
+        for m in half_range(-j, j):
+            col, fm = basis.index(j, m), float(m)
+
+            def put(name, tj, tm, val):
+                if basis.has(tj, tm):
+                    out[name][basis.index(tj, tm), col] += val
+
+            down_p, down_m = (m, m) if conv.n_down_dm else (m + 1, m - 1)
+            put("m_plus", j, m + 1, br(j - m, j + m + 1) * qp(-0.25 - fm / 2))
+            put("m_minus", j, m - 1, br(j + m, j - m + 1) * qp(-0.25 + fm / 2))
+            if basis.has(j - 1, down_p):
+                put("n_plus", j - 1, down_p, c * br(j - m, j - m - 1) * qp(q1 - (fj + fm) / 2))
+            if basis.has(j, m + 1):
+                put("n_plus", j, m + 1, -a * br(j - m, j + m + 1) * qp(-0.25 + mid * fm / 2))
+            put("n_plus", j + 1, m + 1, c1 * br(j + m + 1, j + m + 2) * qp(q3 + (fj - fm) / 2))
+            if basis.has(j - 1, down_m):
+                put("n_minus", j - 1, down_m, -c * br(j + m, j + m - 1) * qp(q1 - (fj - fm) / 2))
+            if basis.has(j, m - 1):
+                put("n_minus", j, m - 1, -a * br(j + m, j - m + 1) * qp(-0.25 - mid * fm / 2))
+            put("n_minus", j + 1, m - 1, -c1 * br(j - m + 1, j - m + 2) * qp(q3 + (fj + fm) / 2))
+            if basis.has(j - 1, m):
+                put("n3", j - 1, m, c * br(j - m, j + m) * qp(-fm / 2))
+            put("n3", j, m, -a * q_number(m, d) * qp(-fm / 2))
+            put("n3", j + 1, m, -c1 * br(j + m + 1, j - m + 1) * qp(-fm / 2))
+    return out
+
+
+@pytest.mark.parametrize("l0,l1,q", [("0", 2.7j, 0.5), ("1/2", 3.5, 1.3), ("2", 1 - 0.5j, 7.0)])
+def test_builders_bitwise_equal_to_per_entry_reference(l0, l1, q):
+    label = lab(l0, l1, q)
+    basis = build_basis(label, label.l0 + 3)
+    mp, mm, _ = build_M(basis, label.d)
+    for conv in (ConventionId(), ConventionId(1, 1, 2, 1), ConventionId(0, 1, 1, 2)):
+        ref = _reference_generators(basis, label, conv)
+        built = dict(zip(("n_plus", "n_minus", "n3"), build_N(basis, label, conv)))
+        built.update(m_plus=mp, m_minus=mm)
+        for name, op in built.items():
+            assert op.data.tobytes() == ref[name].tobytes(), (name, conv)
 
 
 def test_boosts_on_spinor_are_rotations_times_minus_i():

@@ -24,7 +24,7 @@ from qlorentz.verify import (
     classical_limit_compare,
     classical_oracle,
     resolve_conventions,
-    set_tolerances,
+    Tolerances,
 )
 
 
@@ -101,7 +101,6 @@ def test_single_entry_perturbation_is_detected():
     # bumping any one entry by 1e-3 * scale must break the suite at 1e-6
     label = lab("1/2", 1.5, 1.3)
     rng = np.random.default_rng(21)
-    set_tolerances(tier1=1e-6, tier2=1e-6)
     from dataclasses import replace
 
     for name in ("m_plus", "m3", "n_plus", "n3", "n3_tilde"):
@@ -111,7 +110,7 @@ def test_single_entry_perturbation_is_detected():
         scale = max(1.0, float(np.max(np.abs(arr))))
         arr[r, c] += 1e-3 * scale
         broken = replace(g, **{name: OperatorMatrix(arr, None)})
-        rep = check_lorentz_relations(broken)
+        rep = check_lorentz_relations(broken, tols=Tolerances(1e-6, 1e-6))
         assert not rep.all_pass, f"perturbation of {name}[{r},{c}] went unnoticed"
 
 
