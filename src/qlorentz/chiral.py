@@ -121,9 +121,9 @@ class ChiralSet:
         return "all columns"
 
 
-def build_chiral(gens: GeneratorSet, d: Optional[Deformation] = None) -> ChiralSet:
+def build_chiral(gens: GeneratorSet) -> ChiralSet:
     """Chiral generators from a built generator set; diagonals spectrally."""
-    d = d or gens.d
+    d = gens.d
     b = gens.basis
     mdn = diag_from_m(b, lambda m: q_number(m, d) * math.pow(d.q, -float(m) / 2))
     mup = diag_from_m(b, lambda m: q_number(m, d) * math.pow(d.q, float(m) / 2))

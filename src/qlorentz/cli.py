@@ -11,6 +11,7 @@ tier-1 failure, 2 on usage or domain errors (reported before any computation).
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -393,8 +394,15 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         cfg.l0_b = HalfInt.parse(ns.l0_b)
     if getattr(ns, "l1_b", None):
         cfg.l1_b = parse_l1(ns.l1_b)
-    cfg.tier1_tol = getattr(ns, "tier1_tol", None)
-    cfg.tier2_tol = getattr(ns, "tier2_tol", None)
+    if (cfg.l0 is None) != (cfg.l1 is None):
+        raise ValueError("--l0 and --l1 must be given together")
+    if (cfg.l0_b is None) != (cfg.l1_b is None):
+        raise ValueError("--l0-b and --l1-b must be given together")
+    for flag in ("tier1_tol", "tier2_tol"):
+        tol = getattr(ns, flag, None)
+        if tol is not None and not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite and >= 0, got {tol}")
+        setattr(cfg, flag, tol)
     cfg.export_dir = getattr(ns, "export", None)
     cfg.import_dir = getattr(ns, "import_dir", None)
     cfg.output = getattr(ns, "output", None)
@@ -411,7 +419,7 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         needs_label = True
     if cfg.command in ("coproduct", "chiral", "conventions") and cfg.q is None:
         raise ValueError("--q is required")
-    if needs_label and (cfg.l0 is None or cfg.l1 is None or (cfg.command != "limit" and cfg.q is None)):
+    if needs_label and (cfg.l0 is None or (cfg.command != "limit" and cfg.q is None)):
         raise ValueError("--l0, --l1 (and --q) are required for this command")
     return cfg
 
@@ -431,6 +439,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return run(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -21,6 +21,7 @@ Matrix actions, column (j, m) -> rows:
   N3 : +c_j    sqrt([j-m][j+m])     q^(-m/2)              -> (j-1, m)
        -a_j    [m]                  q^(-m/2)              -> (j,   m)
        -c_{j+1} sqrt([j+m+1][j-m+1]) q^(-m/2)              -> (j+1, m)
+  N3~: the N3 terms with q^(+m/2) in place of q^(-m/2), i.e. q^(M3) N3
 
 Ambiguous readings of the source exponents (the sign of the diagonal-term
 m/2 power, the quarter-power shifts on the j+-1 terms, and the m-shift of
@@ -34,7 +35,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,8 +71,8 @@ __all__ = [
 
 
 class ConstructionInconsistencyError(RuntimeError):
-    """A relation-derived matrix violated its selection rule: the chosen
-    convention is inconsistent with the algebra."""
+    """The chosen convention's boost terms break their selection rule, so it
+    is inconsistent with the algebra."""
 
 
 # --------------------------------------------------------------------------
@@ -261,16 +262,12 @@ class ConventionId:
     def to_list(self) -> list[int]:
         return [getattr(self, name) for name in self._FIELDS]
 
-    @staticmethod
-    def from_list(vals: Iterable[int]) -> "ConventionId":
-        return ConventionId(**dict(zip(ConventionId._FIELDS, vals)))
-
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.to_list())
 
     @staticmethod
     def parse(s: str) -> "ConventionId":
-        return ConventionId.from_list(int(t) for t in s.split(","))
+        return ConventionId(**dict(zip(ConventionId._FIELDS, map(int, s.split(",")))))
 
 
 DEFAULT_CONVENTION = ConventionId()
@@ -392,34 +389,12 @@ def build_N(
     return tuple(_ladder(basis, terms, label.d, coeffs) for terms in _boost_terms(conv))
 
 
-def build_N3_tilde(
-    m_plus: OperatorMatrix,
-    n_minus: OperatorMatrix,
-    basis: Basis,
-    c_scalar: complex,
-    d: Deformation,
-    rule_tol: float = 1e-10,
-) -> OperatorMatrix:
-    """Second diagonal boost, solved out of the relation that defines it:
-
-        M+ N- q^(-1/2) - q^(1/2) N- M+ = [2] N3t + delta * c * 1.
-
-    The result must stay block-tridiagonal in j with no m shift; a violation
-    above rule_tol * scale means the convention used for N- is inconsistent
-    and raises `ConstructionInconsistencyError`.
-    """
-    rq = math.sqrt(d.q)
-    lhs = m_plus.data @ n_minus.data / rq - rq * (n_minus.data @ m_plus.data)
-    lhs = lhs - d.delta * c_scalar * np.eye(basis.dim, dtype=np.complex128)
-    out = OperatorMatrix(lhs / q_number(HalfInt.from_int(2), d), GENERATOR_PATTERNS["n3_tilde"])
-    scale = max(1.0, m_plus.max_norm * n_minus.max_norm)
-    bad = pattern_violation(out, basis)
-    if bad > rule_tol * scale:
-        raise ConstructionInconsistencyError(
-            f"derived diagonal boost violates its selection rule by {bad:.3e} "
-            f"(scale {scale:.3e}); convention mismatch"
-        )
-    return out
+def build_N3_tilde(n3: OperatorMatrix, basis: Basis, d: Deformation) -> OperatorMatrix:
+    """Second diagonal boost in closed form, N3~ = q^(M3) N3: the brackets and
+    a_j, c_j are invariant under q -> 1/q, so flipping the q^(-m/2) dressing
+    of N3 multiplies each row of weight m by q^m."""
+    qm = _gather(lambda t: math.pow(d.q, t / 2), basis.m2)
+    return OperatorMatrix(qm[:, None] * n3.data, GENERATOR_PATTERNS["n3_tilde"])
 
 
 def build_casimir_matrix(
@@ -487,14 +462,20 @@ def build_generator_set(
     j_max: Optional[HalfInt] = None,
     conv: ConventionId = DEFAULT_CONVENTION,
 ) -> GeneratorSet:
-    """Full generator set for a label (j_max defaults to l0 + 8 when needed)."""
+    """Full generator set for a label (j_max defaults to l0 + 8 when needed); a
+    convention whose boost terms break their selection rules cannot satisfy
+    the algebra and raises `ConstructionInconsistencyError`."""
     if j_max is None:
         j_max = label.l0 + 8
+    for name, terms in zip(("n_plus", "n_minus"), _boost_terms(conv)):
+        if frozenset((t.dj, t.dm) for t in terms) != GENERATOR_PATTERNS[name]:
+            raise ConstructionInconsistencyError(
+                f"convention {conv}: the {name} steps break its selection rule"
+            )
     basis = build_basis(label, j_max)
     mp, mm, m3 = build_M(basis, label.d)
     np_, nm, n3 = build_N(basis, label, conv)
-    c = casimir_eigenvalue(label)
-    n3t = build_N3_tilde(mp, nm, basis, c, label.d)
+    n3t = build_N3_tilde(n3, basis, label.d)
     cas = build_casimir_matrix(mp, mm, np_, nm, n3, n3t, label.d)
     return GeneratorSet(
         basis=basis,
@@ -524,7 +505,6 @@ class SuQ2Triple:
     m_plus: OperatorMatrix
     m_minus: OperatorMatrix
     m3: OperatorMatrix
-    d: Deformation
 
 
 def suq2_matrices(two_j: int, d: Deformation) -> SuQ2Triple:
@@ -538,7 +518,7 @@ def suq2_matrices(two_j: int, d: Deformation) -> SuQ2Triple:
         for name in ("m_plus", "m_minus")
     )
     m3 = OperatorMatrix(np.diag(basis.m2 / 2 + 0j), GENERATOR_PATTERNS["m3"])
-    return SuQ2Triple(basis=basis, m_plus=mp, m_minus=mm, m3=m3, d=d)
+    return SuQ2Triple(basis=basis, m_plus=mp, m_minus=mm, m3=m3)
 
 
 def build_from_suq2(two_j: int, d: Deformation) -> GeneratorSet:

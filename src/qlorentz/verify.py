@@ -4,8 +4,9 @@ Each check produces `RelationResidual` records collected into deterministic
 `VerificationReport`s.  Two tiers of checks are distinguished:
 
 * tier 1: analytically guaranteed by the construction (rotation subalgebra,
-  weight relations, selection rules, the relation that defines the second
-  diagonal boost, elementwise adjoint identities, recurrences, termination).
+  weight relations, selection rules, the mixed rotation-boost relation of
+  line 07 that the closed-form second diagonal boost satisfies, elementwise
+  adjoint identities, recurrences, termination).
   These gate exit codes at tight tolerance.
 * tier 2: the remaining relations on general two-constant representations at
   generic q, whose status the source text leaves open.  They are measured
@@ -214,16 +215,12 @@ def _line_tier(line: str, gens: GeneratorSet) -> int:
 
 
 def check_lorentz_relations(
-    gens: GeneratorSet,
-    c_scalar: Optional[complex] = None,
-    d: Optional[Deformation] = None,
-    tols: Tolerances = Tolerances(),
+    gens: GeneratorSet, tols: Tolerances = Tolerances()
 ) -> VerificationReport:
     """Residuals for all ten defining relation lines, the vanishing
     commutators among the remaining pairs, and the selection-rule patterns."""
-    d = d or gens.d
-    if c_scalar is None:
-        c_scalar = gens.c_scalar
+    d = gens.d
+    c_scalar = gens.c_scalar
     q = d.q
     rq = math.sqrt(q)
     delta = d.delta
@@ -322,12 +319,9 @@ def check_lorentz_relations(
     return rep
 
 
-def check_casimir(
-    gens: GeneratorSet, c_scalar: Optional[complex] = None, tols: Tolerances = Tolerances()
-) -> VerificationReport:
+def check_casimir(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> VerificationReport:
     """Scalar action and centrality of the quadratic invariant matrix."""
-    if c_scalar is None:
-        c_scalar = gens.c_scalar
+    c_scalar = gens.c_scalar
     basis = gens.basis
     cas = gens.casimir
     eye = np.eye(basis.dim, dtype=np.complex128)
@@ -528,7 +522,8 @@ def check_unitary_coeffs(
     For principal/complementary labels every coefficient condition must hold
     (tier 1); for non-unitary labels the per-j conditions are informational
     and the tier-1 statement is that at least one of them fails, agreeing
-    with the classification.
+    with the classification.  A window whose coefficients all vanish (only
+    j = l0 = 0) can witness nothing, and the summary passes with a note.
     """
     from .repcore import coeff_a, coeff_c
 
@@ -540,7 +535,7 @@ def check_unitary_coeffs(
         convention=DEFAULT_CONVENTION,
         environment={"q": label.d.q, "j_max": str(j_max), "tier1_tol": tols.tier1},
     )
-    any_fail = False
+    any_fail = informative = False
     for j in half_range(label.l0, j_max):
         a = coeff_a(j, label)
         c = coeff_c(j, label)
@@ -561,9 +556,13 @@ def check_unitary_coeffs(
             "coefficient",
         )
         any_fail = any_fail or not ra.passed or not rc.passed
+        informative = informative or a != 0 or c != 0
         rep.add(ra)
         rep.add(rc)
-    consistent = (not any_fail) if unitary else any_fail
+    consistent = (not any_fail) if unitary else (any_fail or not informative)
+    note = f"classified {cls.unitary}"
+    if not informative:
+        note += "; every coefficient in the window is zero"
     rep.add(
         RelationResidual(
             "unit.matches_classification",
@@ -572,7 +571,7 @@ def check_unitary_coeffs(
             0.5,
             1,
             "summary",
-            f"classified {cls.unitary}",
+            note,
         )
     )
     return rep
@@ -841,7 +840,6 @@ def resolve_conventions(
     two_j: Optional[int] = None,
     d: Optional[Deformation] = None,
     j_max: Optional[HalfInt] = None,
-    catalog: Optional[list[ConventionId]] = None,
 ) -> tuple[ConventionId, list[dict]]:
     """Pick the reading of every catalogued ambiguity that minimizes residuals.
 
@@ -857,21 +855,6 @@ def resolve_conventions(
         d = label.d if label is not None else Deformation(1.3)
     table: list[dict] = []
     chosen = {}
-
-    if catalog is not None:
-        if not catalog:
-            raise ValueError("empty convention catalog")
-        if len(catalog) > 256:
-            raise ValueError("convention catalog too large")
-        lab = label or RepLabel(HalfInt(1), 1.5, d)
-        jm = j_max if j_max is not None else lab.l0 + 4
-        scored = []
-        for conv in catalog:
-            s = _eq4_score(lab, jm, conv)
-            table.append(_table_row("catalog", conv, s))
-            scored.append((s, conv.to_list(), conv))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        return scored[0][2], table
 
     # axis group 1: boost-matrix exponents and the relation pairing
     if label is not None:

@@ -64,6 +64,57 @@ def test_usage_error_is_exit_2(tmp_path):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["coproduct", "--q", "1.3", "--l0", "1"], "--l0 and --l1"),
+        (["coproduct", "--q", "1.3", "--l1", "1.5"], "--l0 and --l1"),
+        (["coproduct", "--q", "1.3", "--l0-b", "1"], "--l0-b and --l1-b"),
+        (["coproduct", "--q", "1.3", "--l1-b", "1.5"], "--l0-b and --l1-b"),
+        (["conventions", "--q", "1.3", "--l0", "1"], "--l0 and --l1"),
+    ],
+)
+def test_label_flags_must_come_in_pairs(tmp_path, capsys, args, message):
+    code, raw = run_cli(args, tmp_path)
+    assert code == 2 and raw == b""
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tier1-tol", "--tier2-tol"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_tolerance_exits_2_naming_the_flag(tmp_path, capsys, flag, value):
+    args = ["verify", "--l0", "1/2", "--l1", "1.5", "--q", "1.3", flag, value]
+    code, raw = run_cli(args, tmp_path)
+    assert code == 2 and raw == b""
+    assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+
+def test_out_of_memory_exits_2_with_message(tmp_path, capsys, monkeypatch):
+    import qlorentz.cli as cli
+
+    def no_memory(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 8.13 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_generator_set", no_memory)
+    code, raw = run_cli(
+        ["build", "--l0", "0", "--l1", "0.5", "--q", "1.3", "--j-max", "200"], tmp_path
+    )
+    assert code == 2 and raw == b""
+    assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")
+
+
+def test_verify_non_unitary_single_zero_block_exits_0(tmp_path):
+    # j_max = l0 = 0: the only coefficients are a_0 = c_0 = 0, which cannot
+    # witness non-unitarity, so the summary must not report a mismatch
+    code, raw = run_cli(
+        ["verify", "--l0", "0", "--l1", "1+1i", "--q", "1.3", "--j-max", "0"], tmp_path
+    )
+    assert code == 0
+    unit = next(r for r in json.loads(raw)["reports"] if r["suite"] == "unitary_coeffs")
+    summary = next(r for r in unit["relations"] if r["id"] == "unit.matches_classification")
+    assert summary["pass"] and "every coefficient in the window is zero" in summary["note"]
+
+
 def test_verify_passes_on_clean_build(tmp_path):
     code, raw = run_cli(
         ["verify", "--l0", "0", "--l1", "2.7i", "--q", "1.3", "--j-max", "8"], tmp_path

@@ -14,7 +14,6 @@ from qlorentz.matrep import (
     build_generator_set,
     build_M,
     build_N,
-    build_N3_tilde,
     build_ST_vectors,
     diag_from_m,
     export_matrix,
@@ -248,7 +247,7 @@ def test_n3_column_at_origin():
 
 
 def test_n3_tilde_matches_direct_formula():
-    # relation-derived construction equals the diagonal-dressed form q^(M3) N3
+    # the closed-form build equals q^(M3) N3 written as a diagonal product
     for l0, l1, q in [("0", 0.5, 1.3), ("1", 2.7j, 0.7), ("1/2", 1.5, 2.0)]:
         g = build_generator_set(lab(l0, l1, q), HalfInt.parse(l0) + 5)
         qm3 = diag_from_m(g.basis, lambda m: math.pow(q, float(m)))
@@ -256,13 +255,10 @@ def test_n3_tilde_matches_direct_formula():
 
 
 def test_n3_tilde_rejects_inconsistent_convention():
+    # the j-1 boost term without an m shift breaks the N+/N- selection rules
     label = lab("0", 0.5, 1.3)
-    basis = build_basis(label, HalfInt.parse("4"))
-    mp, _, _ = build_M(basis, label.d)
-    bad = ConventionId(n_down_dm=1)
-    _, nm, _ = build_N(basis, label, bad)
     with pytest.raises(ConstructionInconsistencyError):
-        build_N3_tilde(mp, nm, basis, 0j, label.d)
+        build_generator_set(label, HalfInt.parse("4"), ConventionId(n_down_dm=1))
 
 
 def test_casimir_scalar_on_spinor():

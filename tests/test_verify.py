@@ -390,15 +390,6 @@ def test_limit_compare_rejects_large_eps():
 # ---------------------------------------------------------------- resolver
 
 
-def test_resolver_single_entry_catalog():
-    conv = ConventionId(n_first_shift=1)
-    win, table = resolve_conventions(
-        label=lab("1/2", 1.5, 1.3), catalog=[conv]
-    )
-    assert win == conv
-    assert len(table) == 1
-
-
 def test_resolver_picks_exact_readings():
     win, _ = resolve_conventions(label=lab("1", 0.5, 1.3), two_j=2, d=Deformation(1.3))
     assert win.n_mid_exp == 0
