@@ -59,10 +59,6 @@ __all__ = [
 _SPINOR_ANNIHILATION_TOL = 1e-12
 _WITNESS_THRESHOLD = 1e-3
 
-_IJ_PATTERN = frozenset({(-1, 1), (0, 1), (1, 1)})
-_IJ_PATTERN_M = frozenset({(-1, -1), (0, -1), (1, -1)})
-_DIAG_PATTERN = frozenset({(-1, 0), (0, 0), (1, 0)})
-
 
 @dataclass(frozen=True)
 class ChiralSet:
@@ -135,23 +131,20 @@ def build_chiral(gens: GeneratorSet) -> ChiralSet:
     i3tl = mup + 1j * gens.n3_tilde.data
     i3tr = mup - 1j * gens.n3_tilde.data
 
-    def om(arr, pattern):
-        return OperatorMatrix(arr, pattern)
-
     return ChiralSet(
         d=d,
-        I_plus_L=om(gens.m_plus.data + 1j * gens.n_plus.data, _IJ_PATTERN),
-        I_minus_L=om(gens.m_minus.data + 1j * gens.n_minus.data, _IJ_PATTERN_M),
-        I3_L=om(i3l, _DIAG_PATTERN),
-        I3_L_tilde=om(i3tl, _DIAG_PATTERN),
-        I_plus_R=om(gens.m_plus.data - 1j * gens.n_plus.data, _IJ_PATTERN),
-        I_minus_R=om(gens.m_minus.data - 1j * gens.n_minus.data, _IJ_PATTERN_M),
-        I3_R=om(i3r, _DIAG_PATTERN),
-        I3_R_tilde=om(i3tr, _DIAG_PATTERN),
-        T3_L=om(2.0 * eye - delta * i3l, _DIAG_PATTERN),
-        T3_L_tilde=om(2.0 * eye + delta * i3tl, _DIAG_PATTERN),
-        T3_R=om(2.0 * eye - delta * i3r, _DIAG_PATTERN),
-        T3_R_tilde=om(2.0 * eye + delta * i3tr, _DIAG_PATTERN),
+        I_plus_L=OperatorMatrix(gens.m_plus.data + 1j * gens.n_plus.data),
+        I_minus_L=OperatorMatrix(gens.m_minus.data + 1j * gens.n_minus.data),
+        I3_L=OperatorMatrix(i3l),
+        I3_L_tilde=OperatorMatrix(i3tl),
+        I_plus_R=OperatorMatrix(gens.m_plus.data - 1j * gens.n_plus.data),
+        I_minus_R=OperatorMatrix(gens.m_minus.data - 1j * gens.n_minus.data),
+        I3_R=OperatorMatrix(i3r),
+        I3_R_tilde=OperatorMatrix(i3tr),
+        T3_L=OperatorMatrix(2.0 * eye - delta * i3l),
+        T3_L_tilde=OperatorMatrix(2.0 * eye + delta * i3tl),
+        T3_R=OperatorMatrix(2.0 * eye - delta * i3r),
+        T3_R_tilde=OperatorMatrix(2.0 * eye + delta * i3tr),
         tag=gens.tag,
         basis=b,
         tier1=len(b.spins) == 1,
@@ -269,13 +262,8 @@ def check_reduction_identities(
     return rep
 
 
-def check_chiral_adjoint(
-    label: RepLabel,
-    j_max: HalfInt,
-    conv: ConventionId = DEFAULT_CONVENTION,
-    tols: Tolerances = Tolerances(),
-) -> VerificationReport:
-    """Adjoint involution on the chiral generators.
+def check_chiral_adjoint(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> VerificationReport:
+    """Adjoint involution on the chiral generators of a built set.
 
     The involution maps a representation to its conjugate partner
     (l0, -conj(l1)): principal-series labels are self-partnered, the two
@@ -284,18 +272,18 @@ def check_chiral_adjoint(
     partner at the same q.  Exact for unitary-series labels and for
     single-block representations; measured (tier 2) otherwise.
     """
+    label, j_max, conv = gens.label, gens.basis.j_max, gens.convention
     partner = conjugate_partner(label)
-    g = build_generator_set(label, j_max, conv)
     gp_inv = build_generator_set(
         RepLabel(partner.l0, partner.l1, label.d.inverse()), j_max, conv
     )
     gp_same = build_generator_set(partner, j_max, conv)
-    cs = build_chiral(g)
+    cs = build_chiral(gens)
     cp_inv = build_chiral(gp_inv)
     cp_same = build_chiral(gp_same)
 
     cls = classify(label)
-    exact = cls.unitary != "non_unitary" or len(g.basis.spins) == 1
+    exact = cls.unitary != "non_unitary" or len(gens.basis.spins) == 1
     tier = 1 if exact else 2
     tol = tols.of(tier)
 
@@ -304,10 +292,14 @@ def check_chiral_adjoint(
         subject={
             "label": label.to_record(),
             "partner": partner.to_record(),
-            "dim": g.basis.dim,
+            "dim": gens.basis.dim,
         },
         convention=conv,
-        environment={"q": label.d.q, "j_max": str(j_max), "tier1_tol": tols.tier1},
+        environment={
+            "q": label.d.q,
+            "j_max": str(j_max) if j_max is not None else None,
+            "tier1_tol": tols.tier1,
+        },
     )
 
     def dag(op: OperatorMatrix) -> np.ndarray:
@@ -442,15 +434,13 @@ def coproduct(
     kron = np.kron
 
     x_dressing = cs_a.T3_R.data if conv.cop_r_grouplike else cs_a.T3_L.data
+    om = OperatorMatrix
 
     t3l = kron(cs_a.T3_L.data, cs_b.T3_L.data)
     t3tl = kron(cs_a.T3_L_tilde.data, cs_b.T3_L_tilde.data)
     t3r = kron(cs_a.T3_R.data, cs_b.T3_R.data)
     t3tr = kron(cs_a.T3_R_tilde.data, cs_b.T3_R_tilde.data)
     eye = np.eye(cs_a.dim * cs_b.dim, dtype=np.complex128)
-
-    def om(arr):
-        return OperatorMatrix(arr, None)
 
     return ChiralSet(
         d=d,
@@ -471,14 +461,6 @@ def coproduct(
         tier1=cs_a.tier1 and cs_b.tier1 and _same_set(cs_a, cs_b),
         factors=(cs_a, cs_b),
     )
-
-
-def _swap_operator(n_a: int, n_b: int) -> np.ndarray:
-    p = np.zeros((n_a * n_b, n_a * n_b))
-    for i in range(n_a):
-        for j in range(n_b):
-            p[j * n_a + i, i * n_b + j] = 1.0
-    return p
 
 
 def check_coproduct_homomorphism(
@@ -532,9 +514,11 @@ def check_coproduct_homomorphism(
             )
         )
     if cs_a.dim == cs_b.dim:
-        p = _swap_operator(cs_a.dim, cs_b.dim)
+        n = cs_a.dim
         img = dcs.I_plus_L.data
-        witness = float(np.max(np.abs(img - p @ img @ p)))
+        # the factor swap |a>|b> -> |b>|a> on both sides: exact, no products
+        swapped = img.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+        witness = float(np.max(np.abs(img - swapped)))
         scale = max(1.0, dcs.I_plus_L.max_norm)
         rep.add(
             RelationResidual(

@@ -50,6 +50,7 @@ from .chiral import (
     check_reduction_identities,
     check_spinor_annihilation,
     coproduct,
+    spinor_labels,
 )
 
 __all__ = ["main", "run", "RunConfig", "parse_l1"]
@@ -223,7 +224,7 @@ def run(cfg: RunConfig) -> int:
             check_unitary_coeffs(label, j_max, tols),
         ]
         if not cfg.import_dir:
-            reports.append(check_q_adjoint(label, j_max, conv, tols))
+            reports.append(check_q_adjoint(gens, tols))
         doc, tier1 = _bundle(
             "verify",
             {"label": label.to_record(), "j_max": str(j_max), "convention": gens.convention.to_list()},
@@ -236,12 +237,9 @@ def run(cfg: RunConfig) -> int:
         if cfg.spin_two_j is not None:
             gens = build_from_suq2(cfg.spin_two_j, Deformation(cfg.q))
             subject = {"realization": gens.tag}
-            j_max = None
         else:
-            label = cfg.label()
-            j_max = cfg.effective_j_max()
-            gens = build_generator_set(label, j_max, conv)
-            subject = {"label": label.to_record()}
+            gens = build_generator_set(cfg.label(), cfg.effective_j_max(), conv)
+            subject = {"label": gens.label.to_record()}
         cs = build_chiral(gens)
         reports = [
             check_chiral_relations(cs, tols),
@@ -249,17 +247,17 @@ def run(cfg: RunConfig) -> int:
             check_spinor_annihilation(gens.d),
         ]
         if cfg.spin_two_j is None:
-            reports.append(check_chiral_adjoint(gens.label, j_max, conv, tols))
+            reports.append(check_chiral_adjoint(gens, tols))
         doc, tier1 = _bundle("chiral", subject, reports)
         _emit(doc, cfg)
         return 0 if tier1 else 1
 
     if cfg.command == "coproduct":
         d = Deformation(cfg.q)
-        la = RepLabel(cfg.l0, cfg.l1, d) if cfg.l0 is not None else RepLabel(HalfInt(1), 1.5, d)
+        la = RepLabel(cfg.l0, cfg.l1, d) if cfg.l0 is not None else spinor_labels(d)[0]
         lb = RepLabel(cfg.l0_b, cfg.l1_b, d) if cfg.l0_b is not None else la
         cs_a = build_chiral(build_generator_set(la, la.l0 + 2, conv))
-        cs_b = build_chiral(build_generator_set(lb, lb.l0 + 2, conv))
+        cs_b = cs_a if cfg.l0_b is None else build_chiral(build_generator_set(lb, lb.l0 + 2, conv))
         dc = coproduct(cs_a, cs_b, conv)
         reports = [check_coproduct_homomorphism(dc, tols)]
         doc, tier1 = _bundle(
@@ -417,6 +415,16 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         needs_label = False
     if cfg.command == "chiral" and cfg.spin_two_j is None:
         needs_label = True
+    if cfg.import_dir:
+        ignored = ("l0", "l1", "q", "j_max")
+    elif cfg.command == "chiral" and cfg.spin_two_j is not None:
+        ignored = ("l0", "l1", "j_max")
+    else:
+        ignored = ()
+    given = ["--" + f.replace("_", "-") for f in ignored if getattr(ns, f, None) is not None]
+    if given:
+        mode = "--import" if cfg.import_dir else "--spin"
+        raise ValueError(f"{', '.join(given)} cannot be combined with {mode}")
     if cfg.command in ("coproduct", "chiral", "conventions") and cfg.q is None:
         raise ValueError("--q is required")
     if needs_label and (cfg.l0 is None or (cfg.command != "limit" and cfg.q is None)):

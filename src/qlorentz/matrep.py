@@ -88,7 +88,6 @@ class Basis:
     """
 
     spins: tuple[HalfInt, ...]
-    truncated: bool
     j_max: Optional[HalfInt] = None
     j2: np.ndarray = field(init=False, repr=False, compare=False)
     m2: np.ndarray = field(init=False, repr=False, compare=False)
@@ -112,6 +111,10 @@ class Basis:
     def dim(self) -> int:
         return len(self.j2)
 
+    @property
+    def truncated(self) -> bool:
+        return self.j_max is not None
+
     def has(self, j: HalfInt, m: HalfInt) -> bool:
         k2 = j.twice - self.spins[0].twice
         return 0 <= k2 < 2 * len(self.spins) and k2 % 2 == 0 and abs(m.twice) <= j.twice
@@ -132,7 +135,7 @@ class Basis:
     def interior_columns(self, order: int) -> np.ndarray:
         """Boolean column mask exact under truncation for an `order`-fold
         generator product (each factor moves j by at most one block)."""
-        if self.truncated and self.j_max is not None:
+        if self.truncated:
             return self.j2 <= self.j_max.twice - 2 * order
         return np.ones(self.dim, dtype=bool)
 
@@ -143,16 +146,14 @@ def build_basis(label: RepLabel, j_max: HalfInt) -> Basis:
         raise ValueError(f"j_max = {j_max} below l0 = {label.l0}")
     cls = classify(label)
     if cls.kind == "finite":
-        return Basis(spins=cls.spins, truncated=False)
-    return Basis(spins=tuple(half_range(label.l0, j_max)), truncated=True, j_max=j_max)
+        return Basis(spins=cls.spins)
+    return Basis(spins=tuple(half_range(label.l0, j_max)), j_max=j_max)
 
 
 # --------------------------------------------------------------------------
-# matrices with structure metadata
+# generator names and their (delta_j, delta_m) selection rules
 
-Pattern = frozenset  # of (delta_j, delta_m) int pairs
-
-GENERATOR_PATTERNS: dict[str, Pattern] = {
+GENERATOR_PATTERNS: dict[str, frozenset[tuple[int, int]]] = {
     "m_plus": frozenset({(0, 1)}),
     "m_minus": frozenset({(0, -1)}),
     "m3": frozenset({(0, 0)}),
@@ -166,14 +167,9 @@ GENERATOR_PATTERNS: dict[str, Pattern] = {
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix plus its declared (delta_j, delta_m) block pattern.
-
-    pattern is None for matrices living on spaces without a (j, m) grading
-    (tensor-product embeddings).
-    """
+    """Read-only dense complex128 matrix."""
 
     data: np.ndarray
-    pattern: Optional[Pattern] = None
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.data, dtype=np.complex128)
@@ -189,12 +185,11 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
 
-def pattern_violation(op: OperatorMatrix, basis: Basis) -> float:
-    """Largest |entry| outside the declared pattern (0.0 for clean matrices)."""
-    if op.pattern is None:
-        return 0.0
+def pattern_violation(op: OperatorMatrix, pattern: frozenset, basis: Basis) -> float:
+    """Largest |entry| outside the (delta_j, delta_m) steps of `pattern` (0.0
+    for clean matrices)."""
     mag = np.abs(op.data)
-    for dj, dm in op.pattern:
+    for dj, dm in pattern:
         valid, rows = basis.locate(basis.j2 + 2 * dj, basis.m2 + 2 * dm)
         mag[rows[valid], np.flatnonzero(valid)] = 0.0
     worst = int(np.argmax(mag))
@@ -332,7 +327,7 @@ def _boost_terms(conv: ConventionId) -> tuple[tuple[_Term, ...], ...]:
 def _ladder(
     basis: Basis, terms: tuple[_Term, ...], d: Deformation, coeffs: Optional[dict] = None
 ) -> OperatorMatrix:
-    """Matrix of a term table, its pattern the terms' (dj, dm) steps.
+    """Matrix of a term table.
 
     Targets outside the basis are dropped.  Brackets and q-powers come from
     the scalar code, once per distinct argument; numpy only negates,
@@ -358,7 +353,7 @@ def _ladder(
             sj, sm, quarters = qexp
             val = val * _gather(lambda e: math.exp(e / 4 * lnq), quarters + sj * j2 + sm * m2)
         out[rows[cols], cols] += val
-    return OperatorMatrix(out, frozenset((t.dj, t.dm) for t in terms))
+    return OperatorMatrix(out)
 
 
 def build_M(basis: Basis, d: Deformation) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
@@ -368,7 +363,7 @@ def build_M(basis: Basis, d: Deformation) -> tuple[OperatorMatrix, OperatorMatri
         _ladder(basis, _ROTATION_TERMS["m_plus"], d),
         _ladder(basis, _ROTATION_TERMS["m_minus"], d),
         # complex from the start: a real dim x dim temporary fragments the heap
-        OperatorMatrix(np.diag(basis.m2 / 2 + 0j), GENERATOR_PATTERNS["m3"]),
+        OperatorMatrix(np.diag(basis.m2 / 2 + 0j)),
     )
 
 
@@ -394,7 +389,7 @@ def build_N3_tilde(n3: OperatorMatrix, basis: Basis, d: Deformation) -> Operator
     a_j, c_j are invariant under q -> 1/q, so flipping the q^(-m/2) dressing
     of N3 multiplies each row of weight m by q^m."""
     qm = _gather(lambda t: math.pow(d.q, t / 2), basis.m2)
-    return OperatorMatrix(qm[:, None] * n3.data, GENERATOR_PATTERNS["n3_tilde"])
+    return OperatorMatrix(qm[:, None] * n3.data)
 
 
 def build_casimir_matrix(
@@ -425,7 +420,7 @@ def build_casimir_matrix(
     num = (m_plus.data @ n_minus.data + m_minus.data @ n_plus.data) / rq
     num = num - rq * (n_minus.data @ m_plus.data + n_plus.data @ m_minus.data)
     num = num - two * (n3_tilde.data - n3.data)
-    return OperatorMatrix(num / (2.0 * d.delta), GENERATOR_PATTERNS["casimir"])
+    return OperatorMatrix(num / (2.0 * d.delta))
 
 
 @dataclass(frozen=True)
@@ -511,13 +506,13 @@ def suq2_matrices(two_j: int, d: Deformation) -> SuQ2Triple:
     """Spin-j matrices with [m+, m-] = [2 m3]: entries sqrt([j-+m][j+-m+1])."""
     if two_j < 1:
         raise ValueError(f"need two_j >= 1, got {two_j}")
-    basis = Basis(spins=(HalfInt(two_j),), truncated=False)
+    basis = Basis(spins=(HalfInt(two_j),))
     # the rotation ladder without its q-tensor dressing (no q-power)
     mp, mm = (
         _ladder(basis, tuple(t._replace(qexp=None) for t in _ROTATION_TERMS[name]), d)
         for name in ("m_plus", "m_minus")
     )
-    m3 = OperatorMatrix(np.diag(basis.m2 / 2 + 0j), GENERATOR_PATTERNS["m3"])
+    m3 = OperatorMatrix(np.diag(basis.m2 / 2 + 0j))
     return SuQ2Triple(basis=basis, m_plus=mp, m_minus=mm, m3=m3)
 
 
@@ -534,17 +529,15 @@ def build_from_suq2(two_j: int, d: Deformation) -> GeneratorSet:
     q14 = math.pow(d.q, -0.25)
     qm = diag_from_m(basis, lambda m: math.pow(d.q, -float(m) / 2))
     qp = diag_from_m(basis, lambda m: math.pow(d.q, float(m) / 2))
-    mp = OperatorMatrix(q14 * tri.m_plus.data @ qm, GENERATOR_PATTERNS["m_plus"])
-    mm = OperatorMatrix(q14 * tri.m_minus.data @ qp, GENERATOR_PATTERNS["m_minus"])
-    np_ = OperatorMatrix(-1j * mp.data, GENERATOR_PATTERNS["n_plus"])
-    nm = OperatorMatrix(-1j * mm.data, GENERATOR_PATTERNS["n_minus"])
+    mp = OperatorMatrix(q14 * tri.m_plus.data @ qm)
+    mm = OperatorMatrix(q14 * tri.m_minus.data @ qp)
+    np_ = OperatorMatrix(-1j * mp.data)
+    nm = OperatorMatrix(-1j * mm.data)
     n3 = OperatorMatrix(
-        diag_from_m(basis, lambda m: -1j * q_number(m, d) * math.pow(d.q, -float(m) / 2)),
-        GENERATOR_PATTERNS["n3"],
+        diag_from_m(basis, lambda m: -1j * q_number(m, d) * math.pow(d.q, -float(m) / 2))
     )
     n3t = OperatorMatrix(
-        diag_from_m(basis, lambda m: -1j * q_number(m, d) * math.pow(d.q, float(m) / 2)),
-        GENERATOR_PATTERNS["n3_tilde"],
+        diag_from_m(basis, lambda m: -1j * q_number(m, d) * math.pow(d.q, float(m) / 2))
     )
     label = RepLabel(j, complex(float(j) + 1.0), d)
     cas = build_casimir_matrix(mp, mm, np_, nm, n3, n3t, d)
@@ -605,23 +598,16 @@ def build_ST_vectors(
     t_minus = -(1.0 / qe) * mm @ qup
     t_zero = inv_sqrt2 * (rq * mm @ mp - mp @ mm / rq)
 
-    def comp(arr: np.ndarray, dm: int) -> OperatorMatrix:
-        return OperatorMatrix(arr, frozenset({(0, dm)}))
-
-    s = TensorOperator(
-        l=HalfInt.from_int(1),
-        components={1: comp(s_plus, 1), 0: comp(s_zero, 0), -1: comp(s_minus, -1)},
+    one = HalfInt.from_int(1)
+    return tuple(
+        TensorOperator(one, {mu: OperatorMatrix(arr) for mu, arr in comps.items()})
+        for comps in ({1: s_plus, 0: s_zero, -1: s_minus}, {1: t_plus, 0: t_zero, -1: t_minus})
     )
-    t = TensorOperator(
-        l=HalfInt.from_int(1),
-        components={1: comp(t_plus, 1), 0: comp(t_zero, 0), -1: comp(t_minus, -1)},
-    )
-    return s, t
 
 
 def tensor_embed(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Kronecker product; the (j, m) grading does not survive, so no pattern."""
-    return OperatorMatrix(np.kron(a.data, b.data), None)
+    """Kronecker product of two operators."""
+    return OperatorMatrix(np.kron(a.data, b.data))
 
 
 # --------------------------------------------------------------------------
@@ -695,8 +681,8 @@ def export_generator_set(gens: GeneratorSet, directory) -> list[str]:
 def import_generator_set(directory) -> GeneratorSet:
     """Rebuild a GeneratorSet from an export directory.
 
-    Patterns are reattached by generator name; imported entries are taken as
-    data and validated by the relation suites, not at load time (a perturbed
+    Imported entries are taken as data and validated by the relation suites
+    (selection rules included), not at load time (a perturbed
     import must surface as relation failures, not a parse error).  Files that
     disagree on dim, label or convention, or a dim that no basis of the label
     has, raise ValueError.
@@ -713,5 +699,5 @@ def import_generator_set(directory) -> GeneratorSet:
     basis = build_basis(label, label.l0 + max(n_blocks - 1, 0))
     if basis.dim != dim:
         raise ValueError(f"dim {dim} is not the dim of a basis of {label}")
-    ops = {name: OperatorMatrix(f[0], GENERATOR_PATTERNS[name]) for name, f in files.items()}
+    ops = {name: OperatorMatrix(f[0]) for name, f in files.items()}
     return GeneratorSet(basis=basis, label=label, convention=conv, tag="imported", **ops)

@@ -303,12 +303,12 @@ def check_lorentz_relations(
     add("other2", A(m3) @ A(n3) - A(n3) @ A(m3), zero, m3, n3)
     add("other3", A(m3) @ A(n3t) - A(n3t) @ A(m3), zero, m3, n3t)
 
-    # declared (delta_j, delta_m) patterns: exact zeros outside, tolerance 0
+    # selection rules of GENERATOR_PATTERNS: exact zeros outside, tolerance 0
     for name, op in gens.matrices().items():
         rep.add(
             RelationResidual(
                 f"struct.{name}",
-                pattern_violation(op, basis),
+                pattern_violation(op, GENERATOR_PATTERNS[name], basis),
                 1.0,
                 0.0,
                 1,
@@ -441,13 +441,9 @@ def check_tensor_operator(
 # q-adjoint suite
 
 
-def check_q_adjoint(
-    label: RepLabel,
-    j_max: HalfInt,
-    conv: ConventionId = DEFAULT_CONVENTION,
-    tols: Tolerances = Tolerances(),
-) -> VerificationReport:
-    """Adjoint involution checks between the builds at q and at 1/q.
+def check_q_adjoint(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> VerificationReport:
+    """Adjoint involution checks between a built set and its build at 1/q
+    (same label, truncation and convention).
 
     Elementwise identities: the rotation pair is dagger-related across
     q -> 1/q for every label; the boost pair and the Hermiticity of the
@@ -456,31 +452,31 @@ def check_q_adjoint(
     diagonal boosts under q -> 1/q is exact for every label, and the
     inverse-q build must satisfy the whole defining suite.
     """
-    g = build_generator_set(label, j_max, conv)
+    label = gens.label
     label_inv = RepLabel(label.l0, label.l1, label.d.inverse())
-    gi = build_generator_set(label_inv, j_max, conv)
+    gi = build_generator_set(label_inv, gens.basis.j_max, gens.convention)
     unitary = classify(label).unitary != "non_unitary"
     n_tier = 1 if unitary else 2
 
     rep = VerificationReport(
         suite="q_adjoint",
-        subject=_subject(g),
-        convention=conv,
-        environment=_env(g, tols, q_inverse=label_inv.d.q, unitary_series=unitary),
+        subject=_subject(gens),
+        convention=gens.convention,
+        environment=_env(gens, tols, q_inverse=label_inv.d.q, unitary_series=unitary),
     )
 
     def dag(a: np.ndarray) -> np.ndarray:
         return a.conj().T
 
     pairs = [
-        ("eq6.m_plus_dagger", dag(g.m_plus.data), gi.m_minus.data, g.m_plus, 1),
-        ("eq6.m_minus_dagger", dag(g.m_minus.data), gi.m_plus.data, g.m_minus, 1),
-        ("eq6.m3_dagger", dag(g.m3.data), g.m3.data, g.m3, 1),
-        ("eq6.n_plus_dagger", dag(g.n_plus.data), gi.n_minus.data, g.n_plus, n_tier),
-        ("eq6.n_minus_dagger", dag(g.n_minus.data), gi.n_plus.data, g.n_minus, n_tier),
-        ("eq6.n3_hermitian", dag(g.n3.data), g.n3.data, g.n3, n_tier),
-        ("eq6.n3_swap", gi.n3.data, g.n3_tilde.data, g.n3_tilde, 1),
-        ("eq6.n3_tilde_swap", gi.n3_tilde.data, g.n3.data, g.n3, 1),
+        ("eq6.m_plus_dagger", dag(gens.m_plus.data), gi.m_minus.data, gens.m_plus, 1),
+        ("eq6.m_minus_dagger", dag(gens.m_minus.data), gi.m_plus.data, gens.m_minus, 1),
+        ("eq6.m3_dagger", dag(gens.m3.data), gens.m3.data, gens.m3, 1),
+        ("eq6.n_plus_dagger", dag(gens.n_plus.data), gi.n_minus.data, gens.n_plus, n_tier),
+        ("eq6.n_minus_dagger", dag(gens.n_minus.data), gi.n_plus.data, gens.n_minus, n_tier),
+        ("eq6.n3_hermitian", dag(gens.n3.data), gens.n3.data, gens.n3, n_tier),
+        ("eq6.n3_swap", gi.n3.data, gens.n3_tilde.data, gens.n3_tilde, 1),
+        ("eq6.n3_tilde_swap", gi.n3_tilde.data, gens.n3.data, gens.n3, 1),
     ]
     for rid, lhs, rhs, op, tier in pairs:
         rep.add(
@@ -654,7 +650,7 @@ def classical_oracle(l0: HalfInt, l1: complex, j_max: HalfInt) -> ClassicalGener
             spins = half_range(l0, l0 + n)
     if not finite:
         spins = half_range(l0, j_max)
-    basis = Basis(spins=tuple(spins), truncated=not finite, j_max=None if finite else j_max)
+    basis = Basis(spins=tuple(spins), j_max=None if finite else j_max)
 
     dim = basis.dim
     mats = {k: np.zeros((dim, dim), dtype=np.complex128) for k in
@@ -718,7 +714,7 @@ def classical_oracle(l0: HalfInt, l1: complex, j_max: HalfInt) -> ClassicalGener
                     (fj + fm + 1) * (fj - fm + 1)
                 )
 
-    ops = {k: OperatorMatrix(v, GENERATOR_PATTERNS[k]) for k, v in mats.items()}
+    ops = {k: OperatorMatrix(v) for k, v in mats.items()}
     # quadratic invariant, normalized to the deformed one: brute-force
     # evaluation shows the plain rotation-boost contraction M.N is scalar
     # with eigenvalue i l0 l1 / 2 in this coefficient normalization, so the
@@ -733,7 +729,7 @@ def classical_oracle(l0: HalfInt, l1: complex, j_max: HalfInt) -> ClassicalGener
         l0=fl0,
         l1=l1,
         n3_tilde=ops["n3"],
-        casimir=OperatorMatrix(cas, GENERATOR_PATTERNS["casimir"]),
+        casimir=OperatorMatrix(cas),
         **ops,
     )
 
@@ -904,14 +900,13 @@ def resolve_conventions(
 
     # axis group 3: coproduct grouplike for the lowering right generator,
     # scored on the mixed spinor product where the readings differ
-    from .chiral import build_chiral, check_chiral_relations, coproduct
+    from .chiral import build_chiral, check_chiral_relations, coproduct, spinor_labels
 
+    cs_tau, cs_taut = (build_chiral(build_generator_set(t, t.l0)) for t in spinor_labels(d))
     scored = []
     for rg in (0, 1):
         conv = ConventionId(cop_r_grouplike=rg)
-        tau = build_generator_set(RepLabel(HalfInt(1), 1.5, d), HalfInt(1))
-        taut = build_generator_set(RepLabel(HalfInt(1), -1.5, d), HalfInt(1))
-        dc = coproduct(build_chiral(tau), build_chiral(taut), conv)
+        dc = coproduct(cs_tau, cs_taut, conv)
         rep = check_chiral_relations(dc)
         s = sum(r.residual / r.scale for r in rep.residuals)
         table.append(_table_row("cop_r_grouplike", conv, s))

@@ -118,10 +118,10 @@ def test_criterion_06_q_adjoint():
     """Rotation dagger pairs < 1e-13 elementwise; principal boost pairs < 1e-12 * scale."""
     ok = True
     for l0, l1 in (("1/2", 1.5, ), ("0", 2.0), ("1", 2.7j), ("0", 0.5)):
-        rep = check_q_adjoint(lab(l0, l1, 1.3), HalfInt.parse(l0) + 5)
+        rep = check_q_adjoint(build_generator_set(lab(l0, l1, 1.3), HalfInt.parse(l0) + 5))
         r = next(x for x in rep.residuals if x.relation_id == "eq6.m_plus_dagger")
         ok = ok and r.residual < 1e-13
-    rep = check_q_adjoint(lab("1", 2.7j, 1.3), HalfInt.parse("6"))
+    rep = check_q_adjoint(build_generator_set(lab("1", 2.7j, 1.3), HalfInt.parse("6")))
     for rid in ("eq6.n_plus_dagger", "eq6.n_minus_dagger"):
         r = next(x for x in rep.residuals if x.relation_id == rid)
         ok = ok and r.residual < 1e-12 * r.scale

@@ -146,14 +146,14 @@ def test_reduction_identities_near_classical_point():
 
 
 def test_chiral_adjoint_principal_exact():
-    rep = check_chiral_adjoint(lab("1", 2.7j, 1.3), HalfInt.parse("5"))
+    rep = check_chiral_adjoint(build_generator_set(lab("1", 2.7j, 1.3), HalfInt.parse("5")))
     assert rep.tier1_pass
     for r in rep.residuals:
         assert r.residual <= 1e-11 * r.scale, r.relation_id
 
 
 def test_chiral_adjoint_spinor_diagonal_pairs_exact():
-    rep = check_chiral_adjoint(lab("1/2", 1.5, 1.3), HalfInt(1))
+    rep = check_chiral_adjoint(build_generator_set(lab("1/2", 1.5, 1.3), HalfInt(1)))
     for rid in ("eq29.diag_I3_L", "eq29.diag_I3t_L", "eq29.diag_I3_R", "eq29.diag_I3t_R"):
         assert by_id(rep, rid).residual < 1e-13, rid
     # ladder pairs across q -> 1/q are exact too on the spinor pair
@@ -161,13 +161,13 @@ def test_chiral_adjoint_spinor_diagonal_pairs_exact():
 
 
 def test_chiral_adjoint_classical_limit():
-    rep = check_chiral_adjoint(lab("0", 2.7j, 1 + 1e-6), HalfInt.parse("4"))
+    rep = check_chiral_adjoint(build_generator_set(lab("0", 2.7j, 1 + 1e-6), HalfInt.parse("4")))
     for r in rep.residuals:
         assert r.residual <= 1e-4 * r.scale
 
 
 def test_chiral_adjoint_general_finite_measured():
-    rep = check_chiral_adjoint(lab("0", 2.0, 1.3), HalfInt(0))
+    rep = check_chiral_adjoint(build_generator_set(lab("0", 2.0, 1.3), HalfInt(0)))
     assert all(r.tier == 2 for r in rep.residuals)
 
 
@@ -237,9 +237,19 @@ def test_coproduct_grouplike_choice_resolved_on_mixed_product():
 
 
 def test_coproduct_noncocommutative_witness():
-    a, _ = tau_chiral(1.3)
-    rep = check_coproduct_homomorphism(coproduct(a, a, RESOLVED_CONVENTION))
-    assert by_id(rep, "eq32.noncocommutative").residual == 0.0  # witness present
+    # the spinor tau and the spin-1 realization (dim 3); the witness equals
+    # the one of the factor swap as an explicit permutation matrix
+    for a in (tau_chiral(1.3)[0], build_chiral(build_from_suq2(2, Deformation(1.3)))):
+        dc = coproduct(a, a, RESOLVED_CONVENTION)
+        rec = by_id(check_coproduct_homomorphism(dc), "eq32.noncocommutative")
+        assert rec.residual == 0.0  # witness present
+        n = a.dim
+        p = np.zeros((n * n, n * n))
+        for i in range(n):
+            for j in range(n):
+                p[j * n + i, i * n + j] = 1.0
+        img = dc.I_plus_L.data
+        assert f"witness {float(np.max(np.abs(img - p @ img @ p))):.6g}," in rec.note
 
 
 def test_coproduct_deformation_mismatch_rejected():

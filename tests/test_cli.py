@@ -80,6 +80,30 @@ def test_label_flags_must_come_in_pairs(tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mode, extra",
+    [
+        ("import", ["--l0", "2", "--l1", "0.5"]),
+        ("import", ["--q", "4"]),
+        ("import", ["--j-max", "3"]),
+        ("spin", ["--l0", "1", "--l1", "2"]),
+        ("spin", ["--j-max", "3"]),
+    ],
+)
+def test_flags_the_mode_ignores_exit_2(tmp_path, capsys, mode, extra):
+    if mode == "import":
+        exp = tmp_path / "exp"
+        spinor = ["--l0", "1/2", "--l1", "1.5", "--q", "1.3"]
+        assert run_cli(["build", *spinor, "--export", str(exp)], tmp_path, "b.json")[0] == 0
+        args = ["verify", "--import", str(exp)]
+    else:
+        args = ["chiral", "--spin", "2", "--q", "1.3"]
+    code, raw = run_cli(args + extra, tmp_path)
+    assert code == 2 and raw == b""
+    err = capsys.readouterr().err
+    assert f"cannot be combined with --{mode}" in err and extra[0] in err
+
+
 @pytest.mark.parametrize("flag", ["--tier1-tol", "--tier2-tol"])
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_bad_tolerance_exits_2_naming_the_flag(tmp_path, capsys, flag, value):
@@ -327,3 +351,42 @@ def test_printed_convention_flag(tmp_path):
     )
     assert code == 0
     assert json.loads(raw)["convention"] == [0, 0, 0, 0, 1, 0, 0]
+
+
+def _builds(monkeypatch, tmp_path, args):
+    # wrap build_generator_set in every qlorentz namespace that binds it
+    import sys
+
+    from qlorentz.matrep import build_generator_set
+
+    calls = []
+
+    def counting(*a, **kw):
+        calls.append(repr((a, sorted(kw.items()))))
+        return build_generator_set(*a, **kw)
+
+    for name, mod in list(sys.modules.items()):
+        bound = getattr(mod, "build_generator_set", None)
+        if name.split(".")[0] == "qlorentz" and bound is build_generator_set:
+            monkeypatch.setattr(mod, "build_generator_set", counting)
+    code, _ = run_cli(args, tmp_path)
+    assert code == 0
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args, n_builds",
+    [
+        (["verify", "--l0", "1", "--l1", "2.7i", "--q", "1.3"], 2),
+        (["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3"], 5),
+        (["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"], 74),
+        (["coproduct", "--q", "1.3"], 1),
+    ],
+)
+def test_build_counts(monkeypatch, tmp_path, args, n_builds):
+    # the adjoint checks reuse the set the command built, the resolver and
+    # coproduct build each spinor once
+    calls = _builds(monkeypatch, tmp_path, args)
+    assert len(calls) == n_builds
+    if args[0] == "chiral":
+        assert len(set(calls)) == n_builds
