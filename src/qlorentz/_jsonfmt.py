@@ -3,30 +3,34 @@
 The stdlib encoder renders floats with repr(); reports promise a fixed
 full-precision format instead, so this tiny emitter owns the byte layout.
 Dict insertion order is the field order.  %.17g round-trips every double.
+The indented layout puts every member on its own line, two spaces per
+level, and is written in the same single pass as the compact one.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 __all__ = ["dumps"]
 
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+
+
+def _escape_char(m: re.Match) -> str:
+    ch = m.group()
+    if ch in '"\\':
+        return "\\" + ch
+    return "\\u%04x" % ord(ch)
+
 
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _NEEDS_ESCAPE.sub(_escape_char, s) if _NEEDS_ESCAPE.search(s) else s
 
 
-def _emit(obj, parts: list[str]) -> None:
+def _emit(obj, parts: list[str], pad: str | None) -> None:
+    """Append the JSON of obj; pad is the newline plus indentation of obj's
+    own line in the indented layout, None in the compact one."""
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -42,64 +46,26 @@ def _emit(obj, parts: list[str]) -> None:
             raise ValueError(f"non-finite float in report: {obj}")
         parts.append("%.17g" % obj)
     elif isinstance(obj, complex):
-        _emit({"re": obj.real, "im": obj.imag}, parts)
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
+        _emit({"re": obj.real, "im": obj.imag}, parts, pad)
+    elif isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        inner = None if pad is None else pad + "  "
+        sep = "," if pad is None else "," + inner
+        parts.append(("{" if is_dict else "[") + ("" if pad is None else inner))
+        colon = ":" if pad is None else ": "
+        for i, item in enumerate(obj.items() if is_dict else obj):
             if i:
-                parts.append(",")
-            parts.append(f'"{_escape(str(k))}":')
-            _emit(v, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                parts.append(",")
-            _emit(v, parts)
-        parts.append("]")
+                parts.append(sep)
+            if is_dict:
+                parts.append(f'"{_escape(str(item[0]))}"{colon}')
+                item = item[1]
+            _emit(item, parts, inner)
+        parts.append(("" if pad is None else pad) + ("}" if is_dict else "]"))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj, indent: bool = False) -> str:
     parts: list[str] = []
-    _emit(obj, parts)
-    text = "".join(parts)
-    if indent:
-        return _reindent(text)
-    return text
-
-
-def _reindent(text: str) -> str:
-    """Pretty layout with stable whitespace (no dependence on json module)."""
-    out, depth, in_str, esc = [], 0, False, False
-    for ch in text:
-        if in_str:
-            out.append(ch)
-            if esc:
-                esc = False
-            elif ch == "\\":
-                esc = True
-            elif ch == '"':
-                in_str = False
-            continue
-        if ch == '"':
-            in_str = True
-            out.append(ch)
-        elif ch in "{[":
-            depth += 1
-            out.append(ch)
-            out.append("\n" + "  " * depth)
-        elif ch in "}]":
-            depth -= 1
-            out.append("\n" + "  " * depth)
-            out.append(ch)
-        elif ch == ",":
-            out.append(ch)
-            out.append("\n" + "  " * depth)
-        elif ch == ":":
-            out.append(": ")
-        else:
-            out.append(ch)
-    return "".join(out)
+    _emit(obj, parts, "\n" if indent else None)
+    return "".join(parts)

@@ -35,12 +35,12 @@ from .matrep import (
     OperatorMatrix,
     build_generator_set,
     diag_from_m,
+    tensor_embed,
 )
 from .verify import (
     RelationResidual,
     Tolerances,
     VerificationReport,
-    _masked_max,
     _pair_scale,
 )
 
@@ -64,7 +64,8 @@ _WITNESS_THRESHOLD = 1e-3
 class ChiralSet:
     """The twelve chiral matrices plus bookkeeping.
 
-    basis is None for tensor-product sets (no (j, m) grading).  tier1 marks
+    basis is None for tensor-product sets: their matrices live on the
+    `ProductBasis` of the factors, which has no truncation mask.  tier1 marks
     sets on which the chiral algebra is analytically exact (single-block
     sources and their identical-factor products).
     """
@@ -123,28 +124,28 @@ def build_chiral(gens: GeneratorSet) -> ChiralSet:
     b = gens.basis
     mdn = diag_from_m(b, lambda m: q_number(m, d) * math.pow(d.q, -float(m) / 2))
     mup = diag_from_m(b, lambda m: q_number(m, d) * math.pow(d.q, float(m) / 2))
-    eye = np.eye(b.dim, dtype=np.complex128)
+    two = OperatorMatrix.diagonal(b, 2.0)
     delta = d.delta
 
-    i3l = mdn + 1j * gens.n3.data
-    i3r = mdn - 1j * gens.n3.data
-    i3tl = mup + 1j * gens.n3_tilde.data
-    i3tr = mup - 1j * gens.n3_tilde.data
+    i3l = mdn + 1j * gens.n3
+    i3r = mdn - 1j * gens.n3
+    i3tl = mup + 1j * gens.n3_tilde
+    i3tr = mup - 1j * gens.n3_tilde
 
     return ChiralSet(
         d=d,
-        I_plus_L=OperatorMatrix(gens.m_plus.data + 1j * gens.n_plus.data),
-        I_minus_L=OperatorMatrix(gens.m_minus.data + 1j * gens.n_minus.data),
-        I3_L=OperatorMatrix(i3l),
-        I3_L_tilde=OperatorMatrix(i3tl),
-        I_plus_R=OperatorMatrix(gens.m_plus.data - 1j * gens.n_plus.data),
-        I_minus_R=OperatorMatrix(gens.m_minus.data - 1j * gens.n_minus.data),
-        I3_R=OperatorMatrix(i3r),
-        I3_R_tilde=OperatorMatrix(i3tr),
-        T3_L=OperatorMatrix(2.0 * eye - delta * i3l),
-        T3_L_tilde=OperatorMatrix(2.0 * eye + delta * i3tl),
-        T3_R=OperatorMatrix(2.0 * eye - delta * i3r),
-        T3_R_tilde=OperatorMatrix(2.0 * eye + delta * i3tr),
+        I_plus_L=gens.m_plus + 1j * gens.n_plus,
+        I_minus_L=gens.m_minus + 1j * gens.n_minus,
+        I3_L=i3l,
+        I3_L_tilde=i3tl,
+        I_plus_R=gens.m_plus - 1j * gens.n_plus,
+        I_minus_R=gens.m_minus - 1j * gens.n_minus,
+        I3_R=i3r,
+        I3_R_tilde=i3tr,
+        T3_L=two - delta * i3l,
+        T3_L_tilde=two + delta * i3tl,
+        T3_R=two - delta * i3r,
+        T3_R_tilde=two + delta * i3tr,
         tag=gens.tag,
         basis=b,
         tier1=len(b.spins) == 1,
@@ -170,8 +171,7 @@ def check_chiral_relations(
     )
     for side in ("L", "R"):
         t = cs.triple(side)
-        ip, im = t["I_plus"].data, t["I_minus"].data
-        i3, i3t = t["I3"].data, t["I3_tilde"].data
+        ip, im, i3, i3t = t["I_plus"], t["I_minus"], t["I3"], t["I3_tilde"]
         rows = [
             (f"eq27.{side}1", ip @ im - im @ ip - 2.0 * (i3 + i3t), t["I_plus"], t["I_minus"]),
             (f"eq27.{side}2", i3 @ ip * rq - ip @ i3 / rq - 2.0 * ip, t["I3"], t["I_plus"]),
@@ -181,7 +181,7 @@ def check_chiral_relations(
         ]
         for rid, diff, a, b in rows:
             rep.add(
-                RelationResidual(rid, _masked_max(diff, mask), _pair_scale(a, b), tol, tier, cols)
+                RelationResidual(rid, diff.masked_max(mask), _pair_scale(a, b), tol, tier, cols)
             )
 
     left = cs.triple("L")
@@ -189,7 +189,7 @@ def check_chiral_relations(
     worst, wscale = 0.0, 1.0
     for a in left.values():
         for b in right.values():
-            r = _masked_max(a.data @ b.data - b.data @ a.data, mask)
+            r = (a @ b - b @ a).masked_max(mask)
             s = _pair_scale(a, b)
             if r / s > worst / wscale:
                 worst, wscale = r, s
@@ -214,9 +214,10 @@ def check_reduction_identities(
     inversion is reported as a degenerate-input failure, not raised.
     """
     a = cs.d.alpha
-    eye = np.eye(cs.dim, dtype=np.complex128)
-    lhs1 = eye + a * (cs.I3_L_tilde.data + cs.I3_R_tilde.data)
-    base = eye - a * cs.I3_L.data - a * cs.I3_R.data
+    eye = OperatorMatrix.diagonal(cs.I3_L.basis, 1.0)
+    lhs1 = eye + a * (cs.I3_L_tilde + cs.I3_R_tilde)
+    # cond and inv need the dense matrix; the chiral suites run at small dims
+    base = (eye - a * cs.I3_L - a * cs.I3_R).toarray()
     tier = 1 if cs.factors is None else 2
     tol = tols.of(tier)
 
@@ -239,7 +240,7 @@ def check_reduction_identities(
     rep.add(
         RelationResidual(
             "eq28.inverse",
-            float(np.max(np.abs(lhs1 - inv))),
+            float(np.max(np.abs(lhs1.toarray() - inv))),
             max(1.0, float(np.max(np.abs(inv)))),
             tol,
             tier,
@@ -247,13 +248,13 @@ def check_reduction_identities(
             f"condition number {cond:.6g}",
         )
     )
-    d3 = cs.I3_L.data - cs.I3_R.data
-    d3t = cs.I3_L_tilde.data - cs.I3_R_tilde.data
+    d3 = cs.I3_L - cs.I3_R
+    d3t = cs.I3_L_tilde - cs.I3_R_tilde
     rep.add(
         RelationResidual(
             "eq28.difference",
-            float(np.max(np.abs(d3t - lhs1 @ d3))),
-            max(1.0, float(np.max(np.abs(lhs1))) * max(1.0, float(np.max(np.abs(d3))))),
+            (d3t - lhs1 @ d3).max_norm,
+            max(1.0, lhs1.max_norm) * max(1.0, d3.max_norm),
             tol,
             tier,
             "all entries",
@@ -302,24 +303,21 @@ def check_chiral_adjoint(gens: GeneratorSet, tols: Tolerances = Tolerances()) ->
         },
     )
 
-    def dag(op: OperatorMatrix) -> np.ndarray:
-        return op.data.conj().T
-
     pairs = [
-        ("eq29.plus_L", dag(cs.I_plus_L), cp_inv.I_minus_R),
-        ("eq29.minus_L", dag(cs.I_minus_L), cp_inv.I_plus_R),
-        ("eq29.plus_R", dag(cs.I_plus_R), cp_inv.I_minus_L),
-        ("eq29.minus_R", dag(cs.I_minus_R), cp_inv.I_plus_L),
-        ("eq29.diag_I3_L", dag(cs.I3_L), cp_same.I3_R),
-        ("eq29.diag_I3t_L", dag(cs.I3_L_tilde), cp_same.I3_R_tilde),
-        ("eq29.diag_I3_R", dag(cs.I3_R), cp_same.I3_L),
-        ("eq29.diag_I3t_R", dag(cs.I3_R_tilde), cp_same.I3_L_tilde),
+        ("eq29.plus_L", cs.I_plus_L, cp_inv.I_minus_R),
+        ("eq29.minus_L", cs.I_minus_L, cp_inv.I_plus_R),
+        ("eq29.plus_R", cs.I_plus_R, cp_inv.I_minus_L),
+        ("eq29.minus_R", cs.I_minus_R, cp_inv.I_plus_L),
+        ("eq29.diag_I3_L", cs.I3_L, cp_same.I3_R),
+        ("eq29.diag_I3t_L", cs.I3_L_tilde, cp_same.I3_R_tilde),
+        ("eq29.diag_I3_R", cs.I3_R, cp_same.I3_L),
+        ("eq29.diag_I3t_R", cs.I3_R_tilde, cp_same.I3_L_tilde),
     ]
-    for rid, lhs, rhs in pairs:
+    for rid, op, rhs in pairs:
         rep.add(
             RelationResidual(
                 rid,
-                float(np.max(np.abs(lhs - rhs.data))),
+                (op.dagger() - rhs).max_norm,
                 max(1.0, rhs.max_norm),
                 tol,
                 tier,
@@ -394,27 +392,21 @@ def check_spinor_annihilation(d: Deformation) -> VerificationReport:
 
 
 def _same_set(a: ChiralSet, b: ChiralSet) -> bool:
+    """True when the eight chiral generators of a and b are equal entrywise."""
     if a is b:
         return True
-    return a.dim == b.dim and all(
-        np.array_equal(getattr(a, f).data, getattr(b, f).data)
-        for f in (
-            "I_plus_L",
-            "I_minus_L",
-            "I3_L",
-            "I3_L_tilde",
-            "I_plus_R",
-            "I_minus_R",
-            "I3_R",
-            "I3_R_tilde",
-        )
-    )
+    pairs = [
+        (getattr(a, f), getattr(b, f))
+        for f in ("I_plus_L", "I_minus_L", "I3_L", "I3_L_tilde", "I_plus_R", "I_minus_R", "I3_R", "I3_R_tilde")
+    ]
+    return all(x.basis == y.basis for x, y in pairs) and not any((x - y).max_norm for x, y in pairs)
 
 
 def coproduct(
     cs_a: ChiralSet, cs_b: ChiralSet, conv: ConventionId = DEFAULT_CONVENTION
 ) -> ChiralSet:
-    """Coproduct images on the tensor-product space.
+    """Coproduct images on the tensor-product space (the `ProductBasis` of
+    the factor bases, built with `tensor_embed`).
 
     Raising/lowering generators follow the twisted rule with the grouplike
     shifted generators as dressing; the shifted generators themselves are
@@ -429,33 +421,32 @@ def coproduct(
         raise ValueError(f"deformation mismatch: {cs_a.d} vs {cs_b.d}")
     d = cs_a.d
     delta = d.delta
-    ia = np.eye(cs_a.dim, dtype=np.complex128)
-    ib = np.eye(cs_b.dim, dtype=np.complex128)
-    kron = np.kron
+    ia = OperatorMatrix.diagonal(cs_a.I_plus_L.basis, 1.0)
+    ib = OperatorMatrix.diagonal(cs_b.I_plus_L.basis, 1.0)
+    kron = tensor_embed
 
-    x_dressing = cs_a.T3_R.data if conv.cop_r_grouplike else cs_a.T3_L.data
-    om = OperatorMatrix
+    x_dressing = cs_a.T3_R if conv.cop_r_grouplike else cs_a.T3_L
 
-    t3l = kron(cs_a.T3_L.data, cs_b.T3_L.data)
-    t3tl = kron(cs_a.T3_L_tilde.data, cs_b.T3_L_tilde.data)
-    t3r = kron(cs_a.T3_R.data, cs_b.T3_R.data)
-    t3tr = kron(cs_a.T3_R_tilde.data, cs_b.T3_R_tilde.data)
-    eye = np.eye(cs_a.dim * cs_b.dim, dtype=np.complex128)
+    t3l = kron(cs_a.T3_L, cs_b.T3_L)
+    t3tl = kron(cs_a.T3_L_tilde, cs_b.T3_L_tilde)
+    t3r = kron(cs_a.T3_R, cs_b.T3_R)
+    t3tr = kron(cs_a.T3_R_tilde, cs_b.T3_R_tilde)
+    two = OperatorMatrix.diagonal(t3l.basis, 2.0)
 
     return ChiralSet(
         d=d,
-        I_plus_L=om(kron(cs_a.I_plus_L.data, ib) + kron(cs_a.T3_L.data, cs_b.I_plus_L.data)),
-        I_minus_L=om(kron(cs_a.I_minus_L.data, cs_b.T3_L_tilde.data) + kron(ia, cs_b.I_minus_L.data)),
-        I_plus_R=om(kron(cs_a.I_plus_R.data, cs_b.T3_R_tilde.data) + kron(ia, cs_b.I_plus_R.data)),
-        I_minus_R=om(kron(cs_a.I_minus_R.data, ib) + kron(x_dressing, cs_b.I_minus_R.data)),
-        I3_L=om((2.0 * eye - t3l) / delta),
-        I3_L_tilde=om((t3tl - 2.0 * eye) / delta),
-        I3_R=om((2.0 * eye - t3r) / delta),
-        I3_R_tilde=om((t3tr - 2.0 * eye) / delta),
-        T3_L=om(t3l),
-        T3_L_tilde=om(t3tl),
-        T3_R=om(t3r),
-        T3_R_tilde=om(t3tr),
+        I_plus_L=kron(cs_a.I_plus_L, ib) + kron(cs_a.T3_L, cs_b.I_plus_L),
+        I_minus_L=kron(cs_a.I_minus_L, cs_b.T3_L_tilde) + kron(ia, cs_b.I_minus_L),
+        I_plus_R=kron(cs_a.I_plus_R, cs_b.T3_R_tilde) + kron(ia, cs_b.I_plus_R),
+        I_minus_R=kron(cs_a.I_minus_R, ib) + kron(x_dressing, cs_b.I_minus_R),
+        I3_L=(two - t3l) / delta,
+        I3_L_tilde=(t3tl - two) / delta,
+        I3_R=(two - t3r) / delta,
+        I3_R_tilde=(t3tr - two) / delta,
+        T3_L=t3l,
+        T3_L_tilde=t3tl,
+        T3_R=t3r,
+        T3_R_tilde=t3tr,
         tag=f"coproduct({cs_a.tag}, {cs_b.tag})",
         basis=None,
         tier1=cs_a.tier1 and cs_b.tier1 and _same_set(cs_a, cs_b),
@@ -505,7 +496,7 @@ def check_coproduct_homomorphism(
         rep.add(
             RelationResidual(
                 f"eq32.grouplike.{name}",
-                float(np.max(np.abs(da.data - np.kron(fa.data, fb.data)))),
+                (da - tensor_embed(fa, fb)).max_norm,
                 1.0,
                 0.0,
                 1,
@@ -515,7 +506,7 @@ def check_coproduct_homomorphism(
         )
     if cs_a.dim == cs_b.dim:
         n = cs_a.dim
-        img = dcs.I_plus_L.data
+        img = dcs.I_plus_L.toarray()
         # the factor swap |a>|b> -> |b>|a> on both sides: exact, no products
         swapped = img.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
         witness = float(np.max(np.abs(img - swapped)))

@@ -221,7 +221,7 @@ def run(cfg: RunConfig) -> int:
             check_lorentz_relations(gens, tols=tols),
             check_casimir(gens, tols=tols),
             check_recurrence_suite(label, label.l0 + 20, tols),
-            check_unitary_coeffs(label, j_max, tols),
+            check_unitary_coeffs(label, gens.basis.spins[-1], tols),
         ]
         if not cfg.import_dir:
             reports.append(check_q_adjoint(gens, tols))

@@ -1,11 +1,16 @@
 """Explicit generator matrices on the (j, m) ladder basis.
 
-Builds dense complex matrices for the seven generators: the rotation triple
-M+, M-, M3 (a deformed su(2) subalgebra, block-diagonal in j), the boosts
-N+, N-, N3 and the second diagonal boost N3-tilde (block-tridiagonal in j),
-and the quadratic invariant.  Also builds the deformed-rotation realization
-(boosts proportional to rotations on a single spin block), the two rank-1
-tensor operators S and T, and Kronecker embeddings for tensor products.
+Builds the matrices of the seven generators: the rotation triple M+, M-,
+M3 (a deformed su(2) subalgebra, block-diagonal in j), the boosts N+, N-, N3
+and the second diagonal boost N3-tilde (block-tridiagonal in j), and the
+quadratic invariant.  Also builds the deformed-rotation realization (boosts
+proportional to rotations on a single spin block), the two rank-1 tensor
+operators S and T, and Kronecker embeddings for tensor products.
+
+Every column of a generator couples to at most three (delta_j, delta_m)
+steps, so an `OperatorMatrix` stores one value row of length dim per step
+and runs products, sums and adjoints in O(dim * steps^2) numpy work; a
+dim x dim array exists only where a caller asks for `toarray()`.
 
 Matrix actions, column (j, m) -> rows:
 
@@ -44,6 +49,7 @@ from .repcore import RepLabel, casimir_eigenvalue, classify, coeff_a, coeff_c
 
 __all__ = [
     "Basis",
+    "ProductBasis",
     "OperatorMatrix",
     "ConventionId",
     "GeneratorSet",
@@ -76,15 +82,72 @@ class ConstructionInconsistencyError(RuntimeError):
 
 
 # --------------------------------------------------------------------------
-# basis
+# bases and their steps
+
+
+class _Grid:
+    """Step bookkeeping shared by `Basis` and `ProductBasis`.
+
+    A step is a tuple of ints that moves every state to another one (or out
+    of the basis).  The rows a step reaches and the index plans of the
+    operator algebra are computed once per instance and kept in its `_cache`.
+    """
+
+    def _cached(self, key, make):
+        val = self._cache.get(key)
+        if val is None:
+            val = self._cache[key] = make()
+        return val
+
+    def rows(self, step: tuple) -> np.ndarray:
+        """Row reached from each column by `step`; -1 where it leaves the basis."""
+
+        def make():
+            rows = self._target(step)
+            rows.setflags(write=False)
+            return rows
+
+        return self._cached(("rows", step), make)
+
+    def _row_stack(self, steps: tuple) -> np.ndarray:
+        return self._cached(("stack", steps), lambda: np.stack([self.rows(s) for s in steps]))
+
+    def product(self, other: "_Grid") -> "ProductBasis":
+        """The tensor product basis self x other (one instance per pair)."""
+        return self._cached(("x", other), lambda: ProductBasis(self, other))
+
+    def _sum_plan(self, sa: tuple, sb: tuple) -> tuple[tuple, np.ndarray]:
+        """Steps of a sum (those of `sa`, then the new ones of `sb`) and the
+        positions of `sb` among them."""
+
+        def make():
+            steps = sa + tuple(s for s in sb if s not in sa)
+            return steps, np.array([steps.index(s) for s in sb])
+
+        return self._cached(("+", sa, sb), make)
+
+    def _product_plan(self, sa: tuple, sb: tuple):
+        """Index plan of a product A @ B: pair (ia, ib) lands on step
+        sa[ia] + sb[ib]; pairs are ordered by that step for `reduceat`."""
+
+        def make():
+            sums = [tuple(x + y for x, y in zip(a, b)) for a in sa for b in sb]
+            steps = tuple(sorted(set(sums)))
+            group = np.array([steps.index(s) for s in sums])
+            order = np.argsort(group, kind="stable")
+            starts = np.searchsorted(group[order], np.arange(len(steps)))
+            gather = np.maximum(self._row_stack(sb), 0)  # B's values are 0 where its rows are -1
+            return steps, order, starts, gather
+
+        return self._cached(("@", sa, sb), make)
 
 
 @dataclass(frozen=True)
-class Basis:
+class Basis(_Grid):
     """Ordered (j, m) index set: ascending j blocks, m = -j..j inside each.
 
     j2[i], m2[i] are twice the j and m of state i; starts[k] is the index of
-    the first state of block spins[k].
+    the first state of block spins[k].  Steps are (delta_j, delta_m).
     """
 
     spins: tuple[HalfInt, ...]
@@ -92,6 +155,8 @@ class Basis:
     j2: np.ndarray = field(init=False, repr=False, compare=False)
     m2: np.ndarray = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    zero_step = (0, 0)
 
     def __post_init__(self):
         if not self.spins:
@@ -106,6 +171,7 @@ class Basis:
         for name, arr in (("j2", j2), ("m2", m2), ("starts", starts)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_cache", {})
 
     @property
     def dim(self) -> int:
@@ -132,12 +198,49 @@ class Basis:
         rows = self.starts[np.where(valid, k2 // 2, 0)] + (tm2 + tj2) // 2
         return valid, np.where(valid, rows, -1)
 
+    def _target(self, step: tuple) -> np.ndarray:
+        dj, dm = step
+        return self.locate(self.j2 + 2 * dj, self.m2 + 2 * dm)[1]
+
+    def step_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(n, 2) steps leading from cols to rows."""
+        return np.stack(((self.j2[rows] - self.j2[cols]) // 2, (self.m2[rows] - self.m2[cols]) // 2), axis=1)
+
     def interior_columns(self, order: int) -> np.ndarray:
         """Boolean column mask exact under truncation for an `order`-fold
         generator product (each factor moves j by at most one block)."""
         if self.truncated:
             return self.j2 <= self.j_max.twice - 2 * order
         return np.ones(self.dim, dtype=bool)
+
+
+@dataclass(frozen=True)
+class ProductBasis(_Grid):
+    """Tensor product of two bases: state (ra, rb) is row ra * b.dim + rb, and
+    a step is a step of `a` followed by a step of `b`."""
+
+    a: _Grid
+    b: _Grid
+
+    def __post_init__(self):
+        object.__setattr__(self, "_cache", {})
+
+    @property
+    def dim(self) -> int:
+        return self.a.dim * self.b.dim
+
+    @property
+    def zero_step(self) -> tuple:
+        return self.a.zero_step + self.b.zero_step
+
+    def _target(self, step: tuple) -> np.ndarray:
+        k = len(self.a.zero_step)
+        ra, rb = self.a.rows(step[:k])[:, None], self.b.rows(step[k:])[None, :]
+        return np.where((ra >= 0) & (rb >= 0), ra * self.b.dim + rb, -1).ravel()
+
+    def step_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        n = self.b.dim
+        return np.hstack((self.a.step_of(rows // n, cols // n), self.b.step_of(rows % n, cols % n)))
 
 
 def build_basis(label: RepLabel, j_max: HalfInt) -> Basis:
@@ -165,48 +268,167 @@ GENERATOR_PATTERNS: dict[str, frozenset[tuple[int, int]]] = {
 }
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Read-only dense complex128 matrix."""
+# --------------------------------------------------------------------------
+# operators stored by step
 
+
+@dataclass(frozen=True, eq=False)
+class OperatorMatrix:
+    """Read-only matrix stored as one complex128 value row per step.
+
+    data[s, c] is the entry in column c at row basis.rows(steps[s])[c]; it is
+    exactly 0 where that row lies outside the basis.  Distinct steps reach
+    distinct rows, so every entry of the matrix is one stored value, and the
+    algebra below costs O(dim * steps^2) with no dim x dim array.
+    """
+
+    basis: _Grid
+    steps: tuple
     data: np.ndarray
 
     def __post_init__(self):
+        steps = tuple(self.steps)
         arr = np.ascontiguousarray(self.data, dtype=np.complex128)
+        if not steps:
+            steps, arr = (self.basis.zero_step,), np.zeros((1, self.basis.dim), dtype=np.complex128)
+        if arr.shape != (len(steps), self.basis.dim) or len(set(steps)) != len(steps):
+            raise ValueError(f"{arr.shape} values for {len(steps)} steps on dim {self.basis.dim}")
         arr.setflags(write=False)
+        object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "data", arr)
+
+    @staticmethod
+    def diagonal(basis: _Grid, values) -> "OperatorMatrix":
+        """The diagonal matrix with the given entries (a scalar fills it)."""
+        return OperatorMatrix(basis, (basis.zero_step,), np.full((1, basis.dim), values, dtype=np.complex128))
+
+    @staticmethod
+    def from_entries(basis: _Grid, rows, cols, vals) -> "OperatorMatrix":
+        """Matrix with entry vals[i] at (rows[i], cols[i]); each distinct step
+        of the entries gets a value row (a later duplicate entry wins)."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        uniq, inverse = np.unique(basis.step_of(rows, cols), axis=0, return_inverse=True)
+        data = np.zeros((len(uniq), basis.dim), dtype=np.complex128)
+        data[inverse.ravel(), cols] = vals
+        return OperatorMatrix(basis, tuple(map(tuple, uniq.tolist())), data)
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return self.basis.dim
 
     @property
     def max_norm(self) -> float:
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
+        return float(np.max(np.abs(self.data)))
+
+    def masked_max(self, mask: np.ndarray) -> float:
+        """Largest |entry| in the columns where `mask` is true."""
+        sub = self.data[:, mask]
+        return float(np.max(np.abs(sub))) if sub.size else 0.0
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of the nonzero entries in row-major order."""
+        nz = self.data != 0
+        rows, cols = self.basis._row_stack(self.steps)[nz], np.nonzero(nz)[1]
+        order = np.argsort(rows * self.dim + cols)
+        return rows[order], cols[order], self.data[nz][order]
+
+    def toarray(self) -> np.ndarray:
+        """The dense dim x dim array (O(dim^2) memory: small operands only)."""
+        rows = self.basis._row_stack(self.steps)
+        valid = rows >= 0
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        out[rows[valid], np.nonzero(valid)[1]] = self.data[valid]
+        return out
+
+    def dagger(self) -> "OperatorMatrix":
+        """Conjugate transpose: step s becomes -s, read back along -s."""
+        steps = tuple(tuple(-x for x in s) for s in self.steps)
+        rows = self.basis._row_stack(steps)
+        vals = np.take_along_axis(self.data, np.maximum(rows, 0), axis=1)
+        return OperatorMatrix(self.basis, steps, np.where(rows >= 0, vals.conj(), 0))
+
+    def _basis_with(self, other: "OperatorMatrix") -> _Grid:
+        if other.basis is not self.basis and other.basis != self.basis:
+            raise ValueError("operators on different bases")
+        return self.basis
+
+    def _combine(self, other, ufunc) -> "OperatorMatrix":
+        if not isinstance(other, OperatorMatrix):
+            return NotImplemented
+        basis = self._basis_with(other)
+        if self.steps == other.steps:
+            return OperatorMatrix(basis, self.steps, ufunc(self.data, other.data))
+        steps, pos = basis._sum_plan(self.steps, other.steps)
+        # entries missing from one operand are its exact zeros, as in a dense sum
+        a, b = np.zeros((2, len(steps), basis.dim), dtype=np.complex128)
+        a[: len(self.steps)] = self.data
+        b[pos] = other.data
+        return OperatorMatrix(basis, steps, ufunc(a, b))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, OperatorMatrix):
+            return NotImplemented
+        return OperatorMatrix(self.basis, self.steps, self.data * scalar)
+
+    def __rmul__(self, scalar):
+        if isinstance(scalar, OperatorMatrix):
+            return NotImplemented
+        return OperatorMatrix(self.basis, self.steps, scalar * self.data)
+
+    def __truediv__(self, scalar):
+        if isinstance(scalar, OperatorMatrix):
+            return NotImplemented
+        return OperatorMatrix(self.basis, self.steps, self.data / scalar)
+
+    def __matmul__(self, other):
+        """(A @ B)[:, c] sums A's column at each row B reaches from c, so the
+        pair (sa, sb) contributes A[sa, rows_sb] * B[sb] to step sa + sb."""
+        if not isinstance(other, OperatorMatrix):
+            return NotImplemented
+        basis = self._basis_with(other)
+        steps, order, starts, gather = basis._product_plan(self.steps, other.steps)
+        terms = (self.data[:, gather] * other.data).reshape(-1, basis.dim)[order]
+        if len(starts) < len(order):
+            terms = np.add.reduceat(terms, starts, axis=0)
+        return OperatorMatrix(basis, steps, terms)
 
 
 def pattern_violation(op: OperatorMatrix, pattern: frozenset, basis: Basis) -> float:
-    """Largest |entry| outside the (delta_j, delta_m) steps of `pattern` (0.0
-    for clean matrices)."""
-    mag = np.abs(op.data)
-    for dj, dm in pattern:
-        valid, rows = basis.locate(basis.j2 + 2 * dj, basis.m2 + 2 * dm)
-        mag[rows[valid], np.flatnonzero(valid)] = 0.0
-    worst = int(np.argmax(mag))
+    """Largest |entry| outside the (delta_j, delta_m) steps of `pattern` on
+    `basis` (0.0 for clean matrices); O(nnz)."""
+    if op.basis != basis:
+        raise ValueError("operator is not on the given basis")
+    off = [s not in pattern for s in op.steps]
+    if not any(off):
+        return 0.0
+    vals = op.data[off]
+    worst = int(np.argmax(np.abs(vals)))
     # np.abs and the scalar abs of a complex may differ in the last bit;
     # the reported magnitude is the scalar one
-    return abs(complex(op.data.flat[worst])) if mag.flat[worst] else 0.0
+    return abs(complex(vals.flat[worst]))
 
 
 def _gather(f: Callable[[int], complex], keys: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """f(k) for every entry of an integer array, called once per distinct k."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return np.array([f(int(k)) for k in uniq], dtype=dtype)[inverse]
+    """f(k) for every entry of a small-int array, called once per k of the
+    arithmetic progression from keys.min() to keys.max() that holds them all
+    (keys of one parity, such as twice-m, step by 2)."""
+    if not keys.size:
+        return np.zeros(0, dtype=dtype)
+    lo = int(keys.min())
+    stride = int(np.gcd.reduce(keys - lo)) or 1
+    table = np.array([f(k) for k in range(lo, int(keys.max()) + 1, stride)], dtype=dtype)
+    return table[(keys - lo) // stride]
 
 
-def diag_from_m(basis: Basis, f: Callable[[HalfInt], complex]) -> np.ndarray:
+def diag_from_m(basis: Basis, f: Callable[[HalfInt], complex]) -> OperatorMatrix:
     """Diagonal matrix with entry f(m) on state (j, m), evaluated spectrally."""
-    return np.diag(_gather(lambda t: f(HalfInt(t)), basis.m2, np.complex128))
+    return OperatorMatrix.diagonal(basis, _gather(lambda t: f(HalfInt(t)), basis.m2, np.complex128))
 
 
 # --------------------------------------------------------------------------
@@ -327,7 +549,7 @@ def _boost_terms(conv: ConventionId) -> tuple[tuple[_Term, ...], ...]:
 def _ladder(
     basis: Basis, terms: tuple[_Term, ...], d: Deformation, coeffs: Optional[dict] = None
 ) -> OperatorMatrix:
-    """Matrix of a term table.
+    """Matrix of a term table, one value row per term.
 
     Targets outside the basis are dropped.  Brackets and q-powers come from
     the scalar code, once per distinct argument; numpy only negates,
@@ -336,10 +558,9 @@ def _ladder(
     coeffs maps "a", "c", "c1" to per-block values.
     """
     lnq = math.log(d.q)
-    out = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for dj, dm, coef, brackets, qexp in terms:
-        valid, rows = basis.locate(basis.j2 + 2 * dj, basis.m2 + 2 * dm)
-        cols = np.flatnonzero(valid)
+    data = np.zeros((len(terms), basis.dim), dtype=np.complex128)
+    for s, (dj, dm, coef, brackets, qexp) in enumerate(terms):
+        cols = np.flatnonzero(basis.rows((dj, dm)) >= 0)
         j2, m2 = basis.j2[cols], basis.m2[cols]
         qn = [
             _gather(lambda t: q_number(t / 2, d), sj * j2 + sm * m2 + 2 * k)
@@ -352,8 +573,8 @@ def _ladder(
         if qexp is not None:
             sj, sm, quarters = qexp
             val = val * _gather(lambda e: math.exp(e / 4 * lnq), quarters + sj * j2 + sm * m2)
-        out[rows[cols], cols] += val
-    return OperatorMatrix(out)
+        data[s, cols] += val
+    return OperatorMatrix(basis, tuple((t.dj, t.dm) for t in terms), data)
 
 
 def build_M(basis: Basis, d: Deformation) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
@@ -362,8 +583,7 @@ def build_M(basis: Basis, d: Deformation) -> tuple[OperatorMatrix, OperatorMatri
     return (
         _ladder(basis, _ROTATION_TERMS["m_plus"], d),
         _ladder(basis, _ROTATION_TERMS["m_minus"], d),
-        # complex from the start: a real dim x dim temporary fragments the heap
-        OperatorMatrix(np.diag(basis.m2 / 2 + 0j)),
+        OperatorMatrix.diagonal(basis, basis.m2 / 2 + 0j),
     )
 
 
@@ -388,8 +608,7 @@ def build_N3_tilde(n3: OperatorMatrix, basis: Basis, d: Deformation) -> Operator
     """Second diagonal boost in closed form, N3~ = q^(M3) N3: the brackets and
     a_j, c_j are invariant under q -> 1/q, so flipping the q^(-m/2) dressing
     of N3 multiplies each row of weight m by q^m."""
-    qm = _gather(lambda t: math.pow(d.q, t / 2), basis.m2)
-    return OperatorMatrix(qm[:, None] * n3.data)
+    return OperatorMatrix.diagonal(basis, _gather(lambda t: math.pow(d.q, t / 2), basis.m2)) @ n3
 
 
 def build_casimir_matrix(
@@ -417,10 +636,10 @@ def build_casimir_matrix(
     """
     rq = math.sqrt(d.q)
     two = q_number(HalfInt.from_int(2), d)
-    num = (m_plus.data @ n_minus.data + m_minus.data @ n_plus.data) / rq
-    num = num - rq * (n_minus.data @ m_plus.data + n_plus.data @ m_minus.data)
-    num = num - two * (n3_tilde.data - n3.data)
-    return OperatorMatrix(num / (2.0 * d.delta))
+    num = (m_plus @ n_minus + m_minus @ n_plus) / rq
+    num = num - rq * (n_minus @ m_plus + n_plus @ m_minus)
+    num = num - two * (n3_tilde - n3)
+    return num / (2.0 * d.delta)
 
 
 @dataclass(frozen=True)
@@ -512,7 +731,7 @@ def suq2_matrices(two_j: int, d: Deformation) -> SuQ2Triple:
         _ladder(basis, tuple(t._replace(qexp=None) for t in _ROTATION_TERMS[name]), d)
         for name in ("m_plus", "m_minus")
     )
-    m3 = OperatorMatrix(np.diag(basis.m2 / 2 + 0j))
+    m3 = OperatorMatrix.diagonal(basis, basis.m2 / 2 + 0j)
     return SuQ2Triple(basis=basis, m_plus=mp, m_minus=mm, m3=m3)
 
 
@@ -529,16 +748,12 @@ def build_from_suq2(two_j: int, d: Deformation) -> GeneratorSet:
     q14 = math.pow(d.q, -0.25)
     qm = diag_from_m(basis, lambda m: math.pow(d.q, -float(m) / 2))
     qp = diag_from_m(basis, lambda m: math.pow(d.q, float(m) / 2))
-    mp = OperatorMatrix(q14 * tri.m_plus.data @ qm)
-    mm = OperatorMatrix(q14 * tri.m_minus.data @ qp)
-    np_ = OperatorMatrix(-1j * mp.data)
-    nm = OperatorMatrix(-1j * mm.data)
-    n3 = OperatorMatrix(
-        diag_from_m(basis, lambda m: -1j * q_number(m, d) * math.pow(d.q, -float(m) / 2))
-    )
-    n3t = OperatorMatrix(
-        diag_from_m(basis, lambda m: -1j * q_number(m, d) * math.pow(d.q, float(m) / 2))
-    )
+    mp = q14 * tri.m_plus @ qm
+    mm = q14 * tri.m_minus @ qp
+    np_ = -1j * mp
+    nm = -1j * mm
+    n3 = diag_from_m(basis, lambda m: -1j * q_number(m, d) * math.pow(d.q, -float(m) / 2))
+    n3t = diag_from_m(basis, lambda m: -1j * q_number(m, d) * math.pow(d.q, float(m) / 2))
     label = RepLabel(j, complex(float(j) + 1.0), d)
     cas = build_casimir_matrix(mp, mm, np_, nm, n3, n3t, d)
     return GeneratorSet(
@@ -587,7 +802,7 @@ def build_ST_vectors(
     qe = math.pow(d.q, e)
     qdn = diag_from_m(basis, lambda m: math.pow(d.q, -float(m) / 2))
     qup = diag_from_m(basis, lambda m: math.pow(d.q, float(m) / 2))
-    mp, mm = tri.m_plus.data, tri.m_minus.data
+    mp, mm = tri.m_plus, tri.m_minus
     inv_sqrt2 = 1.0 / math.sqrt(q_number(HalfInt.from_int(2), d))
     rq = math.sqrt(d.q)
 
@@ -600,14 +815,18 @@ def build_ST_vectors(
 
     one = HalfInt.from_int(1)
     return tuple(
-        TensorOperator(one, {mu: OperatorMatrix(arr) for mu, arr in comps.items()})
+        TensorOperator(one, comps)
         for comps in ({1: s_plus, 0: s_zero, -1: s_minus}, {1: t_plus, 0: t_zero, -1: t_minus})
     )
 
 
 def tensor_embed(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Kronecker product of two operators."""
-    return OperatorMatrix(np.kron(a.data, b.data))
+    """Kronecker product of two operators, on the product basis: step pair
+    (sa, sb) holds a[sa, ca] * b[sb, cb] in column ca * b.dim + cb."""
+    basis = a.basis.product(b.basis)
+    steps = tuple(sa + sb for sa in a.steps for sb in b.steps)
+    vals = a.data[:, None, :, None] * b.data[None, :, None, :]
+    return OperatorMatrix(basis, steps, vals.reshape(len(steps), basis.dim))
 
 
 # --------------------------------------------------------------------------
@@ -639,15 +858,16 @@ def export_matrix(op: OperatorMatrix, label: RepLabel, conv: ConventionId, path)
     """Coordinate text format: header then one "row col re im" line per
     nonzero entry (0-based indices, %.17g, row-major order)."""
     lines = [f"# dim={op.dim} label={_label_token(label)} convention={conv}"]
-    rows, cols = np.nonzero(op.data)
-    for r, c, z in zip(rows.tolist(), cols.tolist(), op.data[rows, cols].tolist()):
+    for r, c, z in zip(*(x.tolist() for x in op.entries())):
         lines.append("%d %d %.17g %.17g" % (r, c, z.real, z.imag))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def import_matrix(path) -> tuple[np.ndarray, RepLabel, ConventionId]:
-    """Read one coordinate-format file; malformed content raises ValueError."""
+def _read_matrix(path) -> tuple[int, RepLabel, ConventionId, tuple]:
+    """Header fields and (rows, cols, vals) of one coordinate-format file;
+    malformed content raises ValueError."""
+    rows, cols, vals = [], [], []
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         m = _HEADER_RE.match(header)
@@ -656,17 +876,38 @@ def import_matrix(path) -> tuple[np.ndarray, RepLabel, ConventionId]:
         dim = int(m.group(1))
         label = _parse_label_token(m.group(2))
         conv = ConventionId.parse(m.group(3))
-        arr = np.zeros((dim, dim), dtype=np.complex128)
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             r, c, re_, im_ = line.split()
-            r, c = int(r), int(c)
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise ValueError(f"entry ({r}, {c}) outside the {dim}x{dim} matrix in {path}")
-            arr[r, c] = complex(float(re_), float(im_))
-    return arr, label, conv
+            rows.append(int(r))
+            cols.append(int(c))
+            vals.append(complex(float(re_), float(im_)))
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    bad = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))
+    if bad.size:
+        r, c = rows[bad[0]], cols[bad[0]]
+        raise ValueError(f"entry ({r}, {c}) outside the {dim}x{dim} matrix in {path}")
+    return dim, label, conv, (rows, cols, np.array(vals, dtype=np.complex128))
+
+
+def _import_basis(label: RepLabel, dim: int) -> Basis:
+    """The basis of `label` with `dim` states (ValueError if there is none)."""
+    # n blocks from l0 on hold n * (n + 2 l0) states; a finite label ignores j_max
+    t = label.l0.twice
+    n_blocks = (math.isqrt(t * t + 4 * dim) - t) // 2
+    basis = build_basis(label, label.l0 + max(n_blocks - 1, 0))
+    if basis.dim != dim:
+        raise ValueError(f"dim {dim} is not the dim of a basis of {label}")
+    return basis
+
+
+def import_matrix(path) -> tuple[OperatorMatrix, RepLabel, ConventionId]:
+    """Read one coordinate-format file into steps of the basis its header
+    names; an entry off every generator pattern gets a step of its own."""
+    dim, label, conv, entries = _read_matrix(path)
+    return OperatorMatrix.from_entries(_import_basis(label, dim), *entries), label, conv
 
 
 def export_generator_set(gens: GeneratorSet, directory) -> list[str]:
@@ -687,17 +928,11 @@ def import_generator_set(directory) -> GeneratorSet:
     disagree on dim, label or convention, or a dim that no basis of the label
     has, raise ValueError.
     """
-    files = {n: import_matrix(os.path.join(directory, f"{n}.txt")) for n in GENERATOR_PATTERNS}
-    first, (arr0, label, conv) = next(iter(files.items()))
-    for name, (arr, lab, cv) in files.items():
-        if arr.shape != arr0.shape or lab != label or cv != conv:
+    files = {n: _read_matrix(os.path.join(directory, f"{n}.txt")) for n in GENERATOR_PATTERNS}
+    first, (dim, label, conv, _) = next(iter(files.items()))
+    for name, (dm, lab, cv, _) in files.items():
+        if dm != dim or lab != label or cv != conv:
             raise ValueError(f"{name}.txt disagrees with {first}.txt on dim, label or convention")
-    dim = arr0.shape[0]
-    # n blocks from l0 on hold n * (n + 2 l0) states; a finite label ignores j_max
-    t = label.l0.twice
-    n_blocks = (math.isqrt(t * t + 4 * dim) - t) // 2
-    basis = build_basis(label, label.l0 + max(n_blocks - 1, 0))
-    if basis.dim != dim:
-        raise ValueError(f"dim {dim} is not the dim of a basis of {label}")
-    ops = {name: OperatorMatrix(f[0]) for name, f in files.items()}
+    basis = _import_basis(label, dim)
+    ops = {name: OperatorMatrix.from_entries(basis, *f[3]) for name, f in files.items()}
     return GeneratorSet(basis=basis, label=label, convention=conv, tag="imported", **ops)

@@ -16,13 +16,16 @@ Each check produces `RelationResidual` records collected into deterministic
 
 Residual norm: max|entry| of (LHS - RHS) over interior columns; scale is the
 product of the max-norms of the operators on the commutator side, floored
-at 1.  A record passes iff residual <= tolerance * scale.
+at 1.  A record passes iff residual <= tolerance * scale.  Both sides are
+evaluated with the step-operator algebra of `matrep`; only the classical
+oracle is a separate path, filled entry by entry.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -180,11 +183,6 @@ def _subject(gens: GeneratorSet) -> dict:
     }
 
 
-def _masked_max(diff: np.ndarray, mask: np.ndarray) -> float:
-    sub = diff[:, mask]
-    return float(np.max(np.abs(sub))) if sub.size else 0.0
-
-
 def _pair_scale(a: OperatorMatrix, b: OperatorMatrix) -> float:
     return max(1.0, a.max_norm * b.max_norm)
 
@@ -225,7 +223,7 @@ def check_lorentz_relations(
     rq = math.sqrt(q)
     delta = d.delta
     basis = gens.basis
-    eye = np.eye(basis.dim, dtype=np.complex128)
+    eye = OperatorMatrix.diagonal(basis, 1.0)
     two = q_number(HalfInt.from_int(2), d)
     two_m3 = diag_from_m(basis, lambda m: q_number(m + m, d))
 
@@ -247,12 +245,12 @@ def check_lorentz_relations(
         environment=_env(gens, tols),
     )
 
-    def add(line_id: str, lhs: np.ndarray, rhs: np.ndarray, a: OperatorMatrix, b: OperatorMatrix):
+    def add(line_id: str, diff: OperatorMatrix, a: OperatorMatrix, b: OperatorMatrix):
         tier = _line_tier(line_id, gens)
         rep.add(
             RelationResidual(
                 f"eq4.{line_id}",
-                _masked_max(lhs - rhs, quad),
+                diff.masked_max(quad),
                 _pair_scale(a, b),
                 tols.of(tier),
                 tier,
@@ -260,48 +258,33 @@ def check_lorentz_relations(
             )
         )
 
-    A = lambda op: op.data  # noqa: E731
-
-    add("line01", A(mp) @ A(mm) - A(mm) @ A(mp), two_m3, mp, mm)
-    r2a = _masked_max(A(m3) @ A(mp) - A(mp) @ A(m3) - A(mp), quad)
-    r2b = _masked_max(A(m3) @ A(mm) - A(mm) @ A(m3) + A(mm), quad)
+    add("line01", mp @ mm - mm @ mp - two_m3, mp, mm)
+    r2a = (m3 @ mp - mp @ m3 - mp).masked_max(quad)
+    r2b = (m3 @ mm - mm @ m3 + mm).masked_max(quad)
     rep.add(
         RelationResidual(
             "eq4.line02", max(r2a, r2b), _pair_scale(m3, mp), tols.tier1, 1, col_quad, "both signs"
         )
     )
-    add("line03", A(np_) @ A(nm) - A(nm) @ A(np_), -two_m3, np_, nm)
-    add("line04", A(d4) @ A(np_) * rq - A(np_) @ A(d4) / rq, -A(mp), d4, np_)
-    add("line05", A(d5) @ A(nm) * rq - A(nm) @ A(d5) / rq, A(mm), d5, nm)
-    r6a = _masked_max(A(m3) @ A(np_) - A(np_) @ A(m3) - A(np_), quad)
-    r6b = _masked_max(A(m3) @ A(nm) - A(nm) @ A(m3) + A(nm), quad)
+    add("line03", np_ @ nm - nm @ np_ + two_m3, np_, nm)
+    add("line04", d4 @ np_ * rq - np_ @ d4 / rq + mp, d4, np_)
+    add("line05", d5 @ nm * rq - nm @ d5 / rq - mm, d5, nm)
+    r6a = (m3 @ np_ - np_ @ m3 - np_).masked_max(quad)
+    r6b = (m3 @ nm - nm @ m3 + nm).masked_max(quad)
     rep.add(
         RelationResidual(
             "eq4.line06", max(r6a, r6b), _pair_scale(m3, np_), tols.tier1, 1, col_quad, "both signs"
         )
     )
-    add(
-        "line07",
-        A(mp) @ A(nm) / rq - rq * A(nm) @ A(mp),
-        two * A(n3t) + delta * c_scalar * eye,
-        mp,
-        nm,
-    )
-    add(
-        "line08",
-        A(mm) @ A(np_) / rq - rq * A(np_) @ A(mm),
-        -two * A(n3) + delta * c_scalar * eye,
-        mm,
-        np_,
-    )
-    add("line09", A(mp) @ A(n3t) * rq - A(n3t) @ A(mp) / rq, -A(np_), mp, n3t)
-    add("line10", A(mm) @ A(n3) * rq - A(n3) @ A(mm) / rq, A(nm), mm, n3)
+    add("line07", mp @ nm / rq - rq * nm @ mp - (two * n3t + delta * c_scalar * eye), mp, nm)
+    add("line08", mm @ np_ / rq - rq * np_ @ mm - (-two * n3 + delta * c_scalar * eye), mm, np_)
+    add("line09", mp @ n3t * rq - n3t @ mp / rq + np_, mp, n3t)
+    add("line10", mm @ n3 * rq - n3 @ mm / rq - nm, mm, n3)
 
     # "all other (usual) commutators vanish"
-    zero = np.zeros_like(eye)
-    add("other1", A(n3) @ A(n3t) - A(n3t) @ A(n3), zero, n3, n3t)
-    add("other2", A(m3) @ A(n3) - A(n3) @ A(m3), zero, m3, n3)
-    add("other3", A(m3) @ A(n3t) - A(n3t) @ A(m3), zero, m3, n3t)
+    add("other1", n3 @ n3t - n3t @ n3, n3, n3t)
+    add("other2", m3 @ n3 - n3 @ m3, m3, n3)
+    add("other3", m3 @ n3t - n3t @ m3, m3, n3t)
 
     # selection rules of GENERATOR_PATTERNS: exact zeros outside, tolerance 0
     for name, op in gens.matrices().items():
@@ -324,7 +307,6 @@ def check_casimir(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> Verifi
     c_scalar = gens.c_scalar
     basis = gens.basis
     cas = gens.casimir
-    eye = np.eye(basis.dim, dtype=np.complex128)
     quad = basis.interior_columns(2)
     cubic = basis.interior_columns(3)
     col_quad = "interior (quadratic)" if basis.truncated else "all columns"
@@ -340,7 +322,7 @@ def check_casimir(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> Verifi
     rep.add(
         RelationResidual(
             "eq5.scalar",
-            _masked_max(cas.data - c_scalar * eye, quad),
+            (cas - OperatorMatrix.diagonal(basis, c_scalar)).masked_max(quad),
             max(1.0, cas.max_norm),
             tols.of(tier),
             tier,
@@ -353,7 +335,7 @@ def check_casimir(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> Verifi
         rep.add(
             RelationResidual(
                 f"eq5.central.{name}",
-                _masked_max(cas.data @ op.data - op.data @ cas.data, cubic),
+                (cas @ op - op @ cas).masked_max(cubic),
                 _pair_scale(cas, op),
                 tols.of(tier),
                 tier,
@@ -384,16 +366,16 @@ def check_tensor_operator(
     if tensor.l.twice % 2 != 0 or tensor.l.twice < 0:
         raise ValueError("only integer-rank tensor operators are checked")
     rank = tensor.l.twice // 2
-    mp, mm, m3 = tri.m_plus.data, tri.m_minus.data, tri.m3.data
+    mp, mm, m3 = tri.m_plus, tri.m_minus, tri.m3
     basis = tri.basis
 
     def variant_rows(sign: float) -> list[tuple[str, float, float]]:
         dress = diag_from_m(basis, lambda m: math.pow(d.q, sign * float(m) / 2))
         rows = []
         for mu in range(-rank, rank + 1):
-            t_mu = tensor.component(mu).data
-            res = float(np.max(np.abs(m3 @ t_mu - t_mu @ m3 - mu * t_mu)))
-            rows.append((f"weight.m{mu:+d}", res, max(1.0, float(np.max(np.abs(t_mu))))))
+            t_mu = tensor.component(mu)
+            res = (m3 @ t_mu - t_mu @ m3 - mu * t_mu).max_norm
+            rows.append((f"weight.m{mu:+d}", res, max(1.0, t_mu.max_norm)))
             for pm, mat, tagc in ((1, mp, "raise"), (-1, mm, "lower")):
                 lhs = mat @ t_mu - math.pow(d.q, -sign * mu / 2.0) * (t_mu @ mat)
                 tgt = mu + pm
@@ -402,11 +384,9 @@ def check_tensor_operator(
                         q_number(HalfInt.from_int(rank - pm * mu), d)
                         * q_number(HalfInt.from_int(rank + pm * mu + 1), d)
                     )
-                    rhs = amp * tensor.component(tgt).data @ dress
-                else:
-                    rhs = np.zeros_like(lhs)
-                scale = max(1.0, float(np.max(np.abs(mat))) * float(np.max(np.abs(t_mu))))
-                rows.append((f"{tagc}.m{mu:+d}", float(np.max(np.abs(lhs - rhs))), scale))
+                    lhs = lhs - amp * tensor.component(tgt) @ dress
+                scale = max(1.0, mat.max_norm * t_mu.max_norm)
+                rows.append((f"{tagc}.m{mu:+d}", lhs.max_norm, scale))
         return rows
 
     primary = variant_rows(+1.0)
@@ -465,24 +445,21 @@ def check_q_adjoint(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> Veri
         environment=_env(gens, tols, q_inverse=label_inv.d.q, unitary_series=unitary),
     )
 
-    def dag(a: np.ndarray) -> np.ndarray:
-        return a.conj().T
-
     pairs = [
-        ("eq6.m_plus_dagger", dag(gens.m_plus.data), gi.m_minus.data, gens.m_plus, 1),
-        ("eq6.m_minus_dagger", dag(gens.m_minus.data), gi.m_plus.data, gens.m_minus, 1),
-        ("eq6.m3_dagger", dag(gens.m3.data), gens.m3.data, gens.m3, 1),
-        ("eq6.n_plus_dagger", dag(gens.n_plus.data), gi.n_minus.data, gens.n_plus, n_tier),
-        ("eq6.n_minus_dagger", dag(gens.n_minus.data), gi.n_plus.data, gens.n_minus, n_tier),
-        ("eq6.n3_hermitian", dag(gens.n3.data), gens.n3.data, gens.n3, n_tier),
-        ("eq6.n3_swap", gi.n3.data, gens.n3_tilde.data, gens.n3_tilde, 1),
-        ("eq6.n3_tilde_swap", gi.n3_tilde.data, gens.n3.data, gens.n3, 1),
+        ("eq6.m_plus_dagger", gens.m_plus.dagger(), gi.m_minus, gens.m_plus, 1),
+        ("eq6.m_minus_dagger", gens.m_minus.dagger(), gi.m_plus, gens.m_minus, 1),
+        ("eq6.m3_dagger", gens.m3.dagger(), gens.m3, gens.m3, 1),
+        ("eq6.n_plus_dagger", gens.n_plus.dagger(), gi.n_minus, gens.n_plus, n_tier),
+        ("eq6.n_minus_dagger", gens.n_minus.dagger(), gi.n_plus, gens.n_minus, n_tier),
+        ("eq6.n3_hermitian", gens.n3.dagger(), gens.n3, gens.n3, n_tier),
+        ("eq6.n3_swap", gi.n3, gens.n3_tilde, gens.n3_tilde, 1),
+        ("eq6.n3_tilde_swap", gi.n3_tilde, gens.n3, gens.n3, 1),
     ]
     for rid, lhs, rhs, op, tier in pairs:
         rep.add(
             RelationResidual(
                 rid,
-                float(np.max(np.abs(lhs - rhs))),
+                (lhs - rhs).max_norm,
                 max(1.0, op.max_norm),
                 ADJOINT_ELEMENTWISE_TOL if tier == 1 else tols.tier2,
                 tier,
@@ -606,21 +583,22 @@ def check_recurrence_suite(
 class ClassicalGeneratorSet:
     """Classical (undeformed) generator matrices built from the closed-form
     matrix elements with every bracket [x] replaced by x and every q-power
-    by 1.  Completely independent of the deformed code paths."""
+    by 1.  Completely independent of the deformed code paths: plain dense
+    arrays, filled entry by entry."""
 
     basis: Basis
     l0: float
     l1: complex
-    m_plus: OperatorMatrix
-    m_minus: OperatorMatrix
-    m3: OperatorMatrix
-    n_plus: OperatorMatrix
-    n_minus: OperatorMatrix
-    n3: OperatorMatrix
-    n3_tilde: OperatorMatrix
-    casimir: OperatorMatrix
+    m_plus: np.ndarray
+    m_minus: np.ndarray
+    m3: np.ndarray
+    n_plus: np.ndarray
+    n_minus: np.ndarray
+    n3: np.ndarray
+    n3_tilde: np.ndarray
+    casimir: np.ndarray
 
-    def matrices(self) -> dict[str, OperatorMatrix]:
+    def matrices(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in GENERATOR_PATTERNS}
 
 
@@ -714,23 +692,22 @@ def classical_oracle(l0: HalfInt, l1: complex, j_max: HalfInt) -> ClassicalGener
                     (fj + fm + 1) * (fj - fm + 1)
                 )
 
-    ops = {k: OperatorMatrix(v) for k, v in mats.items()}
     # quadratic invariant, normalized to the deformed one: brute-force
     # evaluation shows the plain rotation-boost contraction M.N is scalar
     # with eigenvalue i l0 l1 / 2 in this coefficient normalization, so the
     # counterpart of the deformed invariant (eigenvalue i l0 l1) is -2 M.N
     cas = -(
-        2.0 * ops["m3"].data @ ops["n3"].data
-        + ops["m_plus"].data @ ops["n_minus"].data
-        + ops["m_minus"].data @ ops["n_plus"].data
+        2.0 * mats["m3"] @ mats["n3"]
+        + mats["m_plus"] @ mats["n_minus"]
+        + mats["m_minus"] @ mats["n_plus"]
     )
     return ClassicalGeneratorSet(
         basis=basis,
         l0=fl0,
         l1=l1,
-        n3_tilde=ops["n3"],
-        casimir=OperatorMatrix(cas),
-        **ops,
+        n3_tilde=mats["n3"],
+        casimir=cas,
+        **mats,
     )
 
 
@@ -762,7 +739,7 @@ def classical_limit_compare(
         for name, op in g.matrices().items():
             if name == "casimir":
                 continue
-            out[name] = float(np.max(np.abs(op.data - oracle.matrices()[name].data)))
+            out[name] = float(np.max(np.abs(op.toarray() - oracle.matrices()[name])))
         out["casimir_scalar"] = abs(
             casimir_eigenvalue(lab) - 1j * float(label_l0) * complex(label_l1)
         )
@@ -812,10 +789,10 @@ def _table_row(axis: str, conv: ConventionId, score: float) -> dict:
     return {"axis": axis, "convention": str(conv), "score": score, "valid": True}
 
 
-def _eq4_score(label: RepLabel, j_max: HalfInt, conv: ConventionId) -> float:
-    try:
-        g = build_generator_set(label, j_max, conv)
-    except ConstructionInconsistencyError:
+def _eq4_score(g: Optional[GeneratorSet]) -> float:
+    """Summed relative eq4 residual; a reading that could not be built
+    (None) scores inf."""
+    if g is None:
         return math.inf
     rep = check_lorentz_relations(g)
     return sum(r.residual / r.scale for r in rep.residuals if r.relation_id.startswith("eq4."))
@@ -852,29 +829,23 @@ def resolve_conventions(
     table: list[dict] = []
     chosen = {}
 
-    # axis group 1: boost-matrix exponents and the relation pairing
+    # axis group 1: boost-matrix exponents and the relation pairing; the
+    # pairing only decides which diagonal boost lines 04/05 read, so each
+    # reading of the exponents is built once and scored under both pairings
     if label is not None:
         jm = j_max if j_max is not None else label.l0 + 4
-        variants = []
-        for mid in (0, 1):
-            for dm in (0, 1):
-                for fs in (0, 1, 2):
-                    for ts in (0, 1, 2):
-                        for sw in (0, 1):
-                            variants.append(
-                                ConventionId(
-                                    n_mid_exp=mid,
-                                    n_down_dm=dm,
-                                    n_first_shift=fs,
-                                    n_third_shift=ts,
-                                    line45_swap=sw,
-                                )
-                            )
         scored = []
-        for conv in variants:
-            s = _eq4_score(label, jm, conv)
-            table.append(_table_row("boost_exponents", conv, s))
-            scored.append((s, conv.to_list(), conv))
+        for mid, dm, fs, ts in itertools.product((0, 1), (0, 1), (0, 1, 2), (0, 1, 2)):
+            reading = ConventionId(n_mid_exp=mid, n_down_dm=dm, n_first_shift=fs, n_third_shift=ts)
+            try:
+                g = build_generator_set(label, jm, reading)
+            except ConstructionInconsistencyError:
+                g = None
+            for sw in (0, 1):
+                conv = replace(reading, line45_swap=sw)
+                s = _eq4_score(None if g is None else replace(g, convention=conv))
+                table.append(_table_row("boost_exponents", conv, s))
+                scored.append((s, conv.to_list(), conv))
         scored.sort(key=lambda t: (t[0], t[1]))
         win = scored[0][2]
         chosen.update(

@@ -174,7 +174,7 @@ def test_criterion_09_casimir():
     d = Deformation(1 + 1e-6)
     g = build_generator_set(lab("1/2", 1.5, 1 + 1e-6), HalfInt(1))
     expected = 1j * q_number(HalfInt(1), d) * q_number(1.5, d)
-    dev = float(np.max(np.abs(g.casimir.data - expected * np.eye(2))))
+    dev = float(np.max(np.abs(g.casimir.toarray() - expected * np.eye(2))))
     ok = ok and dev < 1e-4
     report_line(9, "casimir centrality and eigenvalue", ok)
     assert ok

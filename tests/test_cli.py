@@ -139,6 +139,24 @@ def test_verify_non_unitary_single_zero_block_exits_0(tmp_path):
     assert summary["pass"] and "every coefficient in the window is zero" in summary["note"]
 
 
+def test_verify_finite_label_checks_unit_conditions_on_its_basis(tmp_path):
+    # the spinor basis holds j = 1/2 only; --j-max does not widen it, so the
+    # unit suite has no records above 1/2, while config echoes the request
+    code, raw = run_cli(
+        ["verify", "--l0", "1/2", "--l1", "1.5", "--q", "1.3", "--j-max", "5"], tmp_path
+    )
+    assert code == 0
+    doc = json.loads(raw)
+    assert doc["config"]["j_max"] == "5"
+    unit = next(r for r in doc["reports"] if r["suite"] == "unitary_coeffs")
+    assert [r["id"] for r in unit["relations"]] == [
+        "unit.a_real.j=1/2",
+        "unit.c_imag.j=1/2",
+        "unit.matches_classification",
+    ]
+    assert unit["relations"][-1]["pass"]
+
+
 def test_verify_passes_on_clean_build(tmp_path):
     code, raw = run_cli(
         ["verify", "--l0", "0", "--l1", "2.7i", "--q", "1.3", "--j-max", "8"], tmp_path
@@ -379,14 +397,143 @@ def _builds(monkeypatch, tmp_path, args):
     [
         (["verify", "--l0", "1", "--l1", "2.7i", "--q", "1.3"], 2),
         (["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3"], 5),
-        (["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"], 74),
+        (["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"], 38),
         (["coproduct", "--q", "1.3"], 1),
     ],
 )
 def test_build_counts(monkeypatch, tmp_path, args, n_builds):
     # the adjoint checks reuse the set the command built, the resolver and
-    # coproduct build each spinor once
+    # coproduct build each spinor once, and the resolver builds each of the
+    # 36 boost-exponent readings once for both line-04/05 pairings (the 18
+    # inconsistent ones raise before any matrix is built)
     calls = _builds(monkeypatch, tmp_path, args)
     assert len(calls) == n_builds
-    if args[0] == "chiral":
+    if args[0] in ("chiral", "conventions"):
         assert len(set(calls)) == n_builds
+
+
+# ---------------------------------------------------------------- JSON bytes
+
+
+def _escape_reference(s):
+    out = []
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append("\\u%04x" % ord(ch))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _emit_reference(obj, parts):
+    if obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, str):
+        parts.append(f'"{_escape_reference(obj)}"')
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, float):
+        parts.append("%.17g" % obj)
+    elif isinstance(obj, complex):
+        _emit_reference({"re": obj.real, "im": obj.imag}, parts)
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                parts.append(",")
+            parts.append(f'"{_escape_reference(str(k))}":')
+            _emit_reference(v, parts)
+        parts.append("}")
+    else:
+        parts.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                parts.append(",")
+            _emit_reference(v, parts)
+        parts.append("]")
+
+
+def _dumps_reference(obj, indent=False):
+    """The earlier two-pass emitter: compact text, then a re-indenting walk."""
+    parts = []
+    _emit_reference(obj, parts)
+    text = "".join(parts)
+    if not indent:
+        return text
+    out, depth, in_str, esc = [], 0, False, False
+    for ch in text:
+        if in_str:
+            out.append(ch)
+            if esc:
+                esc = False
+            elif ch == "\\":
+                esc = True
+            elif ch == '"':
+                in_str = False
+            continue
+        if ch == '"':
+            in_str = True
+            out.append(ch)
+        elif ch in "{[":
+            depth += 1
+            out.append(ch + "\n" + "  " * depth)
+        elif ch in "}]":
+            depth -= 1
+            out.append("\n" + "  " * depth + ch)
+        elif ch == ",":
+            out.append(ch + "\n" + "  " * depth)
+        elif ch == ":":
+            out.append(": ")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--l0", "1/2", "--l1", "1.5", "--q", "1.3"],
+        ["build", "--l0", "0", "--l1", "2.7i", "--q", "1.3", "--j-max", "3"],
+        ["verify", "--l0", "1", "--l1", "0.3+1.2i", "--q", "0.7", "--j-max", "3"],
+        ["verify", "--l0", "1/2", "--l1", "1.5", "--q", "1.3", "--format", "text"],
+        ["chiral", "--spin", "2", "--q", "1.3"],
+        ["chiral", "--l0", "0", "--l1", "0.5", "--q", "1.3", "--j-max", "2"],
+        ["coproduct", "--q", "1.3"],
+        ["limit", "--l0", "1", "--l1", "2.5i", "--eps", "1e-6", "--j-max", "3"],
+        ["conventions", "--l0", "1/2", "--l1", "1.5", "--q", "1.3"],
+    ],
+)
+def test_json_bytes_match_two_pass_reference(monkeypatch, tmp_path, args):
+    from qlorentz import _jsonfmt
+
+    dumps, seen = _jsonfmt.dumps, []
+
+    def checked(obj, indent=False):
+        text = dumps(obj, indent)
+        seen.append(text == _dumps_reference(obj, indent))
+        return text
+
+    monkeypatch.setattr(_jsonfmt, "dumps", checked)
+    run_cli(args, tmp_path)
+    assert seen and all(seen)
+
+
+def test_json_escapes_and_empty_containers_match_reference():
+    from qlorentz import _jsonfmt
+
+    doc = {
+        'q"uote\\back': ["tab\there", "nl\n", "\x01", "plain", ""],
+        "empty": {},
+        "none": [],
+        "nested": [[], {"a": [1, 2.5, None, True, False]}, 1j - 2],
+    }
+    for indent in (False, True):
+        assert _jsonfmt.dumps(doc, indent) == _dumps_reference(doc, indent)

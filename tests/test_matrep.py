@@ -6,9 +6,11 @@ import pytest
 from qlorentz.qarith import Deformation, HalfInt, half_range, q_number
 from qlorentz.repcore import RepLabel, coeff_c
 from qlorentz.matrep import (
+    Basis,
     ConstructionInconsistencyError,
     ConventionId,
     GENERATOR_PATTERNS,
+    OperatorMatrix,
     build_basis,
     build_from_suq2,
     build_generator_set,
@@ -28,6 +30,12 @@ from qlorentz.matrep import (
 
 def lab(l0: str, l1, q: float) -> RepLabel:
     return RepLabel(HalfInt.parse(l0), l1, Deformation(q))
+
+
+def from_dense(basis, arr):
+    """Step operator with the nonzero entries of a dense array."""
+    rows, cols = np.nonzero(arr)
+    return OperatorMatrix.from_entries(basis, rows, cols, arr[rows, cols])
 
 
 # ---------------------------------------------------------------- basis
@@ -86,7 +94,7 @@ def test_rotation_entry_value():
     mp, _, _ = build_M(basis, Deformation(1.3))
     r = basis.index(HalfInt(1), HalfInt(1))
     c = basis.index(HalfInt(1), HalfInt(-1))
-    assert mp.data[r, c] == pytest.approx(1.0, abs=1e-15)
+    assert mp.toarray()[r, c] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_rotation_kills_highest_weight():
@@ -102,9 +110,10 @@ def test_rotation_kills_highest_weight():
 def test_rotation_classical_limit_entries():
     basis = build_basis(lab("0", 2.7j, 1 + 1e-8), HalfInt(4))
     mp, _, _ = build_M(basis, Deformation(1 + 1e-8))
+    dense = mp.toarray()
     for j in basis.spins:
         for m in half_range(-j, j - 1):
-            got = mp.data[basis.index(j, m + 1), basis.index(j, m)]
+            got = dense[basis.index(j, m + 1), basis.index(j, m)]
             fj, fm = float(j), float(m)
             assert got == pytest.approx(math.sqrt((fj - fm) * (fj + fm + 1)), abs=1e-6)
 
@@ -112,8 +121,9 @@ def test_rotation_classical_limit_entries():
 def test_m3_diagonal_weights():
     basis = build_basis(lab("1/2", 2.7j, 1.3), HalfInt.parse("5/2"))
     _, _, m3 = build_M(basis, Deformation(1.3))
+    dense = m3.toarray()
     for i, m2 in enumerate(basis.m2):
-        assert m3.data[i, i] == m2 / 2
+        assert dense[i, i] == m2 / 2
 
 
 @pytest.mark.parametrize("q", [0.5, 0.9, 1.3, 2.0])
@@ -127,8 +137,9 @@ def test_suq2_relations_on_rotations_random_labels(q):
         mp, mm, m3 = build_M(basis, d)
         two_m3 = diag_from_m(basis, lambda m: q_number(m + m, d))
         scale = max(1.0, mp.max_norm * mm.max_norm)
-        assert np.max(np.abs(mp.data @ mm.data - mm.data @ mp.data - two_m3)) < 1e-13 * scale
-        assert np.max(np.abs(m3.data @ mp.data - mp.data @ m3.data - mp.data)) < 1e-13 * scale
+        mp, mm, m3, two_m3 = (op.toarray() for op in (mp, mm, m3, two_m3))
+        assert np.max(np.abs(mp @ mm - mm @ mp - two_m3)) < 1e-13 * scale
+        assert np.max(np.abs(m3 @ mp - mp @ m3 - mp)) < 1e-13 * scale
 
 
 # ---------------------------------------------------------------- boosts
@@ -144,8 +155,6 @@ def test_selection_rules_exact():
 def test_selection_rule_edges(l0, l1, jm):
     # one planted entry at every off-pattern neighbour of the |m| = j columns
     # of the first and last spin block is reported at exactly its magnitude
-    from qlorentz.matrep import OperatorMatrix
-
     g = build_generator_set(lab(l0, l1, 1.3), HalfInt.parse(jm))
     b = g.basis
     edge = [i for i in range(b.dim) if b.j2[i] in (b.j2[0], b.j2[-1]) and abs(b.m2[i]) == b.j2[i]]
@@ -162,12 +171,12 @@ def test_selection_rule_edges(l0, l1, jm):
                     valid, rows = b.locate(b.j2[[col]] + 2 * dj, b.m2[[col]] + 2 * dm)
                     if not valid[0]:
                         continue
-                    arr = op.data.copy()
+                    arr = op.toarray()
                     arr[rows[0], col] = planted
-                    got = pattern_violation(OperatorMatrix(arr.copy()), pattern, b)
+                    got = pattern_violation(from_dense(b, arr), pattern, b)
                     assert got == abs(planted), (name, col, dj, dm)
                     arr[rows[0], col] = 0
-                    assert pattern_violation(OperatorMatrix(arr), pattern, b) == 0.0
+                    assert pattern_violation(from_dense(b, arr), pattern, b) == 0.0
                     checked += 1
         assert checked >= 8, name
 
@@ -226,13 +235,13 @@ def test_builders_bitwise_equal_to_per_entry_reference(l0, l1, q):
         built = dict(zip(("n_plus", "n_minus", "n3"), build_N(basis, label, conv)))
         built.update(m_plus=mp, m_minus=mm)
         for name, op in built.items():
-            assert op.data.tobytes() == ref[name].tobytes(), (name, conv)
+            assert op.toarray().tobytes() == ref[name].tobytes(), (name, conv)
 
 
 def test_boosts_on_spinor_are_rotations_times_minus_i():
     g = build_generator_set(lab("1/2", 1.5, 2.0), HalfInt(1))
-    np.testing.assert_allclose(g.n_plus.data, -1j * g.m_plus.data, atol=1e-15)
-    np.testing.assert_allclose(g.n_minus.data, -1j * g.m_minus.data, atol=1e-15)
+    np.testing.assert_allclose(g.n_plus.toarray(), -1j * g.m_plus.toarray(), atol=1e-15)
+    np.testing.assert_allclose(g.n_minus.toarray(), -1j * g.m_minus.toarray(), atol=1e-15)
 
 
 def test_n3_column_at_origin():
@@ -243,7 +252,7 @@ def test_n3_column_at_origin():
     col = g.basis.index(HalfInt(0), HalfInt(0))
     expected = np.zeros(g.basis.dim, dtype=complex)
     expected[g.basis.index(HalfInt(2), HalfInt(0))] = -coeff_c(HalfInt(2), label)
-    np.testing.assert_allclose(g.n3.data[:, col], expected, atol=1e-15)
+    np.testing.assert_allclose(g.n3.toarray()[:, col], expected, atol=1e-15)
 
 
 def test_n3_tilde_matches_direct_formula():
@@ -251,7 +260,7 @@ def test_n3_tilde_matches_direct_formula():
     for l0, l1, q in [("0", 0.5, 1.3), ("1", 2.7j, 0.7), ("1/2", 1.5, 2.0)]:
         g = build_generator_set(lab(l0, l1, q), HalfInt.parse(l0) + 5)
         qm3 = diag_from_m(g.basis, lambda m: math.pow(q, float(m)))
-        np.testing.assert_allclose(g.n3_tilde.data, qm3 @ g.n3.data, atol=1e-12)
+        np.testing.assert_allclose(g.n3_tilde.toarray(), qm3.toarray() @ g.n3.toarray(), atol=1e-12)
 
 
 def test_n3_tilde_rejects_inconsistent_convention():
@@ -265,14 +274,14 @@ def test_casimir_scalar_on_spinor():
     d = Deformation(1.3)
     g = build_generator_set(lab("1/2", 1.5, 1.3), HalfInt(1))
     expected = 1j * q_number(HalfInt(1), d) * q_number(1.5, d)
-    np.testing.assert_allclose(g.casimir.data, expected * np.eye(2), atol=1e-13)
+    np.testing.assert_allclose(g.casimir.toarray(), expected * np.eye(2), atol=1e-13)
 
 
 def test_casimir_zero_for_zero_boosts():
-    from qlorentz.matrep import OperatorMatrix, build_casimir_matrix
+    from qlorentz.matrep import build_casimir_matrix
 
     g = build_generator_set(lab("1/2", 1.5, 1.3), HalfInt(1))
-    zero = OperatorMatrix(np.zeros((2, 2)))
+    zero = OperatorMatrix.diagonal(g.basis, 0.0)
     cas = build_casimir_matrix(g.m_plus, g.m_minus, zero, zero, zero, zero, g.d)
     assert cas.max_norm == 0.0
 
@@ -294,10 +303,11 @@ def test_finite_top_coupling_is_exactly_zero():
 def test_realization_rotation_and_boost_commutators(two_j, q):
     g = build_from_suq2(two_j, Deformation(q))
     d = g.d
-    two_m3 = diag_from_m(g.basis, lambda m: q_number(m + m, d))
+    two_m3 = diag_from_m(g.basis, lambda m: q_number(m + m, d)).toarray()
     scale = max(1.0, g.m_plus.max_norm * g.m_minus.max_norm)
-    comm_m = g.m_plus.data @ g.m_minus.data - g.m_minus.data @ g.m_plus.data
-    comm_n = g.n_plus.data @ g.n_minus.data - g.n_minus.data @ g.n_plus.data
+    mp, mm, np_, nm = (op.toarray() for op in (g.m_plus, g.m_minus, g.n_plus, g.n_minus))
+    comm_m = mp @ mm - mm @ mp
+    comm_n = np_ @ nm - nm @ np_
     assert np.max(np.abs(comm_m - two_m3)) < 1e-14 * scale
     assert np.max(np.abs(comm_n + two_m3)) < 1e-14 * scale
 
@@ -306,7 +316,7 @@ def test_realization_diagonal_boosts():
     d = Deformation(1.3)
     g = build_from_suq2(3, d)
     n3_expect = diag_from_m(g.basis, lambda m: -1j * q_number(m, d) * d.q ** (-float(m) / 2))
-    np.testing.assert_allclose(g.n3.data, n3_expect, atol=1e-15)
+    np.testing.assert_allclose(g.n3.toarray(), n3_expect.toarray(), atol=1e-15)
     assert g.label.l0 == HalfInt(3) and g.label.l1 == pytest.approx(2.5)
 
 
@@ -317,7 +327,7 @@ def test_realization_matches_label_build_at_spin_half():
     g2 = build_generator_set(lab("1/2", 1.5, 1.3), HalfInt(1))
     for name in g1.matrices():
         np.testing.assert_allclose(
-            g1.matrices()[name].data, g2.matrices()[name].data, atol=1e-13, err_msg=name
+            g1.matrices()[name].toarray(), g2.matrices()[name].toarray(), atol=1e-13, err_msg=name
         )
 
 
@@ -342,7 +352,7 @@ def test_vector_operator_zero_component_classical_limit():
     # matrix as q -> 1
     d = Deformation(1 + 1e-7)
     s, _ = build_ST_vectors(1, d)
-    z = s.component(0).data
+    z = s.component(0).toarray()
     off = z - np.diag(np.diag(z))
     assert np.max(np.abs(off)) < 1e-6
     diag = np.real(np.diag(z))
@@ -361,27 +371,27 @@ def test_vector_operator_components_shift_weight():
 # ---------------------------------------------------------------- tensor embed
 
 
-def test_tensor_embed_identity_and_dims():
-    from qlorentz.matrep import OperatorMatrix
+SPIN_HALF, SPIN_ONE = Basis(spins=(HalfInt(1),)), Basis(spins=(HalfInt(2),))
 
-    i2 = OperatorMatrix(np.eye(2))
-    i3 = OperatorMatrix(np.eye(3))
-    assert np.array_equal(tensor_embed(i2, i3).data, np.eye(6))
-    a = OperatorMatrix(np.arange(4).reshape(2, 2).astype(complex))
-    b = OperatorMatrix((np.arange(9) + 1j).reshape(3, 3))
+
+def test_tensor_embed_identity_and_dims():
+    i2 = OperatorMatrix.diagonal(SPIN_HALF, 1.0)
+    i3 = OperatorMatrix.diagonal(SPIN_ONE, 1.0)
+    assert np.array_equal(tensor_embed(i2, i3).toarray(), np.eye(6))
+    a = from_dense(SPIN_HALF, np.arange(4).reshape(2, 2).astype(complex))
+    b = from_dense(SPIN_ONE, (np.arange(9) + 1j).reshape(3, 3))
     ab = tensor_embed(a, b)
     assert ab.dim == 6
+    assert np.array_equal(ab.toarray(), np.kron(a.toarray(), b.toarray()))
 
 
 def test_tensor_embed_mixed_product_property():
     rng = np.random.default_rng(3)
-    from qlorentz.matrep import OperatorMatrix
-
-    a = OperatorMatrix(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    b = OperatorMatrix(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    i2, i3 = OperatorMatrix(np.eye(2)), OperatorMatrix(np.eye(3))
-    left = tensor_embed(a, i3).data @ tensor_embed(i2, b).data
-    np.testing.assert_allclose(left, tensor_embed(a, b).data, atol=1e-13)
+    a = from_dense(SPIN_HALF, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    b = from_dense(SPIN_ONE, rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    i2, i3 = OperatorMatrix.diagonal(SPIN_HALF, 1.0), OperatorMatrix.diagonal(SPIN_ONE, 1.0)
+    left = tensor_embed(a, i3) @ tensor_embed(i2, b)
+    np.testing.assert_allclose(left.toarray(), tensor_embed(a, b).toarray(), atol=1e-13)
 
 
 # ---------------------------------------------------------------- export/import
@@ -392,8 +402,8 @@ def test_matrix_file_round_trip(tmp_path):
     g = build_generator_set(label, HalfInt(1))
     path = tmp_path / "m_plus.txt"
     export_matrix(g.m_plus, label, g.convention, path)
-    arr, lab2, conv = import_matrix(path)
-    assert np.array_equal(arr, g.m_plus.data)
+    op, lab2, conv = import_matrix(path)
+    assert np.array_equal(op.toarray(), g.m_plus.toarray())
     assert lab2.l0 == label.l0 and lab2.l1 == label.l1 and lab2.d.q == label.d.q
     assert conv == g.convention
 
@@ -405,7 +415,7 @@ def test_generator_set_round_trip_bit_exact(tmp_path):
         export_generator_set(g, d)
         g2 = import_generator_set(d)
         for name in g.matrices():
-            assert np.array_equal(g.matrices()[name].data, g2.matrices()[name].data), name
+            assert np.array_equal(g.matrices()[name].toarray(), g2.matrices()[name].toarray()), name
         assert g2.basis.dim == g.basis.dim
 
 

@@ -76,16 +76,10 @@ def test_classical_consistency_of_suite_near_q_one():
 
 def test_zeroed_boosts_fail_boost_commutator():
     g = build_generator_set(lab("1", 2.7j, 1.3), HalfInt.parse("4"))
-    zero = OperatorMatrix(np.zeros((g.basis.dim, g.basis.dim)))
+    zero = OperatorMatrix.diagonal(g.basis, 0.0)
     from dataclasses import replace
 
-    broken = replace(
-        g,
-        n_plus=OperatorMatrix(np.zeros_like(g.n_plus.data)),
-        n_minus=OperatorMatrix(np.zeros_like(g.n_minus.data)),
-        n3=zero,
-        n3_tilde=zero,
-    )
+    broken = replace(g, n_plus=0.0 * g.n_plus, n_minus=0.0 * g.n_minus, n3=zero, n3_tilde=zero)
     rep = check_lorentz_relations(broken)
     line3 = by_id(rep, "eq4.line03")
     assert not line3.passed
@@ -93,7 +87,7 @@ def test_zeroed_boosts_fail_boost_commutator():
     d = g.d
     two_m3 = diag_from_m(g.basis, lambda m: q_number(m + m, d))
     mask = g.basis.interior_columns(2)
-    assert line3.residual == pytest.approx(float(np.max(np.abs(two_m3[:, mask]))))
+    assert line3.residual == pytest.approx(float(np.max(np.abs(two_m3.toarray()[:, mask]))))
 
 
 def test_single_entry_perturbation_is_detected():
@@ -105,11 +99,12 @@ def test_single_entry_perturbation_is_detected():
 
     for name in ("m_plus", "m3", "n_plus", "n3", "n3_tilde"):
         g = build_generator_set(label, HalfInt(1))
-        arr = g.matrices()[name].data.copy()
+        arr = g.matrices()[name].toarray()
         r, c = rng.integers(0, arr.shape[0]), rng.integers(0, arr.shape[1])
         scale = max(1.0, float(np.max(np.abs(arr))))
         arr[r, c] += 1e-3 * scale
-        broken = replace(g, **{name: OperatorMatrix(arr)})
+        rows, cols = np.nonzero(arr)
+        broken = replace(g, **{name: OperatorMatrix.from_entries(g.basis, rows, cols, arr[rows, cols])})
         rep = check_lorentz_relations(broken, tols=Tolerances(1e-6, 1e-6))
         eq4 = [x for x in rep.residuals if x.relation_id.startswith("eq4.")]
         assert not all(x.passed for x in eq4), f"perturbation of {name}[{r},{c}] went unnoticed"
@@ -128,7 +123,7 @@ def test_interior_restriction_is_vacuous_for_finite_labels():
 def test_diagonal_boosts_converge_to_each_other_classically():
     # the two diagonal boosts collapse onto one another as q -> 1
     g = build_generator_set(lab("1", 2.5j, 1 + 1e-7), HalfInt.parse("4"))
-    assert np.max(np.abs(g.n3_tilde.data - g.n3.data)) < 1e-5
+    assert (g.n3_tilde - g.n3).max_norm < 1e-5
 
 
 def test_report_is_deterministic_and_sorted():
@@ -178,7 +173,7 @@ def test_identity_is_a_trivial_scalar_operator():
     d = Deformation(1.3)
     tri = suq2_matrices(2, d)
     singlet = TensorOperator(
-        l=HalfInt.from_int(0), components={0: OperatorMatrix(np.eye(tri.basis.dim))}
+        l=HalfInt.from_int(0), components={0: OperatorMatrix.diagonal(tri.basis, 1.0)}
     )
     rep = check_tensor_operator(tri, singlet, d, "singlet")
     assert rep.all_pass
@@ -189,7 +184,7 @@ def test_zero_rank_one_operator_is_trivial():
 
     d = Deformation(1.3)
     tri = suq2_matrices(2, d)
-    zeros = {m: OperatorMatrix(np.zeros((tri.basis.dim, tri.basis.dim))) for m in (-1, 0, 1)}
+    zeros = {m: OperatorMatrix.diagonal(tri.basis, 0.0) for m in (-1, 0, 1)}
     rep = check_tensor_operator(tri, TensorOperator(l=HalfInt.from_int(1), components=zeros), d)
     assert rep.all_pass
 
@@ -222,10 +217,10 @@ def test_variants_coincide_near_q_one():
     tri = suq2_matrices(2, d)
     s, t = build_ST_vectors(2, d, ConventionId(st_quarters=2))
     np.testing.assert_allclose(
-        s.component(1).data, t.component(1).data, atol=1e-4
+        s.component(1).toarray(), t.component(1).toarray(), atol=1e-4
     )
     np.testing.assert_allclose(
-        s.component(0).data, t.component(0).data, atol=1e-4
+        s.component(0).toarray(), t.component(0).toarray(), atol=1e-4
     )
 
 
@@ -321,8 +316,8 @@ def test_oracle_satisfies_classical_lorentz_relations():
     # classical structure constants
     for l0s, l1, jm in [("0", 2.7j, "6"), ("1/2", 1.5, "1/2"), ("1", 2.5j, "8")]:
         o = classical_oracle(HalfInt.parse(l0s), l1, HalfInt.parse(jm))
-        mp, mm, m3 = o.m_plus.data, o.m_minus.data, o.m3.data
-        npl, nm, n3 = o.n_plus.data, o.n_minus.data, o.n3.data
+        mp, mm, m3 = o.m_plus, o.m_minus, o.m3
+        npl, nm, n3 = o.n_plus, o.n_minus, o.n3
         mask = o.basis.interior_columns(2)
 
         def res(x):
@@ -341,14 +336,14 @@ def test_oracle_satisfies_classical_lorentz_relations():
 
 def test_oracle_principal_diagonal_boost_is_hermitian():
     o = classical_oracle(HalfInt(0), 2.7j, HalfInt.parse("5"))
-    np.testing.assert_allclose(o.n3.data, o.n3.data.conj().T, atol=1e-12)
+    np.testing.assert_allclose(o.n3, o.n3.conj().T, atol=1e-12)
 
 
 def test_oracle_casimir_is_scalar():
     o = classical_oracle(HalfInt(1), 2.5j, HalfInt.parse("7"))
     mask = o.basis.interior_columns(2)
     expect = 1j * 1.0 * 2.5j
-    diff = o.casimir.data - expect * np.eye(o.basis.dim)
+    diff = o.casimir - expect * np.eye(o.basis.dim)
     assert float(np.max(np.abs(diff[:, mask]))) < 1e-10
 
 
@@ -356,8 +351,8 @@ def test_oracle_spinor_is_classical_su2():
     # basis order (m = -1/2, +1/2): raising hits the (2,1) entry
     o = classical_oracle(HalfInt(1), 1.5, HalfInt(1))
     assert o.basis.dim == 2
-    np.testing.assert_allclose(o.m_plus.data, [[0, 0], [1, 0]], atol=1e-14)
-    np.testing.assert_allclose(o.n_plus.data, -1j * o.m_plus.data, atol=1e-14)
+    np.testing.assert_allclose(o.m_plus, [[0, 0], [1, 0]], atol=1e-14)
+    np.testing.assert_allclose(o.n_plus, -1j * o.m_plus, atol=1e-14)
 
 
 # ---------------------------------------------------------------- limit compare
