@@ -67,7 +67,8 @@ class ChiralSet:
     basis is None for tensor-product sets: their matrices live on the
     `ProductBasis` of the factors, which has no truncation mask.  tier1 marks
     sets on which the chiral algebra is analytically exact (single-block
-    sources and their identical-factor products).
+    sources and their identical-factor products).  convention is the reading
+    the source set was built with; on a coproduct set, the coproduct's.
     """
 
     d: Deformation
@@ -84,6 +85,7 @@ class ChiralSet:
     T3_R: OperatorMatrix
     T3_R_tilde: OperatorMatrix
     tag: str = "chiral"
+    convention: ConventionId = DEFAULT_CONVENTION
     basis: Optional[Basis] = None
     tier1: bool = False
     factors: Optional[tuple["ChiralSet", "ChiralSet"]] = None
@@ -147,6 +149,7 @@ def build_chiral(gens: GeneratorSet) -> ChiralSet:
         T3_R=two - delta * i3r,
         T3_R_tilde=two + delta * i3tr,
         tag=gens.tag,
+        convention=gens.convention,
         basis=b,
         tier1=len(b.spins) == 1,
     )
@@ -166,7 +169,7 @@ def check_chiral_relations(
     rep = VerificationReport(
         suite="chiral_relations",
         subject={"tag": cs.tag, "dim": cs.dim},
-        convention=DEFAULT_CONVENTION,
+        convention=cs.convention,
         environment={"q": q, "tier1_tol": tols.tier1, "tier2_tol": tols.tier2},
     )
     for side in ("L", "R"):
@@ -224,7 +227,7 @@ def check_reduction_identities(
     rep = VerificationReport(
         suite="reduction_identities",
         subject={"tag": cs.tag, "dim": cs.dim},
-        convention=DEFAULT_CONVENTION,
+        convention=cs.convention,
         environment={"q": cs.d.q, "tier1_tol": tols.tier1},
     )
     cond = float(np.linalg.cond(base))
@@ -448,6 +451,7 @@ def coproduct(
         T3_R=t3r,
         T3_R_tilde=t3tr,
         tag=f"coproduct({cs_a.tag}, {cs_b.tag})",
+        convention=conv,
         basis=None,
         tier1=cs_a.tier1 and cs_b.tier1 and _same_set(cs_a, cs_b),
         factors=(cs_a, cs_b),
@@ -470,7 +474,7 @@ def check_coproduct_homomorphism(
     rep = VerificationReport(
         suite="coproduct_homomorphism",
         subject={"tag": dcs.tag, "dim": dcs.dim},
-        convention=DEFAULT_CONVENTION,
+        convention=dcs.convention,
         environment={"q": dcs.d.q, "tier1_tol": tols.tier1, "tier2_tol": tols.tier2},
     )
     inner = check_chiral_relations(dcs, tols)

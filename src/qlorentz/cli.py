@@ -11,10 +11,10 @@ tier-1 failure, 2 on usage or domain errors (reported before any computation).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import _jsonfmt
@@ -53,7 +53,7 @@ from .chiral import (
     spinor_labels,
 )
 
-__all__ = ["main", "run", "RunConfig", "parse_l1"]
+__all__ = ["main", "parse_l1"]
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _RE_REAL = re.compile(rf"^[+-]?{_NUM}$")
@@ -75,40 +75,6 @@ def parse_l1(s: str) -> complex:
         mag = float(m.group("mag")) if m.group("mag") else 1.0
         return complex(float(m.group("re")), -mag if m.group("sign") == "-" else mag)
     raise ValueError(f"cannot parse l1 value {s!r} (expected 'a', 'bi', 'a+bi' or 'a-bi')")
-
-
-@dataclass
-class RunConfig:
-    """Parsed and validated invocation; all domain checks happen before work."""
-
-    command: str
-    l0: Optional[HalfInt] = None
-    l1: Optional[complex] = None
-    q: Optional[float] = None
-    j_max: Optional[HalfInt] = None
-    eps: float = 1e-6
-    spin_two_j: Optional[int] = None
-    convention: Optional[ConventionId] = None
-    tier1_tol: Optional[float] = None
-    tier2_tol: Optional[float] = None
-    export_dir: Optional[str] = None
-    import_dir: Optional[str] = None
-    l0_b: Optional[HalfInt] = None
-    l1_b: Optional[complex] = None
-    output: Optional[str] = None
-    fmt: str = "json"
-
-    def label(self) -> RepLabel:
-        return RepLabel(self.l0, self.l1, Deformation(self.q))
-
-    def effective_j_max(self) -> HalfInt:
-        return self.j_max if self.j_max is not None else self.l0 + 8
-
-    def tolerances(self) -> Tolerances:
-        return Tolerances(
-            TIER1_TOL if self.tier1_tol is None else self.tier1_tol,
-            TIER2_TOL if self.tier2_tol is None else self.tier2_tol,
-        )
 
 
 def _render_text(doc: dict, out: list[str], depth: int = 0) -> None:
@@ -147,27 +113,26 @@ def _render_text(doc: dict, out: list[str], depth: int = 0) -> None:
         out.append(pad + _jsonfmt.dumps(doc, indent=True))
 
 
-def _emit(doc: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(doc: dict, ns: argparse.Namespace) -> None:
+    if ns.format == "json":
         text = _jsonfmt.dumps(doc, indent=True) + "\n"
     else:
         lines: list[str] = []
         _render_text(doc, lines)
         text = "\n".join(lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if ns.output:
+        with open(ns.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _bundle(kind: str, cfg_desc: dict, reports: list[VerificationReport]) -> tuple[dict, bool]:
-    recs = [r.to_record() for r in reports]
     tier1 = all(r.tier1_pass for r in reports)
     doc = {
         "command": kind,
         "config": cfg_desc,
-        "reports": recs,
+        "reports": [r.to_record() for r in reports],
         "verdict": {
             "tier1_pass": tier1,
             "all_pass": all(r.all_pass for r in reports),
@@ -176,281 +141,247 @@ def _bundle(kind: str, cfg_desc: dict, reports: list[VerificationReport]) -> tup
     return doc, tier1
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one parsed invocation; returns the process exit code."""
-    tols = cfg.tolerances()
-    conv = cfg.convention if cfg.convention is not None else RESOLVED_CONVENTION
-
-    if cfg.command == "classify":
-        label = cfg.label()
-        cls = classify(label)
-        doc = {"command": "classify", "label": label.to_record(), "classification": cls.to_record()}
-        _emit(doc, cfg)
-        return 0
-
-    if cfg.command == "build":
-        label = cfg.label()
-        gens = build_generator_set(label, cfg.effective_j_max(), conv)
-        doc = {
-            "command": "build",
-            "label": label.to_record(),
-            "convention": conv.to_list(),
-            "basis": {
-                "dim": gens.basis.dim,
-                "spins": [str(j) for j in gens.basis.spins],
-                "truncated": gens.basis.truncated,
-            },
-            "matrix_max_norms": {k: v.max_norm for k, v in sorted(gens.matrices().items())},
-        }
-        if cfg.export_dir:
-            files = export_generator_set(gens, cfg.export_dir)
-            doc["exported"] = {"directory": cfg.export_dir, "files": files}
-        _emit(doc, cfg)
-        return 0
-
-    if cfg.command == "verify":
-        if cfg.import_dir:
-            gens = import_generator_set(cfg.import_dir)
-            label = gens.label
-            j_max = gens.basis.j_max if gens.basis.j_max is not None else label.l0
-        else:
-            label = cfg.label()
-            j_max = cfg.effective_j_max()
-            gens = build_generator_set(label, j_max, conv)
-        reports = [
-            check_lorentz_relations(gens, tols=tols),
-            check_casimir(gens, tols=tols),
-            check_recurrence_suite(label, label.l0 + 20, tols),
-            check_unitary_coeffs(label, gens.basis.spins[-1], tols),
-        ]
-        if not cfg.import_dir:
-            reports.append(check_q_adjoint(gens, tols))
-        doc, tier1 = _bundle(
-            "verify",
-            {"label": label.to_record(), "j_max": str(j_max), "convention": gens.convention.to_list()},
-            reports,
-        )
-        _emit(doc, cfg)
-        return 0 if tier1 else 1
-
-    if cfg.command == "chiral":
-        if cfg.spin_two_j is not None:
-            gens = build_from_suq2(cfg.spin_two_j, Deformation(cfg.q))
-            subject = {"realization": gens.tag}
-        else:
-            gens = build_generator_set(cfg.label(), cfg.effective_j_max(), conv)
-            subject = {"label": gens.label.to_record()}
-        cs = build_chiral(gens)
-        reports = [
-            check_chiral_relations(cs, tols),
-            check_reduction_identities(cs, tols),
-            check_spinor_annihilation(gens.d),
-        ]
-        if cfg.spin_two_j is None:
-            reports.append(check_chiral_adjoint(gens, tols))
-        doc, tier1 = _bundle("chiral", subject, reports)
-        _emit(doc, cfg)
-        return 0 if tier1 else 1
-
-    if cfg.command == "coproduct":
-        d = Deformation(cfg.q)
-        la = RepLabel(cfg.l0, cfg.l1, d) if cfg.l0 is not None else spinor_labels(d)[0]
-        lb = RepLabel(cfg.l0_b, cfg.l1_b, d) if cfg.l0_b is not None else la
-        cs_a = build_chiral(build_generator_set(la, la.l0 + 2, conv))
-        cs_b = cs_a if cfg.l0_b is None else build_chiral(build_generator_set(lb, lb.l0 + 2, conv))
-        dc = coproduct(cs_a, cs_b, conv)
-        reports = [check_coproduct_homomorphism(dc, tols)]
-        doc, tier1 = _bundle(
-            "coproduct",
-            {
-                "factor_a": la.to_record(),
-                "factor_b": lb.to_record(),
-                "convention": conv.to_list(),
-            },
-            reports,
-        )
-        _emit(doc, cfg)
-        return 0 if tier1 else 1
-
-    if cfg.command == "limit":
-        rep = classical_limit_compare(cfg.l0, cfg.l1, cfg.effective_j_max(), cfg.eps, conv)
-        doc, tier1 = _bundle(
-            "limit",
-            {"l0": str(cfg.l0), "l1": {"re": cfg.l1.real, "im": cfg.l1.imag}, "eps": cfg.eps},
-            [rep],
-        )
-        _emit(doc, cfg)
-        return 0 if tier1 else 1
-
-    if cfg.command == "conventions":
-        label = cfg.label() if cfg.l0 is not None else None
-        d = Deformation(cfg.q)
-        winner, table = resolve_conventions(
-            label=label, two_j=cfg.spin_two_j if cfg.spin_two_j else 2, d=d, j_max=cfg.j_max
-        )
-        doc = {
-            "command": "conventions",
-            "q": cfg.q,
-            "winner": winner.to_list(),
-            "winner_str": str(winner),
-            "table": table,
-        }
-        _emit(doc, cfg)
-        return 0
-
-    raise ValueError(f"unknown command {cfg.command!r}")
+def _label(ns: argparse.Namespace) -> RepLabel:
+    return RepLabel(ns.l0, ns.l1, Deformation(ns.q))
 
 
-def _add_label_args(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--l0", required=required, help="minimal spin, 'k' or 'k/2' (e.g. 1/2)")
-    p.add_argument("--l1", required=required, help="second constant: 'a', 'bi', 'a+bi' or 'a-bi'")
-    p.add_argument("--q", type=float, required=required, help="deformation parameter (>0, != 1)")
+def _j_max(ns: argparse.Namespace) -> HalfInt:
+    return ns.j_max if ns.j_max is not None else ns.l0 + 8
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--j-max", help="truncation spin for infinite representations (default l0+8)")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--output", help="write the report here instead of stdout")
-    p.add_argument("--tier1-tol", type=float, help="override the tier-1 tolerance")
-    p.add_argument("--tier2-tol", type=float, help="override the tier-2 tolerance")
-    p.add_argument(
-        "--conv",
-        choices=("resolved", "printed"),
-        default="resolved",
-        help="convention set: resolver-selected readings (default) or the printed ones",
+def _classify(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
+    """Series classification of a label."""
+    label = _label(ns)
+    return {
+        "command": "classify",
+        "label": label.to_record(),
+        "classification": classify(label).to_record(),
+    }, True
+
+
+def _build(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
+    """Build generator matrices, optionally export them."""
+    label = _label(ns)
+    gens = build_generator_set(label, _j_max(ns), conv)
+    doc = {
+        "command": "build",
+        "label": label.to_record(),
+        "convention": conv.to_list(),
+        "basis": {
+            "dim": gens.basis.dim,
+            "spins": [str(j) for j in gens.basis.spins],
+            "truncated": gens.basis.truncated,
+        },
+        "matrix_max_norms": {k: v.max_norm for k, v in sorted(gens.matrices().items())},
+    }
+    if ns.export:
+        files = export_generator_set(gens, ns.export)
+        doc["exported"] = {"directory": ns.export, "files": files}
+    return doc, True
+
+
+def _verify(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
+    """Run the defining-relation suites."""
+    if ns.import_dir:
+        gens = import_generator_set(ns.import_dir)
+        j_max = gens.basis.j_max if gens.basis.j_max is not None else gens.label.l0
+    else:
+        j_max = _j_max(ns)
+        gens = build_generator_set(_label(ns), j_max, conv)
+    label = gens.label
+    reports = [
+        check_lorentz_relations(gens, tols=tols),
+        check_casimir(gens, tols=tols),
+        check_recurrence_suite(label, label.l0 + 20, tols),
+        check_unitary_coeffs(label, gens.basis.spins[-1], tols),
+    ]
+    if not ns.import_dir:
+        reports.append(check_q_adjoint(gens, tols))
+    return _bundle(
+        "verify",
+        {"label": label.to_record(), "j_max": str(j_max), "convention": gens.convention.to_list()},
+        reports,
     )
 
 
+def _chiral(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
+    """Chiral decomposition suites."""
+    if ns.spin is not None:
+        gens = build_from_suq2(ns.spin, Deformation(ns.q))
+        subject = {"realization": gens.tag}
+    else:
+        gens = build_generator_set(_label(ns), _j_max(ns), conv)
+        subject = {"label": gens.label.to_record()}
+    cs = build_chiral(gens)
+    reports = [
+        check_chiral_relations(cs, tols),
+        check_reduction_identities(cs, tols),
+        check_spinor_annihilation(gens.d),
+    ]
+    if ns.spin is None:
+        reports.append(check_chiral_adjoint(gens, tols))
+    return _bundle("chiral", subject, reports)
+
+
+def _coproduct(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
+    """Coproduct homomorphism checks (default: spinor x spinor)."""
+    d = Deformation(ns.q)
+    la = RepLabel(ns.l0, ns.l1, d) if ns.l0 is not None else spinor_labels(d)[0]
+    lb = RepLabel(ns.l0_b, ns.l1_b, d) if ns.l0_b is not None else la
+    cs_a = build_chiral(build_generator_set(la, la.l0 + 2, conv))
+    cs_b = cs_a if ns.l0_b is None else build_chiral(build_generator_set(lb, lb.l0 + 2, conv))
+    dc = coproduct(cs_a, cs_b, conv)
+    return _bundle(
+        "coproduct",
+        {"factor_a": la.to_record(), "factor_b": lb.to_record(), "convention": conv.to_list()},
+        [check_coproduct_homomorphism(dc, tols)],
+    )
+
+
+def _limit(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
+    """Entrywise comparison against the classical oracle."""
+    rep = classical_limit_compare(ns.l0, ns.l1, _j_max(ns), ns.eps, conv)
+    return _bundle(
+        "limit",
+        {"l0": str(ns.l0), "l1": {"re": ns.l1.real, "im": ns.l1.imag}, "eps": ns.eps},
+        [rep],
+    )
+
+
+def _conventions(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
+    """Resolve the catalogued reading ambiguities."""
+    winner, table = resolve_conventions(
+        label=_label(ns) if ns.l0 is not None else None,
+        two_j=ns.spin if ns.spin else 2,
+        d=Deformation(ns.q),
+        j_max=ns.j_max,
+    )
+    return {
+        "command": "conventions",
+        "q": ns.q,
+        "winner": winner.to_list(),
+        "winner_str": str(winner),
+        "table": table,
+    }, True
+
+
+_LABEL = ("--l0", "--l1", "--q")
+_TOLS = ("--tier1-tol", "--tier2-tol")
+
+_FLAGS = {
+    "--format": dict(choices=("json", "text"), default="json"),
+    "--output": dict(help="write the report here instead of stdout"),
+    "--l0": dict(help="minimal spin, 'k' or 'k/2' (e.g. 1/2)"),
+    "--l1": dict(help="second constant: 'a', 'bi', 'a+bi' or 'a-bi'"),
+    "--q": dict(type=float, help="deformation parameter (>0, != 1)"),
+    "--j-max": dict(help="truncation spin for infinite representations (default l0+8)"),
+    "--tier1-tol": dict(type=float, default=TIER1_TOL, help="override the tier-1 tolerance"),
+    "--tier2-tol": dict(type=float, default=TIER2_TOL, help="override the tier-2 tolerance"),
+    "--conv": dict(
+        choices=("resolved", "printed"),
+        default="resolved",
+        help="convention set: resolver-selected readings (default) or the printed ones",
+    ),
+    "--export": dict(help="directory for the coordinate-format matrix files"),
+    "--import": dict(dest="import_dir", help="verify matrices from an export directory"),
+    "--spin": dict(
+        type=int,
+        help="twice-spin (chiral: the realization to check; conventions: the vector axis, default 2)",
+    ),
+    "--l0-b": dict(help="second factor minimal spin (defaults to the first factor)"),
+    "--l1-b": dict(help="second factor constant"),
+    "--eps": dict(type=float, default=1e-6, help="q = 1 + eps"),
+}
+
+# each command's handler (checked namespace, tolerances, convention) -> (report, tier-1 pass),
+# the flags it reads besides --format/--output, and the required ones
+_COMMANDS = {
+    "classify": (_classify, _LABEL, _LABEL),
+    "build": (_build, (*_LABEL, "--j-max", "--conv", "--export"), _LABEL),
+    "verify": (_verify, (*_LABEL, "--j-max", *_TOLS, "--conv", "--import"), ()),
+    "chiral": (_chiral, (*_LABEL, "--j-max", *_TOLS, "--conv", "--spin"), ()),
+    "coproduct": (_coproduct, (*_LABEL, *_TOLS, "--conv", "--l0-b", "--l1-b"), ()),
+    "limit": (_limit, ("--l0", "--l1", "--eps", "--j-max", "--conv"), ("--l0", "--l1")),
+    "conventions": (_conventions, (*_LABEL, "--j-max", "--spin"), ()),
+}
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qlorentz",
         description="build, classify and verify matrix representations of the deformed Lorentz algebra",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="series classification of a label")
-    _add_label_args(p)
-    _add_common(p)
-
-    p = sub.add_parser("build", help="build generator matrices, optionally export them")
-    _add_label_args(p)
-    _add_common(p)
-    p.add_argument("--export", help="directory for the coordinate-format matrix files")
-
-    p = sub.add_parser("verify", help="run the defining-relation suites")
-    _add_label_args(p, required=False)
-    _add_common(p)
-    p.add_argument("--import", dest="import_dir", help="verify matrices from an export directory")
-
-    p = sub.add_parser("chiral", help="chiral decomposition suites")
-    _add_label_args(p, required=False)
-    _add_common(p)
-    p.add_argument("--spin", type=int, help="use the realization at this twice-spin instead of a label")
-
-    p = sub.add_parser("coproduct", help="coproduct homomorphism checks (default: spinor x spinor)")
-    _add_label_args(p, required=False)
-    _add_common(p)
-    p.add_argument("--l0-b", help="second factor minimal spin (defaults to the first factor)")
-    p.add_argument("--l1-b", help="second factor constant")
-
-    p = sub.add_parser("limit", help="entrywise comparison against the classical oracle")
-    p.add_argument("--l0", required=True)
-    p.add_argument("--l1", required=True)
-    p.add_argument("--eps", type=float, default=1e-6)
-    _add_common(p)
-
-    p = sub.add_parser("conventions", help="resolve the catalogued reading ambiguities")
-    _add_label_args(p, required=False)
-    _add_common(p)
-    p.add_argument("--spin", type=int, help="twice-spin for the vector-operator axis (default 2)")
-
+    for name, (run, flags, required) in _COMMANDS.items():
+        p = sub.add_parser(name, help=run.__doc__)
+        p.set_defaults(run=run)
+        for flag in (*flags, "--format", "--output"):
+            p.add_argument(flag, required=flag in required, **_FLAGS[flag])
     return ap
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    if getattr(ns, "l0", None):
-        cfg.l0 = HalfInt.parse(ns.l0)
-        if cfg.l0.twice < 0:
-            raise ValueError(f"l0 must be >= 0, got {cfg.l0}")
-    if getattr(ns, "l1", None):
-        cfg.l1 = parse_l1(ns.l1)
+def _check_args(ns: argparse.Namespace) -> None:
+    """Parse the label flags in place and reject bad input before any work."""
+    if ns.l0 is not None:
+        ns.l0 = HalfInt.parse(ns.l0)
+        if ns.l0.twice < 0:
+            raise ValueError(f"l0 must be >= 0, got {ns.l0}")
+    if ns.l1 is not None:
+        ns.l1 = parse_l1(ns.l1)
     if getattr(ns, "q", None) is not None:
         Deformation(ns.q)  # validate early
-        cfg.q = ns.q
-    if getattr(ns, "j_max", None):
-        cfg.j_max = HalfInt.parse(ns.j_max)
-        if cfg.l0 is not None and cfg.j_max < cfg.l0:
-            raise ValueError(f"j_max = {cfg.j_max} below l0 = {cfg.l0}")
-    if getattr(ns, "eps", None) is not None:
-        cfg.eps = ns.eps
-    if getattr(ns, "spin", None) is not None:
-        if ns.spin < 1:
-            raise ValueError("twice-spin must be >= 1")
-        cfg.spin_two_j = ns.spin
-    if getattr(ns, "l0_b", None):
-        cfg.l0_b = HalfInt.parse(ns.l0_b)
-    if getattr(ns, "l1_b", None):
-        cfg.l1_b = parse_l1(ns.l1_b)
-    if (cfg.l0 is None) != (cfg.l1 is None):
+    if getattr(ns, "j_max", None) is not None:
+        ns.j_max = HalfInt.parse(ns.j_max)
+        if ns.l0 is not None and ns.j_max < ns.l0:
+            raise ValueError(f"j_max = {ns.j_max} below l0 = {ns.l0}")
+    if getattr(ns, "spin", None) is not None and ns.spin < 1:
+        raise ValueError("twice-spin must be >= 1")
+    for flag, parse in (("l0_b", HalfInt.parse), ("l1_b", parse_l1)):
+        if getattr(ns, flag, None) is not None:
+            setattr(ns, flag, parse(getattr(ns, flag)))
+    if (ns.l0 is None) != (ns.l1 is None):
         raise ValueError("--l0 and --l1 must be given together")
-    if (cfg.l0_b is None) != (cfg.l1_b is None):
+    if (getattr(ns, "l0_b", None) is None) != (getattr(ns, "l1_b", None) is None):
         raise ValueError("--l0-b and --l1-b must be given together")
     for flag in ("tier1_tol", "tier2_tol"):
-        tol = getattr(ns, flag, None)
-        if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        tol = getattr(ns, flag, 0.0)
+        if not (math.isfinite(tol) and tol >= 0):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite and >= 0, got {tol}")
-        setattr(cfg, flag, tol)
-    cfg.export_dir = getattr(ns, "export", None)
-    cfg.import_dir = getattr(ns, "import_dir", None)
-    cfg.output = getattr(ns, "output", None)
-    cfg.fmt = getattr(ns, "format", "json")
-    if getattr(ns, "conv", "resolved") == "printed":
-        cfg.convention = DEFAULT_CONVENTION
-    else:
-        cfg.convention = RESOLVED_CONVENTION
 
-    needs_label = cfg.command in ("classify", "build", "verify", "limit")
-    if cfg.command == "verify" and cfg.import_dir:
-        needs_label = False
-    if cfg.command == "chiral" and cfg.spin_two_j is None:
-        needs_label = True
-    if cfg.import_dir:
-        ignored = ("l0", "l1", "q", "j_max")
-    elif cfg.command == "chiral" and cfg.spin_two_j is not None:
-        ignored = ("l0", "l1", "j_max")
+    if getattr(ns, "import_dir", None):
+        mode, ignored = "--import", ("l0", "l1", "q", "j_max")
+    elif ns.command == "chiral" and ns.spin is not None:
+        mode, ignored = "--spin", ("l0", "l1", "j_max")
     else:
-        ignored = ()
-    given = ["--" + f.replace("_", "-") for f in ignored if getattr(ns, f, None) is not None]
+        mode, ignored = None, ()
+    given = ["--" + f.replace("_", "-") for f in ignored if getattr(ns, f) is not None]
     if given:
-        mode = "--import" if cfg.import_dir else "--spin"
         raise ValueError(f"{', '.join(given)} cannot be combined with {mode}")
-    if cfg.command in ("coproduct", "chiral", "conventions") and cfg.q is None:
+    if ns.command in ("coproduct", "chiral", "conventions") and ns.q is None:
         raise ValueError("--q is required")
-    if needs_label and (cfg.l0 is None or (cfg.command != "limit" and cfg.q is None)):
+    if mode is None and ns.command in ("verify", "chiral") and (ns.l0 is None or ns.q is None):
         raise ValueError("--l0, --l1 (and --q) are required for this command")
-    return cfg
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = _build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors with code 2
-        return 2 if exc.code not in (0,) else 0
+        return 0 if exc.code == 0 else 2
     try:
-        cfg = _config_from_args(ns)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
+        _check_args(ns)
+        tols = Tolerances(getattr(ns, "tier1_tol", TIER1_TOL), getattr(ns, "tier2_tol", TIER2_TOL))
+        conv = DEFAULT_CONVENTION if getattr(ns, "conv", None) == "printed" else RESOLVED_CONVENTION
+        doc, tier1 = ns.run(ns, tols, conv)
+        _emit(doc, ns)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
+    return 0 if tier1 else 1
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -113,8 +114,15 @@ class _Grid:
         return self._cached(("stack", steps), lambda: np.stack([self.rows(s) for s in steps]))
 
     def product(self, other: "_Grid") -> "ProductBasis":
-        """The tensor product basis self x other (one instance per pair)."""
-        return self._cached(("x", other), lambda: ProductBasis(self, other))
+        """The tensor product basis self x other, one instance per pair while in
+        use.  Held weakly: it refers back to self, and a strong entry would be
+        a cycle keeping both bases and their plans until the cyclic gc runs."""
+        ref = self._cache.get(("x", id(other)))
+        prod = ref() if ref is not None else None
+        if prod is None:
+            prod = ProductBasis(self, other)
+            self._cache[("x", id(other))] = weakref.ref(prod)
+        return prod
 
     def _sum_plan(self, sa: tuple, sb: tuple) -> tuple[tuple, np.ndarray]:
         """Steps of a sum (those of `sa`, then the new ones of `sb`) and the
@@ -434,9 +442,6 @@ def diag_from_m(basis: Basis, f: Callable[[HalfInt], complex]) -> OperatorMatrix
 # --------------------------------------------------------------------------
 # conventions
 
-_ST_QUARTER_OPTIONS = (1, 2, 0, 4)  # exponent in quarter units: 1/4, 1/2, 0, 1
-
-
 @dataclass(frozen=True)
 class ConventionId:
     """Enumerated readings of the ambiguous exponents and pairings.
@@ -465,7 +470,7 @@ class ConventionId:
         "n_down_dm": (0, 1),
         "n_first_shift": (0, 1, 2),
         "n_third_shift": (0, 1, 2),
-        "st_quarters": _ST_QUARTER_OPTIONS,
+        "st_quarters": (1, 2, 0, 4),  # exponent in quarter units: 1/4, 1/2, 0, 1
         "line45_swap": (0, 1),
         "cop_r_grouplike": (0, 1),
     }

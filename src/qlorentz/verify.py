@@ -782,13 +782,6 @@ def classical_limit_compare(
 # convention resolution
 
 
-def _table_row(axis: str, conv: ConventionId, score: float) -> dict:
-    """Score-table row; inconsistent variants carry a null score and a flag."""
-    if math.isinf(score):
-        return {"axis": axis, "convention": str(conv), "score": None, "valid": False}
-    return {"axis": axis, "convention": str(conv), "score": score, "valid": True}
-
-
 def _eq4_score(g: Optional[GeneratorSet]) -> float:
     """Summed relative eq4 residual; a reading that could not be built
     (None) scores inf."""
@@ -828,46 +821,37 @@ def resolve_conventions(
         d = label.d if label is not None else Deformation(1.3)
     table: list[dict] = []
     chosen = {}
+    options = ConventionId._RANGES
+
+    def pick(axis: str, scored: list[tuple[float, ConventionId]], fields: tuple[str, ...]) -> None:
+        for s, conv in scored:
+            score = None if math.isinf(s) else s
+            table.append({"axis": axis, "convention": str(conv), "score": score, "valid": score is not None})
+        win = min(scored, key=lambda t: (t[0], t[1].to_list()))[1]
+        chosen.update((f, getattr(win, f)) for f in fields)
 
     # axis group 1: boost-matrix exponents and the relation pairing; the
     # pairing only decides which diagonal boost lines 04/05 read, so each
     # reading of the exponents is built once and scored under both pairings
     if label is not None:
         jm = j_max if j_max is not None else label.l0 + 4
+        exponents = ("n_mid_exp", "n_down_dm", "n_first_shift", "n_third_shift")
         scored = []
-        for mid, dm, fs, ts in itertools.product((0, 1), (0, 1), (0, 1, 2), (0, 1, 2)):
-            reading = ConventionId(n_mid_exp=mid, n_down_dm=dm, n_first_shift=fs, n_third_shift=ts)
+        for values in itertools.product(*(options[f] for f in exponents)):
+            reading = ConventionId(**dict(zip(exponents, values)))
             try:
                 g = build_generator_set(label, jm, reading)
             except ConstructionInconsistencyError:
                 g = None
-            for sw in (0, 1):
+            for sw in options["line45_swap"]:
                 conv = replace(reading, line45_swap=sw)
-                s = _eq4_score(None if g is None else replace(g, convention=conv))
-                table.append(_table_row("boost_exponents", conv, s))
-                scored.append((s, conv.to_list(), conv))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        win = scored[0][2]
-        chosen.update(
-            n_mid_exp=win.n_mid_exp,
-            n_down_dm=win.n_down_dm,
-            n_first_shift=win.n_first_shift,
-            n_third_shift=win.n_third_shift,
-            line45_swap=win.line45_swap,
-        )
+                scored.append((_eq4_score(None if g is None else replace(g, convention=conv)), conv))
+        pick("boost_exponents", scored, exponents + ("line45_swap",))
 
     # axis group 2: vector-operator scalar prefactor
     if two_j is not None:
-        scored = []
-        from .matrep import _ST_QUARTER_OPTIONS
-
-        for quarters in _ST_QUARTER_OPTIONS:
-            conv = ConventionId(st_quarters=quarters)
-            s = _eq1_score(two_j, d, conv)
-            table.append(_table_row("st_prefactor", conv, s))
-            scored.append((s, conv.to_list(), quarters))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        chosen.update(st_quarters=scored[0][2])
+        convs = [ConventionId(st_quarters=k) for k in options["st_quarters"]]
+        pick("st_prefactor", [(_eq1_score(two_j, d, c), c) for c in convs], ("st_quarters",))
 
     # axis group 3: coproduct grouplike for the lowering right generator,
     # scored on the mixed spinor product where the readings differ
@@ -875,14 +859,10 @@ def resolve_conventions(
 
     cs_tau, cs_taut = (build_chiral(build_generator_set(t, t.l0)) for t in spinor_labels(d))
     scored = []
-    for rg in (0, 1):
+    for rg in options["cop_r_grouplike"]:
         conv = ConventionId(cop_r_grouplike=rg)
-        dc = coproduct(cs_tau, cs_taut, conv)
-        rep = check_chiral_relations(dc)
-        s = sum(r.residual / r.scale for r in rep.residuals)
-        table.append(_table_row("cop_r_grouplike", conv, s))
-        scored.append((s, conv.to_list(), rg))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    chosen.update(cop_r_grouplike=scored[0][2])
+        rep = check_chiral_relations(coproduct(cs_tau, cs_taut, conv))
+        scored.append((sum(r.residual / r.scale for r in rep.residuals), conv))
+    pick("cop_r_grouplike", scored, ("cop_r_grouplike",))
 
     return ConventionId(**chosen), table

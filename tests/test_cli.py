@@ -104,6 +104,23 @@ def test_flags_the_mode_ignores_exit_2(tmp_path, capsys, mode, extra):
     assert f"cannot be combined with --{mode}" in err and extra[0] in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--l0", "1/2", "--l1", "1.5", "--q", "1.3", "--j-max", "5"],
+        ["coproduct", "--q", "1.3", "--j-max", "7"],
+        ["conventions", "--q", "1.3", "--tier1-tol", "1e-30"],
+        ["conventions", "--q", "1.3", "--conv", "printed"],
+        ["limit", "--l0", "1", "--l1", "2.5i", "--tier1-tol", "1e-30"],
+        ["build", "--l0", "1/2", "--l1", "1.5", "--q", "1.3", "--tier2-tol", "5"],
+    ],
+)
+def test_flags_the_command_never_reads_exit_2(tmp_path, capsys, args):
+    code, raw = run_cli(args, tmp_path)
+    assert code == 2 and raw == b""
+    assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--tier1-tol", "--tier2-tol"])
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_bad_tolerance_exits_2_naming_the_flag(tmp_path, capsys, flag, value):
@@ -369,6 +386,23 @@ def test_printed_convention_flag(tmp_path):
     )
     assert code == 0
     assert json.loads(raw)["convention"] == [0, 0, 0, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "conv, expected", [("resolved", [0, 0, 0, 0, 2, 0, 1]), ("printed", [0, 0, 0, 0, 1, 0, 0])]
+)
+def test_chiral_and_coproduct_suites_report_the_built_convention(tmp_path, conv, expected):
+    _, raw = run_cli(["coproduct", "--q", "1.3", "--conv", conv], tmp_path, "c.json")
+    doc = json.loads(raw)
+    assert doc["config"]["convention"] == expected
+    assert [rep["convention"] for rep in doc["reports"]] == [expected]
+    # chiral's config names no convention; its label suites and the adjoint
+    # suite all report the one the label was built with
+    args = ["chiral", "--l0", "1", "--l1", "2.7i", "--q", "1.3", "--conv", conv]
+    _, raw = run_cli(args, tmp_path, "ch.json")
+    by_suite = {rep["suite"]: rep["convention"] for rep in json.loads(raw)["reports"]}
+    for suite in ("chiral_relations", "reduction_identities", "chiral_adjoint"):
+        assert by_suite[suite] == expected
 
 
 def _builds(monkeypatch, tmp_path, args):

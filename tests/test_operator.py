@@ -1,10 +1,12 @@
 """The step-stored operator algebra against the same algebra on dense arrays."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -175,3 +177,22 @@ def test_operator_rejects_mismatched_bases():
     with pytest.raises(ValueError):
         pattern_violation(a, GENERATOR_PATTERNS["m3"], b.basis)
     assert math.isclose(a.max_norm, 1.0)
+
+
+def test_product_basis_is_shared_and_freed_without_the_cycle_collector():
+    # krons on one pair of bases share a product basis (and its plans) while
+    # one is alive, and it is freed by reference counting once unused: a
+    # cycle through the factor's cache would keep it, both bases and their
+    # plans until the cyclic collector happens to run
+    gc.collect()
+    gc.disable()
+    try:
+        b = _basis("truncated", 2, 3)
+        op = OperatorMatrix.diagonal(b, 1.0)
+        first = tensor_embed(op, op)
+        assert tensor_embed(op, op).basis is first.basis
+        ref = weakref.ref(first.basis)
+        del b, op, first
+        assert ref() is None
+    finally:
+        gc.enable()
