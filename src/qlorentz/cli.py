@@ -195,6 +195,8 @@ def _verify(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tup
         check_recurrence_suite(label, label.l0 + 20, tols),
         check_unitary_coeffs(label, gens.basis.spins[-1], tols),
     ]
+    for rep in reports[2:]:  # the coefficient suites read no set; name the one verified
+        rep.convention = gens.convention
     if not ns.import_dir:
         reports.append(check_q_adjoint(gens, tols))
     return _bundle(
@@ -279,7 +281,6 @@ _FLAGS = {
     "--tier2-tol": dict(type=float, default=TIER2_TOL, help="override the tier-2 tolerance"),
     "--conv": dict(
         choices=("resolved", "printed"),
-        default="resolved",
         help="convention set: resolver-selected readings (default) or the printed ones",
     ),
     "--export": dict(help="directory for the coordinate-format matrix files"),
@@ -350,9 +351,9 @@ def _check_args(ns: argparse.Namespace) -> None:
             raise ValueError(f"--{flag.replace('_', '-')} must be finite and >= 0, got {tol}")
 
     if getattr(ns, "import_dir", None):
-        mode, ignored = "--import", ("l0", "l1", "q", "j_max")
+        mode, ignored = "--import", ("l0", "l1", "q", "j_max", "conv")
     elif ns.command == "chiral" and ns.spin is not None:
-        mode, ignored = "--spin", ("l0", "l1", "j_max")
+        mode, ignored = "--spin", ("l0", "l1", "j_max", "conv")
     else:
         mode, ignored = None, ()
     given = ["--" + f.replace("_", "-") for f in ignored if getattr(ns, f) is not None]

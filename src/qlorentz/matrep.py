@@ -251,11 +251,25 @@ class ProductBasis(_Grid):
         return np.hstack((self.a.step_of(rows // n, cols // n), self.b.step_of(rows % n, cols % n)))
 
 
+# Entries reach [2 j] ~ q^(+-j) at spin j; products of two, and of the invariant
+# (rounding noise near u q^(3j/2)) with one, overflow in the suites past ln q^(+-j) = 300.
+_MAX_LOG_ENTRY = 300.0
+
+
 def build_basis(label: RepLabel, j_max: HalfInt) -> Basis:
-    """Basis for a label: full spin content if finite, l0..j_max if infinite."""
+    """Basis for a label: full spin content if finite, l0..j_max if infinite;
+    spins whose entries would overflow in the suites raise before any allocation."""
     if j_max < label.l0:
         raise ValueError(f"j_max = {j_max} below l0 = {label.l0}")
     cls = classify(label)
+    top = cls.spins[-1] if cls.kind == "finite" else j_max
+    q = label.d.q
+    limit = _MAX_LOG_ENTRY / abs(math.log(q))
+    if float(top) > limit:
+        if cls.kind == "finite" or limit < float(label.l0):
+            raise ValueError(f"spin {top} overflows at q = {q:g}: spins above {limit:.4g} are out of range")
+        largest = label.l0 + math.floor(limit - float(label.l0))
+        raise ValueError(f"j_max = {j_max} overflows at q = {q:g}: the largest valid j_max is {largest}")
     if cls.kind == "finite":
         return Basis(spins=cls.spins)
     return Basis(spins=tuple(half_range(label.l0, j_max)), j_max=j_max)
@@ -676,6 +690,15 @@ class GeneratorSet:
         return casimir_eigenvalue(self.label)
 
 
+def _check_boost_steps(conv: ConventionId) -> None:
+    """Raise `ConstructionInconsistencyError` if the N+/N- steps break their selection rule."""
+    for name, terms in zip(("n_plus", "n_minus"), _boost_terms(conv)):
+        if frozenset((t.dj, t.dm) for t in terms) != GENERATOR_PATTERNS[name]:
+            raise ConstructionInconsistencyError(
+                f"convention {conv}: the {name} steps break its selection rule"
+            )
+
+
 def build_generator_set(
     label: RepLabel,
     j_max: Optional[HalfInt] = None,
@@ -686,11 +709,7 @@ def build_generator_set(
     the algebra and raises `ConstructionInconsistencyError`."""
     if j_max is None:
         j_max = label.l0 + 8
-    for name, terms in zip(("n_plus", "n_minus"), _boost_terms(conv)):
-        if frozenset((t.dj, t.dm) for t in terms) != GENERATOR_PATTERNS[name]:
-            raise ConstructionInconsistencyError(
-                f"convention {conv}: the {name} steps break its selection rule"
-            )
+    _check_boost_steps(conv)
     basis = build_basis(label, j_max)
     mp, mm, m3 = build_M(basis, label.d)
     np_, nm, n3 = build_N(basis, label, conv)
@@ -801,7 +820,10 @@ def build_ST_vectors(
     variant and T the primary variant of the tensor-operator relations
     exactly.
     """
-    tri = suq2_matrices(two_j, d)
+    return _st_vectors(suq2_matrices(two_j, d), d, conv)
+
+
+def _st_vectors(tri: SuQ2Triple, d: Deformation, conv: ConventionId) -> tuple[TensorOperator, TensorOperator]:
     basis = tri.basis
     e = conv.st_quarters / 4.0
     qe = math.pow(d.q, e)

@@ -48,8 +48,13 @@ from .matrep import (
     OperatorMatrix,
     SuQ2Triple,
     TensorOperator,
+    _check_boost_steps,
+    _st_vectors,
+    build_basis,
     build_generator_set,
-    build_ST_vectors,
+    build_M,
+    build_N,
+    build_N3_tilde,
     diag_from_m,
     pattern_violation,
     suq2_matrices,
@@ -212,79 +217,67 @@ def _line_tier(line: str, gens: GeneratorSet) -> int:
 # defining-relation suite
 
 
+_EQ4_LINES = ("line01", "line02", "line03", "line04", "line05", "line06", "line07",
+              "line08", "line09", "line10", "other1", "other2", "other3")
+
+
+def _eq4_lines(
+    ops: dict[str, OperatorMatrix], d: Deformation, c_scalar: complex, swap: int = 0, lines=_EQ4_LINES
+) -> dict[str, tuple[float, float]]:
+    """(residual, scale) of each defining-relation line in `lines`, in that order,
+    from the generators in `ops` (only those the lines read).  swap pairs lines
+    04/05 with N3~/N3 instead of N3/N3~; lines 02/06 take their worse sign."""
+    mp, mm, m3 = ops["m_plus"], ops["m_minus"], ops["m3"]
+    np_, nm, n3, n3t = (ops.get(name) for name in ("n_plus", "n_minus", "n3", "n3_tilde"))
+    basis = mp.basis
+    rq = math.sqrt(d.q)
+    central = d.delta * c_scalar * OperatorMatrix.diagonal(basis, 1.0)
+    two = q_number(HalfInt.from_int(2), d)
+    d4, d5 = (n3t, n3) if swap else (n3, n3t)
+    two_m3 = diag_from_m(basis, lambda m: q_number(m + m, d)) if {"line01", "line03"} & set(lines) else None
+    # each line: its difference(s) and the pair of operators that sets its scale
+    forms = {
+        "line01": lambda: ((mp @ mm - mm @ mp - two_m3,), mp, mm),
+        "line02": lambda: ((m3 @ mp - mp @ m3 - mp, m3 @ mm - mm @ m3 + mm), m3, mp),
+        "line03": lambda: ((np_ @ nm - nm @ np_ + two_m3,), np_, nm),
+        "line04": lambda: ((d4 @ np_ * rq - np_ @ d4 / rq + mp,), d4, np_),
+        "line05": lambda: ((d5 @ nm * rq - nm @ d5 / rq - mm,), d5, nm),
+        "line06": lambda: ((m3 @ np_ - np_ @ m3 - np_, m3 @ nm - nm @ m3 + nm), m3, np_),
+        "line07": lambda: ((mp @ nm / rq - rq * nm @ mp - (two * n3t + central),), mp, nm),
+        "line08": lambda: ((mm @ np_ / rq - rq * np_ @ mm - (-two * n3 + central),), mm, np_),
+        "line09": lambda: ((mp @ n3t * rq - n3t @ mp / rq + np_,), mp, n3t),
+        "line10": lambda: ((mm @ n3 * rq - n3 @ mm / rq - nm,), mm, n3),
+        # "all other (usual) commutators vanish"
+        "other1": lambda: ((n3 @ n3t - n3t @ n3,), n3, n3t),
+        "other2": lambda: ((m3 @ n3 - n3 @ m3,), m3, n3),
+        "other3": lambda: ((m3 @ n3t - n3t @ m3,), m3, n3t),
+    }
+    quad = basis.interior_columns(2)
+    out = {}
+    for line in lines:
+        diffs, a, b = forms[line]()
+        out[line] = (max(x.masked_max(quad) for x in diffs), _pair_scale(a, b))
+    return out
+
+
 def check_lorentz_relations(
     gens: GeneratorSet, tols: Tolerances = Tolerances()
 ) -> VerificationReport:
     """Residuals for all ten defining relation lines, the vanishing
     commutators among the remaining pairs, and the selection-rule patterns."""
-    d = gens.d
-    c_scalar = gens.c_scalar
-    q = d.q
-    rq = math.sqrt(q)
-    delta = d.delta
     basis = gens.basis
-    eye = OperatorMatrix.diagonal(basis, 1.0)
-    two = q_number(HalfInt.from_int(2), d)
-    two_m3 = diag_from_m(basis, lambda m: q_number(m + m, d))
-
-    mp, mm, m3 = gens.m_plus, gens.m_minus, gens.m3
-    np_, nm = gens.n_plus, gens.n_minus
-    n3, n3t = gens.n3, gens.n3_tilde
-    if gens.convention.line45_swap:
-        d4, d5 = n3t, n3
-    else:
-        d4, d5 = n3, n3t
-
-    quad = basis.interior_columns(2)
     col_quad = "interior (quadratic)" if basis.truncated else "all columns"
-
     rep = VerificationReport(
         suite="lorentz_relations",
         subject=_subject(gens),
         convention=gens.convention,
         environment=_env(gens, tols),
     )
-
-    def add(line_id: str, diff: OperatorMatrix, a: OperatorMatrix, b: OperatorMatrix):
-        tier = _line_tier(line_id, gens)
-        rep.add(
-            RelationResidual(
-                f"eq4.{line_id}",
-                diff.masked_max(quad),
-                _pair_scale(a, b),
-                tols.of(tier),
-                tier,
-                col_quad,
-            )
-        )
-
-    add("line01", mp @ mm - mm @ mp - two_m3, mp, mm)
-    r2a = (m3 @ mp - mp @ m3 - mp).masked_max(quad)
-    r2b = (m3 @ mm - mm @ m3 + mm).masked_max(quad)
-    rep.add(
-        RelationResidual(
-            "eq4.line02", max(r2a, r2b), _pair_scale(m3, mp), tols.tier1, 1, col_quad, "both signs"
-        )
-    )
-    add("line03", np_ @ nm - nm @ np_ + two_m3, np_, nm)
-    add("line04", d4 @ np_ * rq - np_ @ d4 / rq + mp, d4, np_)
-    add("line05", d5 @ nm * rq - nm @ d5 / rq - mm, d5, nm)
-    r6a = (m3 @ np_ - np_ @ m3 - np_).masked_max(quad)
-    r6b = (m3 @ nm - nm @ m3 + nm).masked_max(quad)
-    rep.add(
-        RelationResidual(
-            "eq4.line06", max(r6a, r6b), _pair_scale(m3, np_), tols.tier1, 1, col_quad, "both signs"
-        )
-    )
-    add("line07", mp @ nm / rq - rq * nm @ mp - (two * n3t + delta * c_scalar * eye), mp, nm)
-    add("line08", mm @ np_ / rq - rq * np_ @ mm - (-two * n3 + delta * c_scalar * eye), mm, np_)
-    add("line09", mp @ n3t * rq - n3t @ mp / rq + np_, mp, n3t)
-    add("line10", mm @ n3 * rq - n3 @ mm / rq - nm, mm, n3)
-
-    # "all other (usual) commutators vanish"
-    add("other1", n3 @ n3t - n3t @ n3, n3, n3t)
-    add("other2", m3 @ n3 - n3 @ m3, m3, n3)
-    add("other3", m3 @ n3t - n3t @ m3, m3, n3t)
+    swap = gens.convention.line45_swap
+    for line, (residual, scale) in _eq4_lines(gens.matrices(), gens.d, gens.c_scalar, swap).items():
+        tier = _line_tier(line, gens)
+        note = "both signs" if line in ("line02", "line06") else ""
+        rep.add(RelationResidual(f"eq4.{line}", residual, scale, tols.of(tier), tier, col_quad, note))
 
     # selection rules of GENERATOR_PATTERNS: exact zeros outside, tolerance 0
     for name, op in gens.matrices().items():
@@ -782,20 +775,9 @@ def classical_limit_compare(
 # convention resolution
 
 
-def _eq4_score(g: Optional[GeneratorSet]) -> float:
-    """Summed relative eq4 residual; a reading that could not be built
-    (None) scores inf."""
-    if g is None:
-        return math.inf
-    rep = check_lorentz_relations(g)
-    return sum(r.residual / r.scale for r in rep.residuals if r.relation_id.startswith("eq4."))
-
-
-def _eq1_score(two_j: int, d: Deformation, conv: ConventionId) -> float:
-    s, t = build_ST_vectors(two_j, d, conv)
-    tri = suq2_matrices(two_j, d)
+def _eq1_score(tri: SuQ2Triple, d: Deformation, conv: ConventionId) -> float:
     total = 0.0
-    for tensor, name in ((s, "S"), (t, "T")):
+    for tensor, name in zip(_st_vectors(tri, d, conv), "ST"):
         rep = check_tensor_operator(tri, tensor, d, name)
         total += sum(r.residual / r.scale for r in rep.residuals if r.tier == 1)
     return total
@@ -810,12 +792,17 @@ def resolve_conventions(
     """Pick the reading of every catalogued ambiguity that minimizes residuals.
 
     Generator-construction axes are scored by the summed relative residual of
-    the defining-relation suite on the given label; the vector-operator
+    the defining relation lines on the given label; the vector-operator
     prefactor by the tensor-relation suite at the given spin; the coproduct
     grouplike choice by the homomorphism residual on the mixed two-dimensional
     product (where the two readings differ).  Deterministic tie-break: the
     lexicographically smallest convention list.  Returns the winner and the
     full score table.
+
+    Built once per call: the label's basis, rotations and lines 01/02; per
+    consistent exponent reading only N+, N-, N3, N3~ and lines 03-10 and
+    other1-3 (no invariant, no generator set), plus lines 04/05 for the
+    swapped pairing; one spin-j triple; the two spinor chiral sets.
     """
     if d is None:
         d = label.d if label is not None else Deformation(1.3)
@@ -831,38 +818,52 @@ def resolve_conventions(
         chosen.update((f, getattr(win, f)) for f in fields)
 
     # axis group 1: boost-matrix exponents and the relation pairing; the
-    # pairing only decides which diagonal boost lines 04/05 read, so each
-    # reading of the exponents is built once and scored under both pairings
+    # pairing only decides which diagonal boost lines 04/05 read.  A reading
+    # whose N+/N- steps break their selection rule scores inf.
     if label is not None:
-        jm = j_max if j_max is not None else label.l0 + 4
+        c_scalar = casimir_eigenvalue(label)
+        basis = build_basis(label, j_max if j_max is not None else label.l0 + 4)
+        ops = dict(zip(("m_plus", "m_minus", "m3"), build_M(basis, label.d)))
+        rotation_lines = _eq4_lines(ops, label.d, c_scalar, lines=_EQ4_LINES[:2])
         exponents = ("n_mid_exp", "n_down_dm", "n_first_shift", "n_third_shift")
         scored = []
         for values in itertools.product(*(options[f] for f in exponents)):
             reading = ConventionId(**dict(zip(exponents, values)))
+            convs = [replace(reading, line45_swap=sw) for sw in options["line45_swap"]]
             try:
-                g = build_generator_set(label, jm, reading)
+                _check_boost_steps(reading)
             except ConstructionInconsistencyError:
-                g = None
-            for sw in options["line45_swap"]:
-                conv = replace(reading, line45_swap=sw)
-                scored.append((_eq4_score(None if g is None else replace(g, convention=conv)), conv))
+                scored += [(math.inf, conv) for conv in convs]
+                continue
+            ops.update(zip(("n_plus", "n_minus", "n3"), build_N(basis, label, reading)))
+            ops["n3_tilde"] = build_N3_tilde(ops["n3"], basis, label.d)
+            lines = {**rotation_lines, **_eq4_lines(ops, label.d, c_scalar, lines=_EQ4_LINES[2:])}
+            for conv in convs:
+                if conv.line45_swap:
+                    lines.update(_eq4_lines(ops, label.d, c_scalar, 1, ("line04", "line05")))
+                # summed in the suite's record order, so the float sum is the suite's
+                scored.append((sum(r / s for r, s in lines.values()), conv))
         pick("boost_exponents", scored, exponents + ("line45_swap",))
 
     # axis group 2: vector-operator scalar prefactor
     if two_j is not None:
+        tri = suq2_matrices(two_j, d)
         convs = [ConventionId(st_quarters=k) for k in options["st_quarters"]]
-        pick("st_prefactor", [(_eq1_score(two_j, d, c), c) for c in convs], ("st_quarters",))
+        pick("st_prefactor", [(_eq1_score(tri, d, c), c) for c in convs], ("st_quarters",))
 
     # axis group 3: coproduct grouplike for the lowering right generator,
     # scored on the mixed spinor product where the readings differ
     from .chiral import build_chiral, check_chiral_relations, coproduct, spinor_labels
 
     cs_tau, cs_taut = (build_chiral(build_generator_set(t, t.l0)) for t in spinor_labels(d))
+    # both alive at once, so they share one weakly held ProductBasis and its index plans
+    products = [
+        coproduct(cs_tau, cs_taut, ConventionId(cop_r_grouplike=rg)) for rg in options["cop_r_grouplike"]
+    ]
     scored = []
-    for rg in options["cop_r_grouplike"]:
-        conv = ConventionId(cop_r_grouplike=rg)
-        rep = check_chiral_relations(coproduct(cs_tau, cs_taut, conv))
-        scored.append((sum(r.residual / r.scale for r in rep.residuals), conv))
+    for dc in products:
+        rep = check_chiral_relations(dc)
+        scored.append((sum(r.residual / r.scale for r in rep.residuals), dc.convention))
     pick("cop_r_grouplike", scored, ("cop_r_grouplike",))
 
     return ConventionId(**chosen), table

@@ -88,6 +88,9 @@ def test_label_flags_must_come_in_pairs(tmp_path, capsys, args, message):
         ("import", ["--j-max", "3"]),
         ("spin", ["--l0", "1", "--l1", "2"]),
         ("spin", ["--j-max", "3"]),
+        ("import", ["--conv", "printed"]),
+        ("spin", ["--conv", "printed"]),
+        ("spin", ["--conv", "resolved"]),
     ],
 )
 def test_flags_the_mode_ignores_exit_2(tmp_path, capsys, mode, extra):
@@ -405,22 +408,73 @@ def test_chiral_and_coproduct_suites_report_the_built_convention(tmp_path, conv,
         assert by_suite[suite] == expected
 
 
-def _builds(monkeypatch, tmp_path, args):
-    # wrap build_generator_set in every qlorentz namespace that binds it
+@pytest.mark.parametrize("conv", ["resolved", "printed", "import"])
+def test_every_verify_suite_names_the_config_convention(tmp_path, conv):
+    # the coefficient suites read no generator set; they name the verified one
+    spinor = ["--l0", "1/2", "--l1", "1.5", "--q", "1.3"]
+    if conv == "import":
+        exp = tmp_path / "exp"
+        assert run_cli(["build", *spinor, "--conv", "printed", "--export", str(exp)], tmp_path, "b.json")[0] == 0
+        args = ["verify", "--import", str(exp)]
+    else:
+        args = ["verify", *spinor, "--conv", conv]
+    code, raw = run_cli(args, tmp_path)
+    doc = json.loads(raw)
+    assert code == 0
+    assert {rep["suite"] for rep in doc["reports"]} >= {"recurrences", "unitary_coeffs"}
+    assert all(rep["convention"] == doc["config"]["convention"] for rep in doc["reports"])
+    assert doc["config"]["convention"] == ([0, 0, 0, 0, 2, 0, 1] if conv == "resolved" else [0, 0, 0, 0, 1, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["build", "--l0", "0", "--l1", "2.7i", "--q", "10", "--j-max", "330"], "largest valid j_max is 130"),
+        (["verify", "--l0", "0", "--l1", "2.7i", "--q", "10", "--j-max", "140"], "largest valid j_max is 130"),
+        (["build", "--l0", "0", "--l1", "2.7i", "--q", "1.3", "--j-max", "1400"], "largest valid j_max is 1143"),
+        (["verify", "--l0", "1/2", "--l1", "2.7i", "--q", "0.1", "--j-max", "140"], "largest valid j_max is 259/2"),
+        (["conventions", "--l0", "0", "--l1", "2.7i", "--q", "10", "--j-max", "131"], "largest valid j_max is 130"),
+        (["build", "--l0", "1/2", "--l1", "200.5", "--q", "10"], "spin 399/2 overflows"),
+    ],
+)
+def test_overflowing_range_exits_2_before_any_matrix(tmp_path, capsys, monkeypatch, args, message):
+    import qlorentz.matrep as matrep
+
+    def no_matrix(*_args, **_kwargs):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(matrep, "_ladder", no_matrix)
+    code, raw = run_cli(args, tmp_path)
+    assert code == 2 and raw == b""
+    assert message in capsys.readouterr().err
+
+
+def test_largest_valid_j_max_still_builds(tmp_path):
+    code, raw = run_cli(["build", "--l0", "0", "--l1", "2.7i", "--q", "10", "--j-max", "130"], tmp_path)
+    assert code == 0
+    assert json.loads(raw)["basis"]["spins"][-1] == "130"
+
+
+def _calls(monkeypatch, tmp_path, args, *names):
+    # wrap each named function in every qlorentz namespace that binds it
     import sys
 
-    from qlorentz.matrep import build_generator_set
+    import qlorentz.matrep as matrep
 
-    calls = []
+    calls = {name: [] for name in names}
 
-    def counting(*a, **kw):
-        calls.append(repr((a, sorted(kw.items()))))
-        return build_generator_set(*a, **kw)
+    def counting(name, fn):
+        def wrapper(*a, **kw):
+            calls[name].append(repr((a, sorted(kw.items()))))
+            return fn(*a, **kw)
 
-    for name, mod in list(sys.modules.items()):
-        bound = getattr(mod, "build_generator_set", None)
-        if name.split(".")[0] == "qlorentz" and bound is build_generator_set:
-            monkeypatch.setattr(mod, "build_generator_set", counting)
+        return wrapper
+
+    for name in names:
+        fn = getattr(matrep, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "qlorentz" and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
     code, _ = run_cli(args, tmp_path)
     assert code == 0
     return calls
@@ -431,19 +485,30 @@ def _builds(monkeypatch, tmp_path, args):
     [
         (["verify", "--l0", "1", "--l1", "2.7i", "--q", "1.3"], 2),
         (["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3"], 5),
-        (["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"], 38),
+        (["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"], 2),
         (["coproduct", "--q", "1.3"], 1),
     ],
 )
 def test_build_counts(monkeypatch, tmp_path, args, n_builds):
-    # the adjoint checks reuse the set the command built, the resolver and
-    # coproduct build each spinor once, and the resolver builds each of the
-    # 36 boost-exponent readings once for both line-04/05 pairings (the 18
-    # inconsistent ones raise before any matrix is built)
-    calls = _builds(monkeypatch, tmp_path, args)
+    # the adjoint checks reuse the set the command built, and the resolver
+    # and coproduct build each spinor once; the resolver builds no set of the
+    # label it resolves
+    calls = _calls(monkeypatch, tmp_path, args, "build_generator_set")["build_generator_set"]
     assert len(calls) == n_builds
     if args[0] in ("chiral", "conventions"):
         assert len(set(calls)) == n_builds
+
+
+def test_conventions_builds_one_label_basis_and_each_consistent_reading_once(monkeypatch, tmp_path):
+    # the 36 boost-exponent readings share one basis; the 18 whose N+/N- steps
+    # break their selection rule are rejected before build_N, and the other
+    # 18 are each built once for both line-04/05 pairings (the two spinor
+    # sets of the coproduct axis make the other bases and boosts)
+    args = ["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"]
+    calls = _calls(monkeypatch, tmp_path, args, "build_basis", "build_N")
+    bases, boosts = ([c for c in calls[name] if "l1=(0.5+0j)" in c] for name in ("build_basis", "build_N"))
+    assert len(bases) == 1
+    assert len(boosts) == len(set(boosts)) == 18
 
 
 # ---------------------------------------------------------------- JSON bytes

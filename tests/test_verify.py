@@ -1,12 +1,19 @@
+import itertools
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qlorentz.qarith import Deformation, HalfInt, q_number
 from qlorentz.repcore import RepLabel
+from qlorentz.chiral import build_chiral, check_chiral_relations, coproduct, spinor_labels
 from qlorentz.matrep import (
+    ConstructionInconsistencyError,
     ConventionId,
     DEFAULT_CONVENTION,
     OperatorMatrix,
+    build_basis,
     build_from_suq2,
     build_generator_set,
     build_ST_vectors,
@@ -418,3 +425,78 @@ def test_resolver_marks_inconsistent_variants():
     bad = [r for r in table if not r["valid"]]
     assert bad, "the degenerate row reading must be flagged as inconsistent"
     assert all(r["score"] is None for r in bad)
+
+
+def _reference_pick(table, chosen, axis, scored, fields):
+    for s, conv in scored:
+        score = None if math.isinf(s) else s
+        table.append({"axis": axis, "convention": str(conv), "score": score, "valid": score is not None})
+    win = min(scored, key=lambda t: (t[0], t[1].to_list()))[1]
+    chosen.update((f, getattr(win, f)) for f in fields)
+
+
+def _reference_boost_axis(label, j_max):
+    # a full generator set per exponent reading, the whole relation suite
+    # per reading and pairing
+    options = ConventionId._RANGES
+    exponents = ("n_mid_exp", "n_down_dm", "n_first_shift", "n_third_shift")
+    scored = []
+    for values in itertools.product(*(options[f] for f in exponents)):
+        reading = ConventionId(**dict(zip(exponents, values)))
+        try:
+            g = build_generator_set(label, j_max, reading)
+        except ConstructionInconsistencyError:
+            g = None
+        for sw in options["line45_swap"]:
+            conv = replace(reading, line45_swap=sw)
+            score = math.inf
+            if g is not None:
+                rep = check_lorentz_relations(replace(g, convention=conv))
+                score = sum(r.residual / r.scale for r in rep.residuals if r.relation_id.startswith("eq4."))
+            scored.append((score, conv))
+    table, chosen = [], {}
+    _reference_pick(table, chosen, "boost_exponents", scored, exponents + ("line45_swap",))
+    return table, chosen
+
+
+def _reference_other_axes(two_j, d):
+    # the spin-j triple rebuilt per prefactor option, one coproduct at a time
+    table, chosen, scored = [], {}, []
+    for k in ConventionId._RANGES["st_quarters"]:
+        conv = ConventionId(st_quarters=k)
+        s, t = build_ST_vectors(two_j, d, conv)
+        tri = suq2_matrices(two_j, d)
+        total = 0.0
+        for tensor, name in ((s, "S"), (t, "T")):
+            rep = check_tensor_operator(tri, tensor, d, name)
+            total += sum(r.residual / r.scale for r in rep.residuals if r.tier == 1)
+        scored.append((total, conv))
+    _reference_pick(table, chosen, "st_prefactor", scored, ("st_quarters",))
+    cs_tau, cs_taut = (build_chiral(build_generator_set(t, t.l0)) for t in spinor_labels(d))
+    scored = []
+    for rg in ConventionId._RANGES["cop_r_grouplike"]:
+        conv = ConventionId(cop_r_grouplike=rg)
+        rep = check_chiral_relations(coproduct(cs_tau, cs_taut, conv))
+        scored.append((sum(r.residual / r.scale for r in rep.residuals), conv))
+    _reference_pick(table, chosen, "cop_r_grouplike", scored, ("cop_r_grouplike",))
+    return table, chosen
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 1.0538, 1.3, 2.0, 10.0])
+def test_resolver_matches_per_reading_reference(q):
+    # scores are compared with ==: sharing one basis, evaluating each line
+    # once per reading and each pairing's lines 04/05 once must not move a bit
+    d = Deformation(q)
+    others = {two_j: _reference_other_axes(two_j, d) for two_j in (1, 2, 3)}
+    boosts = {}  # the reference per distinct basis: offset 4 is the default, a finite label ignores j_max
+    labels = [("1", 2.1j), ("0", 0.5), ("2", 1.5 - 0.7j), ("1/2", 3.5)]  # the four label classes
+    for k, ((l0, l1), offset) in enumerate(itertools.product(labels, (0, 1, 4, None))):
+        label, two_j = lab(l0, l1, q), 1 + k % 3
+        jm = label.l0 + (4 if offset is None else offset)
+        key = (l0, build_basis(label, jm))
+        if key not in boosts:
+            boosts[key] = _reference_boost_axis(label, jm)
+        table = boosts[key][0] + others[two_j][0]
+        chosen = {**boosts[key][1], **others[two_j][1]}
+        j_max = None if offset is None else jm
+        assert resolve_conventions(label, two_j, d, j_max) == (ConventionId(**chosen), table)
