@@ -209,18 +209,24 @@ def check_reduction_identities(
 ) -> VerificationReport:
     """The two identities eliminating the redundant diagonal generators:
 
-        1 + alpha(I3t^L + I3t^R) = (1 - alpha I3^L - alpha I3^R)^(-1)
+        (1 + alpha(I3t^L + I3t^R)) (1 - alpha I3^L - alpha I3^R) = 1
         I3t^L - I3t^R = (1 + alpha(I3t^L + I3t^R)) (I3^L - I3^R)
 
     Both reduce spectrally to q^(+-M3) statements and hold exactly on any
-    generator-built set (the boost parts cancel in the sums).  A singular
-    inversion is reported as a degenerate-input failure, not raised.
+    generator-built set (the boost parts cancel in the sums).  The first is
+    checked as a product, each entry against its componentwise rounding bound
+    (1 + |alpha||I3t^L + I3t^R|)(1 + |alpha||I3^L + I3^R|) (Higham 2002, 3.5);
+    the record holds the residual and bound of the entry with the worst ratio.
     """
     a = cs.d.alpha
     eye = OperatorMatrix.diagonal(cs.I3_L.basis, 1.0)
-    lhs1 = eye + a * (cs.I3_L_tilde + cs.I3_R_tilde)
-    # cond and inv need the dense matrix; the chiral suites run at small dims
-    base = (eye - a * cs.I3_L - a * cs.I3_R).toarray()
+    sum3, sum3t = cs.I3_L + cs.I3_R, cs.I3_L_tilde + cs.I3_R_tilde
+    lhs1 = eye + a * sum3t
+    # both products run on the same step plan, so their value rows line up
+    resid = np.abs((lhs1 @ (eye - a * sum3) - eye).data)
+    bound = ((eye + abs(a) * sum3t.abs()) @ (eye + abs(a) * sum3.abs())).data.real
+    ratio = np.divide(resid, bound, out=np.where(resid > 0, np.inf, 0.0), where=bound > 0)
+    worst = np.lexsort((bound.ravel(), ratio.ravel()))[-1]  # ties: the largest bound
     tier = 1 if cs.factors is None else 2
     tol = tols.of(tier)
 
@@ -230,25 +236,10 @@ def check_reduction_identities(
         convention=cs.convention,
         environment={"q": cs.d.q, "tier1_tol": tols.tier1},
     )
-    cond = float(np.linalg.cond(base))
-    if not math.isfinite(cond) or cond > 1e14:
-        rep.add(
-            RelationResidual(
-                "eq28.inverse", 1.0, 1.0, 0.0, tier, "all entries",
-                f"degenerate input: condition number {cond:.3e}",
-            )
-        )
-        return rep
-    inv = np.linalg.inv(base)
     rep.add(
         RelationResidual(
-            "eq28.inverse",
-            float(np.max(np.abs(lhs1.toarray() - inv))),
-            max(1.0, float(np.max(np.abs(inv)))),
-            tol,
-            tier,
-            "all entries",
-            f"condition number {cond:.6g}",
+            "eq28.inverse", float(resid.flat[worst]), float(bound.flat[worst]), tol, tier, "all entries",
+            "product form; scale is the componentwise rounding bound of the worst entry",
         )
     )
     d3 = cs.I3_L - cs.I3_R
@@ -510,10 +501,14 @@ def check_coproduct_homomorphism(
         )
     if cs_a.dim == cs_b.dim:
         n = cs_a.dim
-        img = dcs.I_plus_L.toarray()
-        # the factor swap |a>|b> -> |b>|a> on both sides: exact, no products
-        swapped = img.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
-        witness = float(np.max(np.abs(img - swapped)))
+        # the factor swap |a>|b> -> |b>|a> on both sides, from the sorted nonzero
+        # entries: the swap is an involution, so they reach every differing pair
+        rows, cols, vals = dcs.I_plus_L.entries()
+        keys = rows * dcs.dim + cols
+        swapped = ((rows % n) * n + rows // n) * dcs.dim + (cols % n) * n + cols // n
+        pos = np.minimum(np.searchsorted(keys, swapped), len(keys) - 1)
+        partner = np.where(keys[pos] == swapped, vals[pos], 0)
+        witness = float(np.max(np.abs(vals - partner), initial=0.0))
         scale = max(1.0, dcs.I_plus_L.max_norm)
         rep.add(
             RelationResidual(

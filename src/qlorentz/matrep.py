@@ -9,8 +9,8 @@ operators S and T, and Kronecker embeddings for tensor products.
 
 Every column of a generator couples to at most three (delta_j, delta_m)
 steps, so an `OperatorMatrix` stores one value row of length dim per step
-and runs products, sums and adjoints in O(dim * steps^2) numpy work; a
-dim x dim array exists only where a caller asks for `toarray()`.
+and runs products, sums and adjoints in O(dim * steps^2) numpy work; only
+`toarray()` makes a dim x dim array, and only the `limit` comparison calls it.
 
 Matrix actions, column (j, m) -> rows:
 
@@ -368,6 +368,10 @@ class OperatorMatrix:
         rows = self.basis._row_stack(steps)
         vals = np.take_along_axis(self.data, np.maximum(rows, 0), axis=1)
         return OperatorMatrix(self.basis, steps, np.where(rows >= 0, vals.conj(), 0))
+
+    def abs(self) -> "OperatorMatrix":
+        """Entrywise |.|, for componentwise rounding bounds."""
+        return OperatorMatrix(self.basis, self.steps, np.abs(self.data))
 
     def _basis_with(self, other: "OperatorMatrix") -> _Grid:
         if other.basis is not self.basis and other.basis != self.basis:

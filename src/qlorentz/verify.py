@@ -31,12 +31,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _jsonfmt
-from .qarith import Deformation, HalfInt, half_range, q_number
+from .qarith import Deformation, HalfInt, half_range, q_number, sqrt_principal
 from .repcore import (
     RepLabel,
     classify,
     casimir_eigenvalue,
     check_recurrences,
+    coeff_a,
+    coeff_c,
 )
 from .matrep import (
     Basis,
@@ -491,8 +493,6 @@ def check_unitary_coeffs(
     with the classification.  A window whose coefficients all vanish (only
     j = l0 = 0) can witness nothing, and the summary passes with a note.
     """
-    from .repcore import coeff_a, coeff_c
-
     cls = classify(label)
     unitary = cls.unitary != "non_unitary"
     rep = VerificationReport(
@@ -599,8 +599,6 @@ def _classical_c(j: float, l0: float, l1: complex) -> complex:
     if j <= 0.0:
         return 0j
     rad = (j * j - l0 * l0) * (j * j - l1 * l1) / ((2 * j - 1.0) * (2 * j + 1.0))
-    from .qarith import sqrt_principal
-
     return 1j / j * sqrt_principal(rad)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qlorentz.qarith import Deformation, HalfInt
 from qlorentz.repcore import RepLabel
 from qlorentz.matrep import (
     ConventionId,
+    OperatorMatrix,
     RESOLVED_CONVENTION,
     build_from_suq2,
     build_generator_set,
@@ -20,6 +23,7 @@ from qlorentz.chiral import (
     coproduct,
     spinor_labels,
 )
+from qlorentz.verify import TIER1_TOL
 
 
 def lab(l0: str, l1, q: float) -> RepLabel:
@@ -144,6 +148,41 @@ def test_reduction_identities_near_classical_point():
     assert rep.all_pass
 
 
+def dense_inverse_passes(cs):
+    """The dense eq28.inverse record the step check replaced: 1 + alpha(I3t^L + I3t^R)
+    against the inverse of 1 - alpha I3^L - alpha I3^R, scaled by max(1, |inverse|max)."""
+    a = cs.d.alpha
+    eye = OperatorMatrix.diagonal(cs.I3_L.basis, 1.0)
+    lhs1 = (eye + a * (cs.I3_L_tilde + cs.I3_R_tilde)).toarray()
+    inv = np.linalg.inv((eye - a * cs.I3_L - a * cs.I3_R).toarray())
+    return float(np.max(np.abs(lhs1 - inv))) <= TIER1_TOL * max(1.0, float(np.max(np.abs(inv))))
+
+
+def inverse_plants(cs, rel=1e-8):
+    """Copies of cs with a relative error in one nonzero diagonal entry of
+    I3_L_tilde, I3_R or I3_L each."""
+    for name in ("I3_L_tilde", "I3_R", "I3_L"):
+        op = getattr(cs, name)
+        s0 = op.steps.index(op.basis.zero_step)
+        for k in np.nonzero(op.data[s0])[0]:
+            data = op.data.copy()
+            data[s0, k] *= 1 + rel
+            yield replace(cs, **{name: OperatorMatrix(op.basis, op.steps, data)})
+
+
+@pytest.mark.parametrize("q", [0.5, 1.3, 2.0])
+@pytest.mark.parametrize("l0,l1", [("0", 2.7j), ("1", 1 - 0.5j), ("2", 5)])
+def test_reduction_inverse_catches_at_least_the_dense_record_plants(l0, l1, q):
+    cs = chiral_for(l0, l1, q, extra=8)
+    assert by_id(check_reduction_identities(cs), "eq28.inverse").passed
+    assert dense_inverse_passes(cs)
+    caught = dense = 0
+    for planted in inverse_plants(cs):
+        caught += not by_id(check_reduction_identities(planted), "eq28.inverse").passed
+        dense += not dense_inverse_passes(planted)
+    assert caught >= dense > 0
+
+
 # ---------------------------------------------------------------- adjoint
 
 
@@ -239,10 +278,17 @@ def test_coproduct_grouplike_choice_resolved_on_mixed_product():
 
 
 def test_coproduct_noncocommutative_witness():
-    # the spinor tau and the spin-1 realization (dim 3); the witness equals
-    # the one of the factor swap as an explicit permutation matrix
-    for a in (tau_chiral(1.3)[0], build_chiral(build_from_suq2(2, Deformation(1.3)))):
-        dc = coproduct(a, a, RESOLVED_CONVENTION)
+    # the spinor tau, the spin-1 realization (dim 3) and the unequal spins
+    # (4, 5) x (0, 2.7i) at l0 + 2 (dim 9 each); the witness equals the one of
+    # the factor swap as an explicit permutation matrix
+    tau = tau_chiral(1.3)[0]
+    spin1 = build_chiral(build_from_suq2(2, Deformation(1.3)))
+    fin, pri = (
+        build_chiral(build_generator_set(x, x.l0 + 2, RESOLVED_CONVENTION))
+        for x in (lab("4", 5, 1.3), lab("0", 2.7j, 1.3))
+    )
+    for a, b in ((tau, tau), (spin1, spin1), (fin, pri)):
+        dc = coproduct(a, b, RESOLVED_CONVENTION)
         rec = by_id(check_coproduct_homomorphism(dc), "eq32.noncocommutative")
         assert rec.residual == 0.0  # witness present
         n = a.dim

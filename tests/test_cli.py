@@ -455,6 +455,20 @@ def test_largest_valid_j_max_still_builds(tmp_path):
     assert json.loads(raw)["basis"]["spins"][-1] == "130"
 
 
+def test_chiral_and_coproduct_build_no_dense_matrix(tmp_path, monkeypatch):
+    import qlorentz.matrep as matrep
+
+    def no_dense(self):
+        raise AssertionError("a dense matrix was built")
+
+    monkeypatch.setattr(matrep.OperatorMatrix, "toarray", no_dense)
+    for args in (
+        ["chiral", "--l0", "1", "--l1", "2.7i", "--q", "1.3", "--j-max", "40"],
+        ["coproduct", "--l0", "6", "--l1", "2.7i", "--q", "1.3"],
+    ):
+        assert run_cli(args, tmp_path)[0] == 0
+
+
 def _calls(monkeypatch, tmp_path, args, *names):
     # wrap each named function in every qlorentz namespace that binds it
     import sys

@@ -1,9 +1,10 @@
 """Correct representations exit 0 for q in [0.1, 10] and j_max up to l0 + 24.
 
-A tier-1 failure must mean a bug, never roundoff, so `qlorentz verify` is run
-over the four label classes of the benchmark's label draw, q log-uniform in
-[0.1, 10] away from the classical point, and j_max offsets 0..14 above l0,
-plus the deepest truncation at the two ends of the q range.
+A tier-1 failure must mean a bug, never roundoff, so `qlorentz verify` and
+`qlorentz chiral` are run over the four label classes of the benchmark's label
+draw, q log-uniform in [0.1, 10] away from the classical point, and j_max
+offsets 0..14 above l0, plus the deepest truncation at the two ends of the q
+range.
 """
 
 import math
@@ -46,21 +47,38 @@ q_values = (
 )
 
 
-def verify_exit(l0_2: int, l1: str, q: str, offset: int) -> int:
-    argv = ["verify", "--l0", _half(l0_2), "--l1", l1, "--q", q]
+def run_exit(command: str, l0_2: int, l1: str, q: str, offset: int) -> int:
+    argv = [command, "--l0", _half(l0_2), "--l1", l1, "--q", q]
     return main(argv + ["--j-max", _half(l0_2 + 2 * offset), "--output", os.devnull])
 
 
-@pytest.mark.parametrize("cls", ["principal", "complementary", "non_unitary", "finite"])
-def test_verify_exits_0_across_label_classes_q_and_truncation(cls):
+def sweep_exits_0(command: str, cls: str) -> None:
     @settings(max_examples=8, derandomize=True, deadline=None, database=None)
     @given(label=labels(cls), q=q_values, offset=st.integers(0, 14))
     def sweep(label, q, offset):
-        assert verify_exit(*label, q, offset) == 0
+        assert run_exit(command, *label, q, offset) == 0
 
     sweep()
 
 
+CLASSES = ["principal", "complementary", "non_unitary", "finite"]
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_verify_exits_0_across_label_classes_q_and_truncation(cls):
+    sweep_exits_0("verify", cls)
+
+
 @pytest.mark.parametrize("q", ["0.1", "10"])
 def test_verify_exits_0_at_deep_truncation_at_the_ends_of_the_q_range(q):
-    assert verify_exit(0, "2.7i", q, 24) == 0
+    assert run_exit("verify", 0, "2.7i", q, 24) == 0
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_chiral_exits_0_across_label_classes_q_and_truncation(cls):
+    sweep_exits_0("chiral", cls)
+
+
+@pytest.mark.parametrize("q", ["0.1", "10"])
+def test_chiral_exits_0_at_deep_truncation_at_the_ends_of_the_q_range(q):
+    assert run_exit("chiral", 0, "2.7i", q, 24) == 0
