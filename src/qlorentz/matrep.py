@@ -37,6 +37,7 @@ readings under which every defining relation closes to machine precision.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 import weakref
@@ -51,6 +52,7 @@ from .repcore import RepLabel, casimir_eigenvalue, classify, coeff_a, coeff_c
 __all__ = [
     "Basis",
     "ProductBasis",
+    "StackedBasis",
     "OperatorMatrix",
     "ConventionId",
     "GeneratorSet",
@@ -92,7 +94,12 @@ class _Grid:
     A step is a tuple of ints that moves every state to another one (or out
     of the basis).  The rows a step reaches and the index plans of the
     operator algebra are computed once per instance and kept in its `_cache`.
+    A grid is `copies` independent copies of one basis side by side (1 but
+    for a `StackedBasis`).
     """
+
+    copies = 1
+    _copy_starts = 0  # first row of each column's copy
 
     def _cached(self, key, make):
         val = self._cache.get(key)
@@ -129,8 +136,9 @@ class _Grid:
         positions of `sb` among them."""
 
         def make():
-            steps = sa + tuple(s for s in sb if s not in sa)
-            return steps, np.array([steps.index(s) for s in sb])
+            steps = tuple(dict.fromkeys(sa + sb))
+            pos = {s: i for i, s in enumerate(steps)}
+            return steps, np.array([pos[s] for s in sb])
 
         return self._cached(("+", sa, sb), make)
 
@@ -139,12 +147,15 @@ class _Grid:
         sa[ia] + sb[ib]; pairs are ordered by that step for `reduceat`."""
 
         def make():
-            sums = [tuple(x + y for x, y in zip(a, b)) for a in sa for b in sb]
+            sums = [tuple(map(operator.add, a, b)) for a in sa for b in sb]
             steps = tuple(sorted(set(sums)))
-            group = np.array([steps.index(s) for s in sums])
+            pos = {s: i for i, s in enumerate(steps)}
+            group = np.array([pos[s] for s in sums])
             order = np.argsort(group, kind="stable")
             starts = np.searchsorted(group[order], np.arange(len(steps)))
-            gather = np.maximum(self._row_stack(sb), 0)  # B's values are 0 where its rows are -1
+            # B's values are 0 where its rows are -1; A is read in the first row
+            # of the column's copy there, as on the copy alone
+            gather = np.maximum(self._row_stack(sb), self._copy_starts)
             return steps, order, starts, gather
 
         return self._cached(("@", sa, sb), make)
@@ -251,6 +262,44 @@ class ProductBasis(_Grid):
         return np.hstack((self.a.step_of(rows // n, cols // n), self.b.step_of(rows % n, cols % n)))
 
 
+@dataclass(frozen=True)
+class StackedBasis(_Grid):
+    """`copies` copies of a basis side by side: state r of copy k is row
+    r + k * base.dim, and a step of the base moves every copy alike.  An
+    operator on it is one operator per copy, each a block of columns, so one
+    pass of the algebra serves them all."""
+
+    base: Basis
+    copies: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_cache", {})
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim * self.copies
+
+    @property
+    def zero_step(self) -> tuple:
+        return self.base.zero_step
+
+    @property
+    def m2(self) -> np.ndarray:
+        return np.tile(self.base.m2, self.copies)
+
+    @property
+    def _copy_starts(self) -> np.ndarray:
+        return np.repeat(self.base.dim * np.arange(self.copies), self.base.dim)
+
+    def _target(self, step: tuple) -> np.ndarray:
+        rows = self.base.rows(step)
+        offsets = self.base.dim * np.arange(self.copies)[:, None]
+        return np.where(rows >= 0, rows + offsets, -1).ravel()
+
+    def interior_columns(self, order: int) -> np.ndarray:
+        return np.tile(self.base.interior_columns(order), self.copies)
+
+
 # Entries reach [2 j] ~ q^(+-j) at spin j; products of two, and of the invariant
 # (rounding noise near u q^(3j/2)) with one, overflow in the suites past ln q^(+-j) = 300.
 _MAX_LOG_ENTRY = 300.0
@@ -346,6 +395,14 @@ class OperatorMatrix:
         """Largest |entry| in the columns where `mask` is true."""
         sub = self.data[:, mask]
         return float(np.max(np.abs(sub))) if sub.size else 0.0
+
+    def block_max(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """Largest |entry| of each copy of the grid (one value unless it is a
+        `StackedBasis`), over the columns where `mask` is true (0 if none)."""
+        vals = np.abs(self.data)
+        if mask is not None:
+            vals = np.where(mask, vals, 0.0)
+        return vals.reshape(len(self.steps), self.basis.copies, -1).max(axis=(0, 2))
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals) of the nonzero entries in row-major order."""
@@ -621,10 +678,15 @@ def build_N(
     the top coupling is exactly zero anyway, for truncated bases this is the
     truncation boundary.
     """
+    coeffs = _boost_coeffs(basis, label)
+    return tuple(_ladder(basis, terms, label.d, coeffs) for terms in _boost_terms(conv))
+
+
+def _boost_coeffs(basis: Basis, label: RepLabel) -> dict[str, np.ndarray]:
+    """a_j, c_j and c_{j+1} per block of `basis`, keyed as `_Term.coef` names them."""
     a = np.array([coeff_a(j, label) for j in basis.spins])
     c = np.array([coeff_c(j, label) for j in basis.spins + (basis.spins[-1] + 1,)])
-    coeffs = {"a": a, "c": c[:-1], "c1": c[1:]}
-    return tuple(_ladder(basis, terms, label.d, coeffs) for terms in _boost_terms(conv))
+    return {"a": a, "c": c[:-1], "c1": c[1:]}
 
 
 def build_N3_tilde(n3: OperatorMatrix, basis: Basis, d: Deformation) -> OperatorMatrix:

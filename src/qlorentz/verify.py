@@ -23,6 +23,7 @@ oracle is a separate path, filled entry by entry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -48,14 +49,17 @@ from .matrep import (
     GENERATOR_PATTERNS,
     GeneratorSet,
     OperatorMatrix,
+    StackedBasis,
     SuQ2Triple,
     TensorOperator,
+    _boost_coeffs,
+    _boost_terms,
     _check_boost_steps,
+    _ladder,
     _st_vectors,
     build_basis,
     build_generator_set,
     build_M,
-    build_N,
     build_N3_tilde,
     diag_from_m,
     pattern_violation,
@@ -225,10 +229,11 @@ _EQ4_LINES = ("line01", "line02", "line03", "line04", "line05", "line06", "line0
 
 def _eq4_lines(
     ops: dict[str, OperatorMatrix], d: Deformation, c_scalar: complex, swap: int = 0, lines=_EQ4_LINES
-) -> dict[str, tuple[float, float]]:
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(residual, scale) of each defining-relation line in `lines`, in that order,
-    from the generators in `ops` (only those the lines read).  swap pairs lines
-    04/05 with N3~/N3 instead of N3/N3~; lines 02/06 take their worse sign."""
+    from the generators in `ops` (only those the lines read); each is an array
+    with one value per copy of the operators' grid.  swap pairs lines 04/05
+    with N3~/N3 instead of N3/N3~; lines 02/06 take their worse sign."""
     mp, mm, m3 = ops["m_plus"], ops["m_minus"], ops["m3"]
     np_, nm, n3, n3t = (ops.get(name) for name in ("n_plus", "n_minus", "n3", "n3_tilde"))
     basis = mp.basis
@@ -258,7 +263,8 @@ def _eq4_lines(
     out = {}
     for line in lines:
         diffs, a, b = forms[line]()
-        out[line] = (max(x.masked_max(quad) for x in diffs), _pair_scale(a, b))
+        residual = functools.reduce(np.maximum, (x.block_max(quad) for x in diffs))
+        out[line] = (residual, np.fmax(1.0, a.block_max() * b.block_max()))  # fmax: max(1.0, nan) is 1.0
     return out
 
 
@@ -279,6 +285,7 @@ def check_lorentz_relations(
     for line, (residual, scale) in _eq4_lines(gens.matrices(), gens.d, gens.c_scalar, swap).items():
         tier = _line_tier(line, gens)
         note = "both signs" if line in ("line02", "line06") else ""
+        residual, scale = float(residual[0]), float(scale[0])
         rep.add(RelationResidual(f"eq4.{line}", residual, scale, tols.of(tier), tier, col_quad, note))
 
     # selection rules of GENERATOR_PATTERNS: exact zeros outside, tolerance 0
@@ -773,6 +780,59 @@ def classical_limit_compare(
 # convention resolution
 
 
+# Column cap of one stack of boost readings.  All 18 readings fit one stack at
+# the default truncation up to l0 = 20.  Measured on (0, 2.7i) at q = 1.3:
+# past about 4k columns numpy work per column dominates, so wider stacks save
+# no time and only raise peak memory (j_max 60: 38 MB at this cap, 54 MB at
+# 16k columns, 127 MB with all 18 copies in one stack).
+_STACK_COLUMNS = 4096
+
+
+def _boost_scores(
+    label: RepLabel, basis: Basis, readings: list[ConventionId]
+) -> list[tuple[float, float]]:
+    """Summed relative residual of the defining lines for each exponent
+    reading, under the printed and the swapped line-04/05 pairing.
+
+    Each N+/N- term depends on one exponent axis, so each distinct term row
+    is built once and the readings share them; N3, N3~ and the rotations read
+    no exponent.  Lines 03-10 run on stacks of readings side by side, with
+    the same arithmetic per column as on one reading, so the scores are
+    bitwise those of one set per reading.
+    """
+    d, c_scalar = label.d, casimir_eigenvalue(label)
+    coeffs = _boost_coeffs(basis, label)
+    ops = dict(zip(("m_plus", "m_minus", "m3"), build_M(basis, d)))
+    ops["n3"] = _ladder(basis, _boost_terms(readings[0])[2], d, coeffs)
+    ops["n3_tilde"] = build_N3_tilde(ops["n3"], basis, d)
+    shared = _eq4_lines(ops, d, c_scalar, lines=("line01", "line02", "other1", "other2", "other3"))
+    rows: dict = {}
+
+    def row(term) -> np.ndarray:
+        if term not in rows:
+            rows[term] = _ladder(basis, (term,), d, coeffs).data[0]
+        return rows[term]
+
+    per_stack = max(1, _STACK_COLUMNS // basis.dim)
+    scores = []
+    for start in range(0, len(readings), per_stack):
+        group = readings[start : start + per_stack]
+        grid = StackedBasis(basis, len(group))
+        stacked = {
+            name: OperatorMatrix(grid, op.steps, np.tile(op.data, len(group))) for name, op in ops.items()
+        }
+        for name, k in (("n_plus", 0), ("n_minus", 1)):
+            terms = [_boost_terms(r)[k] for r in group]
+            data = np.hstack([[row(t) for t in ts] for ts in terms])
+            stacked[name] = OperatorMatrix(grid, tuple((t.dj, t.dm) for t in terms[0]), data)
+        lines = {**shared, **_eq4_lines(stacked, d, c_scalar, lines=_EQ4_LINES[2:10])}
+        swapped = {**lines, **_eq4_lines(stacked, d, c_scalar, 1, ("line04", "line05"))}
+        # summed in the suite's record order, so each float sum is the suite's
+        sums = [sum(r / s for r, s in (pairs[line] for line in _EQ4_LINES)) for pairs in (lines, swapped)]
+        scores += zip(sums[0].tolist(), sums[1].tolist())
+    return scores
+
+
 def _eq1_score(tri: SuQ2Triple, d: Deformation, conv: ConventionId) -> float:
     total = 0.0
     for tensor, name in zip(_st_vectors(tri, d, conv), "ST"):
@@ -797,10 +857,13 @@ def resolve_conventions(
     lexicographically smallest convention list.  Returns the winner and the
     full score table.
 
-    Built once per call: the label's basis, rotations and lines 01/02; per
-    consistent exponent reading only N+, N-, N3, N3~ and lines 03-10 and
-    other1-3 (no invariant, no generator set), plus lines 04/05 for the
-    swapped pairing; one spin-j triple; the two spinor chiral sets.
+    Built once per call: the label's basis, a_j and c_j, rotations, N3 and
+    N3~, each distinct boost term, and the lines that read no N+/N- (01, 02,
+    other1-3); one spin-j triple; the two spinor chiral sets.  The 18
+    consistent exponent readings differ only in N+ and N-: they are scored
+    side by side as copies of one `StackedBasis`, one pass of lines 03-10
+    for them all plus lines 04/05 for the swapped pairing (no invariant, no
+    generator set).
     """
     if d is None:
         d = label.d if label is not None else Deformation(1.3)
@@ -819,28 +882,25 @@ def resolve_conventions(
     # pairing only decides which diagonal boost lines 04/05 read.  A reading
     # whose N+/N- steps break their selection rule scores inf.
     if label is not None:
-        c_scalar = casimir_eigenvalue(label)
         basis = build_basis(label, j_max if j_max is not None else label.l0 + 4)
-        ops = dict(zip(("m_plus", "m_minus", "m3"), build_M(basis, label.d)))
-        rotation_lines = _eq4_lines(ops, label.d, c_scalar, lines=_EQ4_LINES[:2])
         exponents = ("n_mid_exp", "n_down_dm", "n_first_shift", "n_third_shift")
-        scored = []
-        for values in itertools.product(*(options[f] for f in exponents)):
-            reading = ConventionId(**dict(zip(exponents, values)))
-            convs = [replace(reading, line45_swap=sw) for sw in options["line45_swap"]]
+        readings = [
+            ConventionId(**dict(zip(exponents, values)))
+            for values in itertools.product(*(options[f] for f in exponents))
+        ]
+        consistent = []
+        for reading in readings:
             try:
                 _check_boost_steps(reading)
             except ConstructionInconsistencyError:
-                scored += [(math.inf, conv) for conv in convs]
                 continue
-            ops.update(zip(("n_plus", "n_minus", "n3"), build_N(basis, label, reading)))
-            ops["n3_tilde"] = build_N3_tilde(ops["n3"], basis, label.d)
-            lines = {**rotation_lines, **_eq4_lines(ops, label.d, c_scalar, lines=_EQ4_LINES[2:])}
-            for conv in convs:
-                if conv.line45_swap:
-                    lines.update(_eq4_lines(ops, label.d, c_scalar, 1, ("line04", "line05")))
-                # summed in the suite's record order, so the float sum is the suite's
-                scored.append((sum(r / s for r, s in lines.values()), conv))
+            consistent.append(reading)
+        scores = dict(zip(consistent, _boost_scores(label, basis, consistent)))
+        scored = [
+            (scores[reading][sw] if reading in scores else math.inf, replace(reading, line45_swap=sw))
+            for reading in readings
+            for sw in options["line45_swap"]
+        ]
         pick("boost_exponents", scored, exponents + ("line45_swap",))
 
     # axis group 2: vector-operator scalar prefactor

@@ -183,6 +183,43 @@ def test_reduction_inverse_catches_at_least_the_dense_record_plants(l0, l1, q):
     assert caught >= dense > 0
 
 
+def max_norm_difference_passes(cs):
+    """The eq28.difference record the componentwise check replaced: the max-norm
+    residual against max(1, |lhs1|max) * max(1, |I3^L - I3^R|max)."""
+    eye = OperatorMatrix.diagonal(cs.I3_L.basis, 1.0)
+    lhs1 = eye + cs.d.alpha * (cs.I3_L_tilde + cs.I3_R_tilde)
+    d3 = cs.I3_L - cs.I3_R
+    residual = (cs.I3_L_tilde - cs.I3_R_tilde - lhs1 @ d3).max_norm
+    return residual <= TIER1_TOL * max(1.0, lhs1.max_norm) * max(1.0, d3.max_norm)
+
+
+def entry_plants(cs, rel=1e-8):
+    """Copies of cs with a relative error in one nonzero entry of one of the
+    four diagonal generators each."""
+    for name in ("I3_L", "I3_R", "I3_L_tilde", "I3_R_tilde"):
+        op = getattr(cs, name)
+        for s, k in zip(*np.nonzero(op.data)):
+            data = op.data.copy()
+            data[s, k] *= 1 + rel
+            yield replace(cs, **{name: OperatorMatrix(op.basis, op.steps, data)})
+
+
+@pytest.mark.parametrize("q,rel", [(0.1, 1e-4), (0.5, 1e-8), (1.3, 1e-8), (2.0, 1e-8)])
+@pytest.mark.parametrize("l0,l1", [("0", 2.7j), ("1", 1 - 0.5j), ("2", 5)])
+def test_reduction_difference_catches_every_max_norm_record_plant(l0, l1, q, rel):
+    # at q = 0.1 the max-norm record catches no 1e-8 plant
+    cs = chiral_for(l0, l1, q, extra=8)
+    assert by_id(check_reduction_identities(cs), "eq28.difference").passed
+    assert max_norm_difference_passes(cs)
+    caught = old = 0
+    for planted in entry_plants(cs, rel):
+        new_caught = not by_id(check_reduction_identities(planted), "eq28.difference").passed
+        old_caught = not max_norm_difference_passes(planted)
+        assert new_caught or not old_caught
+        caught, old = caught + new_caught, old + old_caught
+    assert caught > old > 0
+
+
 # ---------------------------------------------------------------- adjoint
 
 

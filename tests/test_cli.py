@@ -514,15 +514,25 @@ def test_build_counts(monkeypatch, tmp_path, args, n_builds):
 
 
 def test_conventions_builds_one_label_basis_and_each_consistent_reading_once(monkeypatch, tmp_path):
-    # the 36 boost-exponent readings share one basis; the 18 whose N+/N- steps
-    # break their selection rule are rejected before build_N, and the other
-    # 18 are each built once for both line-04/05 pairings (the two spinor
-    # sets of the coproduct axis make the other bases and boosts)
+    # the 36 boost-exponent readings share one basis and one evaluation of the
+    # label's a_j, c_j; the 18 whose N+/N- steps break their selection rule
+    # are rejected before any matrix.  The other 18 differ only in N+ and N-,
+    # whose terms each depend on one exponent axis: 3 + 2 + 3 distinct terms
+    # per boost, each built once, and no build_N.  N3 and N3~ read no
+    # exponent and are built once (the two spinor sets of the coproduct axis
+    # make the other bases and boosts)
     args = ["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"]
-    calls = _calls(monkeypatch, tmp_path, args, "build_basis", "build_N")
-    bases, boosts = ([c for c in calls[name] if "l1=(0.5+0j)" in c] for name in ("build_basis", "build_N"))
-    assert len(bases) == 1
-    assert len(boosts) == len(set(boosts)) == 18
+    names = ("build_basis", "build_N", "build_N3_tilde", "coeff_a", "coeff_c", "_ladder")
+    calls = _calls(monkeypatch, tmp_path, args, *names)
+    basis = "Basis(spins=(HalfInt(2), HalfInt(4), HalfInt(6), HalfInt(8), HalfInt(10)), j_max=HalfInt(10))"
+    of_label = {name: [c for c in calls[name] if "l1=(0.5+0j)" in c or basis in c] for name in names}
+    assert len(of_label["build_basis"]) == 1
+    assert of_label["build_N"] == []
+    assert len(of_label["coeff_a"]) == len(set(of_label["coeff_a"])) == 5  # spins 1..5
+    assert len(of_label["coeff_c"]) == len(set(of_label["coeff_c"])) == 6  # and c_6 of the top coupling
+    assert len(of_label["build_N3_tilde"]) == 1
+    ladders = of_label["_ladder"]
+    assert len(ladders) == len(set(ladders)) == 2 + 1 + 16  # M+ and M-, N3, each N+/N- term
 
 
 # ---------------------------------------------------------------- JSON bytes

@@ -14,6 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import qlorentz.verify as verify  # noqa: E402
 from qlorentz.cli import main  # noqa: E402
 from qlorentz.qarith import Deformation, HalfInt  # noqa: E402
 from qlorentz.repcore import RepLabel  # noqa: E402
@@ -21,6 +22,8 @@ from qlorentz.matrep import (  # noqa: E402
     GENERATOR_PATTERNS,
     Basis,
     OperatorMatrix,
+    StackedBasis,
+    build_basis,
     build_generator_set,
     export_matrix,
     import_matrix,
@@ -93,6 +96,71 @@ def test_algebra_matches_dense(pair, z):
     nz = np.nonzero(da)
     assert rows.tolist() == nz[0].tolist() and cols.tolist() == nz[1].tolist()
     np.testing.assert_array_equal(vals, da[nz])
+
+
+@st.composite
+def stacked_pairs(draw):
+    """Two operators on k copies of one basis, each copy on the same steps
+    (as the resolver's readings are), plus the per-copy operators."""
+    kind = draw(st.sampled_from(("truncated", "finite", "single")))
+    base = _basis(kind, draw(st.integers(0, 3)), draw(st.integers(1, 4)))
+    grid = StackedBasis(base, draw(st.sampled_from((1, 2, 5))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    pair = []
+    for _ in range(2):
+        steps = tuple(draw(st.lists(step, min_size=1, max_size=4, unique=True)))
+        shape = (len(steps), grid.dim)
+        data = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.7)
+        data[grid._row_stack(steps) < 0] = 0
+        stacked = OperatorMatrix(grid, steps, data)
+        copies = [OperatorMatrix(base, steps, block) for block in np.hsplit(data, grid.copies)]
+        pair.append((stacked, copies))
+    return pair
+
+
+def _assert_blocks(stacked, copies):
+    assert all(stacked.steps == op.steps for op in copies)
+    for block, op in zip(np.hsplit(stacked.data, len(copies)), copies):
+        assert np.ascontiguousarray(block).tobytes() == op.data.tobytes()
+
+
+@SETTINGS
+@given(
+    stacked_pairs(),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=5, allow_nan=False, allow_infinity=False),
+)
+def test_stacked_algebra_matches_each_copy_bitwise(pair, z):
+    (a, a_copies), (b, b_copies) = pair
+    _assert_blocks(a @ b, [x @ y for x, y in zip(a_copies, b_copies)])
+    _assert_blocks(a + b, [x + y for x, y in zip(a_copies, b_copies)])
+    _assert_blocks(a - b, [x - y for x, y in zip(a_copies, b_copies)])
+    _assert_blocks(z * a, [z * x for x in a_copies])
+    _assert_blocks(a / z, [x / z for x in a_copies])
+    _assert_blocks(a.dagger(), [x.dagger() for x in a_copies])
+    mask = a.basis.base.interior_columns(2)
+    assert a.block_max(np.tile(mask, len(a_copies))).tolist() == [x.masked_max(mask) for x in a_copies]
+    assert a.block_max().tolist() == [x.max_norm for x in a_copies]
+
+
+@pytest.mark.parametrize("l0,l1,q", [("1", 2.1j, 1.3), ("1/2", 1.5 - 0.7j, 0.5), ("2", 5, 2.0)])
+def test_resolver_scores_do_not_depend_on_the_stack_cap(monkeypatch, l0, l1, q):
+    label = RepLabel(HalfInt.parse(l0), l1, Deformation(q))
+    dim = build_basis(label, label.l0 + 4).dim
+    stacks = []
+
+    def recording(base, copies):
+        stacks.append(copies)
+        return StackedBasis(base, copies)
+
+    monkeypatch.setattr(verify, "StackedBasis", recording)
+    results = []
+    for cap, want in ((1, [1] * 18), (18 * dim, [18])):
+        monkeypatch.setattr(verify, "_STACK_COLUMNS", cap)
+        results.append(verify.resolve_conventions(label, 2, label.d))
+        assert stacks == want
+        stacks.clear()
+    assert results[0] == results[1]
 
 
 @SETTINGS
