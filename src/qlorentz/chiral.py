@@ -232,23 +232,20 @@ def check_reduction_identities(
     generator-built set (the boost parts cancel in the sums).  Each is checked
     entry by entry against its componentwise rounding bound (Higham 2002,
     3.5), the first as a product with bound
-    (1 + |alpha||I3t^L + I3t^R|)(1 + |alpha||I3^L + I3^R|), the second with
-    bound |I3t^L| + |I3t^R| + (1 + |alpha|(|I3t^L| + |I3t^R|))(|I3^L| + |I3^R|),
-    which also covers the rounding of the stored boost parts that cancel in
-    its sums; a record holds the residual and bound of the entry with the
-    worst ratio.
+    (1 + |alpha|(|I3t^L| + |I3t^R|))(1 + |alpha|(|I3^L| + |I3^R|)), the second
+    with bound |I3t^L| + |I3t^R| + (1 + |alpha|(|I3t^L| + |I3t^R|))(|I3^L| + |I3^R|).
+    Both take the operands' magnitudes, not those of their sums, so they also
+    cover the rounding of the stored boost parts that cancel in the sums; a
+    record holds the residual and bound of the entry with the worst ratio.
     """
     a = cs.d.alpha
     eye = OperatorMatrix.diagonal(cs.I3_L.basis, 1.0)
-    sum3, sum3t = cs.I3_L + cs.I3_R, cs.I3_L_tilde + cs.I3_R_tilde
-    lhs1 = eye + a * sum3t
-    inverse = _worst_entry(
-        lhs1 @ (eye - a * sum3) - eye, (eye + abs(a) * sum3t.abs()) @ (eye + abs(a) * sum3.abs())
-    )
-    abs3t = cs.I3_L_tilde.abs() + cs.I3_R_tilde.abs()
+    lhs1 = eye + a * (cs.I3_L_tilde + cs.I3_R_tilde)
+    abs3, abs3t = cs.I3_L.abs() + cs.I3_R.abs(), cs.I3_L_tilde.abs() + cs.I3_R_tilde.abs()
+    abs_lhs1 = eye + abs(a) * abs3t
+    inverse = _worst_entry(lhs1 @ (eye - a * (cs.I3_L + cs.I3_R)) - eye, abs_lhs1 @ (eye + abs(a) * abs3))
     difference = _worst_entry(
-        (cs.I3_L_tilde - cs.I3_R_tilde) - lhs1 @ (cs.I3_L - cs.I3_R),
-        abs3t + (eye + abs(a) * abs3t) @ (cs.I3_L.abs() + cs.I3_R.abs()),
+        (cs.I3_L_tilde - cs.I3_R_tilde) - lhs1 @ (cs.I3_L - cs.I3_R), abs3t + abs_lhs1 @ abs3
     )
     tier = 1 if cs.factors is None else 2
     tol = tols.of(tier)
@@ -280,10 +277,9 @@ def check_chiral_adjoint(gens: GeneratorSet, tols: Tolerances = Tolerances()) ->
     """
     label, j_max, conv = gens.label, gens.basis.j_max, gens.convention
     partner = conjugate_partner(label)
-    gp_inv = build_generator_set(
-        RepLabel(partner.l0, partner.l1, label.d.inverse()), j_max, conv
-    )
-    gp_same = build_generator_set(partner, j_max, conv)
+    # both partners are built on the set's own basis
+    gp_inv = build_generator_set(RepLabel(partner.l0, partner.l1, label.d.inverse()), j_max, conv, gens.basis)
+    gp_same = build_generator_set(partner, j_max, conv, gens.basis)
     cs = build_chiral(gens)
     cp_inv = build_chiral(gp_inv)
     cp_same = build_chiral(gp_same)
@@ -339,6 +335,13 @@ def spinor_labels(d: Deformation) -> tuple[RepLabel, RepLabel]:
     return RepLabel(half, 1.5, d), RepLabel(half, -1.5, d)
 
 
+def _spinor_chiral_sets(d: Deformation) -> tuple[ChiralSet, ChiralSet]:
+    """Chiral sets of the two spinor representations, built on one basis."""
+    tau, tau_tilde = spinor_labels(d)
+    g = build_generator_set(tau, tau.l0)
+    return build_chiral(g), build_chiral(build_generator_set(tau_tilde, tau_tilde.l0, basis=g.basis))
+
+
 def check_spinor_annihilation(d: Deformation) -> VerificationReport:
     """One full chirality vanishes on each 2-dimensional representation.
 
@@ -347,8 +350,7 @@ def check_spinor_annihilation(d: Deformation) -> VerificationReport:
     and records which sign of l1 kills which side.
     """
     tau, tau_tilde = spinor_labels(d)
-    cs = build_chiral(build_generator_set(tau, tau.l0))
-    cst = build_chiral(build_generator_set(tau_tilde, tau_tilde.l0))
+    cs, cst = _spinor_chiral_sets(d)
 
     def family_norm(c: ChiralSet, side: str) -> float:
         return max(op.max_norm for op in c.triple(side).values())

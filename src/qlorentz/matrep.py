@@ -93,7 +93,8 @@ class _Grid:
 
     A step is a tuple of ints that moves every state to another one (or out
     of the basis).  The rows a step reaches and the index plans of the
-    operator algebra are computed once per instance and kept in its `_cache`.
+    operator algebra (on a `Basis` also the builders' term plans and q
+    tables) are computed once per instance and kept in its `_cache`.
     A grid is `copies` independent copies of one basis side by side (1 but
     for a `StackedBasis`).
     """
@@ -109,16 +110,22 @@ class _Grid:
 
     def rows(self, step: tuple) -> np.ndarray:
         """Row reached from each column by `step`; -1 where it leaves the basis."""
+        return self._rows((step,))[0]
 
-        def make():
-            rows = self._target(step)
-            rows.setflags(write=False)
-            return rows
+    def _rows(self, steps: tuple) -> list[np.ndarray]:
+        """`rows` of each step; those not cached yet are computed together."""
+        missing = [s for s in dict.fromkeys(steps) if ("rows", s) not in self._cache]
+        if missing:
+            for s, rows in zip(missing, self._targets(missing)):
+                rows.setflags(write=False)
+                self._cache["rows", s] = rows
+        return [self._cache["rows", s] for s in steps]
 
-        return self._cached(("rows", step), make)
+    def _targets(self, steps: list) -> list[np.ndarray]:
+        return [self._target(s) for s in steps]
 
     def _row_stack(self, steps: tuple) -> np.ndarray:
-        return self._cached(("stack", steps), lambda: np.stack([self.rows(s) for s in steps]))
+        return self._cached(("stack", steps), lambda: np.stack(self._rows(steps)))
 
     def product(self, other: "_Grid") -> "ProductBasis":
         """The tensor product basis self x other, one instance per pair while in
@@ -217,9 +224,9 @@ class Basis(_Grid):
         rows = self.starts[np.where(valid, k2 // 2, 0)] + (tm2 + tj2) // 2
         return valid, np.where(valid, rows, -1)
 
-    def _target(self, step: tuple) -> np.ndarray:
-        dj, dm = step
-        return self.locate(self.j2 + 2 * dj, self.m2 + 2 * dm)[1]
+    def _targets(self, steps: list) -> np.ndarray:
+        shift = 2 * np.array(steps)
+        return self.locate(self.j2 + shift[:, :1], self.m2 + shift[:, 1:])[1]
 
     def step_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """(n, 2) steps leading from cols to rows."""
@@ -596,10 +603,10 @@ class _Term(NamedTuple):
     qexp: Optional[tuple[int, int, int]]
 
 
-_ROTATION_TERMS = {
-    "m_plus": (_Term(0, 1, None, ((1, -1, 0), (1, 1, 1)), (0, -1, -1)),),
-    "m_minus": (_Term(0, -1, None, ((1, 1, 0), (1, -1, 1)), (0, 1, -1)),),
-}
+_ROTATION_TERMS = (  # M+, M-
+    (_Term(0, 1, None, ((1, -1, 0), (1, 1, 1)), (0, -1, -1)),),
+    (_Term(0, -1, None, ((1, 1, 0), (1, -1, 1)), (0, 1, -1)),),
+)
 
 
 def _boost_terms(conv: ConventionId) -> tuple[tuple[_Term, ...], ...]:
@@ -626,45 +633,106 @@ def _boost_terms(conv: ConventionId) -> tuple[tuple[_Term, ...], ...]:
     )
 
 
+# rows of the coefficient table `_ladder` reads, as `_Term.coef` names them
+_COEF_ROWS = (None, "a", "-a", "c", "-c", "c1", "-c1")
+
+
+def _reach(basis: Basis) -> tuple[int, int]:
+    """(reach, stride) of the keys a term table can read on `basis`: twice a
+    bracket argument and a q-power in quarters both lie in [-reach, reach]
+    (|sj|, |sm| <= 1 and a shift of at most 2 units), and a bracket key is
+    even on a basis of integer spins."""
+    top = basis.spins[-1].twice
+    return 2 * top + 4, 1 if top % 2 else 2
+
+
+def _q_tables(basis: Basis, d: Deformation) -> tuple[np.ndarray, np.ndarray]:
+    """[t/2] and q^(e/4) at every key of `_reach`, made once per (basis, q) by
+    the scalar `q_number` and `math.exp`, one call per key, and kept in the
+    basis's cache with its rows and plans."""
+
+    def make():
+        reach, stride = _reach(basis)
+        lnq = math.log(d.q)
+        brackets = np.array([q_number(t / 2, d) for t in range(-reach, reach + 1, stride)])
+        powers = np.array([math.exp(e / 4 * lnq) for e in range(-reach, reach + 1)])
+        return brackets, powers
+
+    return basis._cached(("q", d), make)
+
+
+def _term_plan(basis: Basis, terms: tuple[_Term, ...]):
+    """Where a term table reads its tables on `basis`, for the entries whose
+    target lies in the basis: the mask of those entries in the (term, column)
+    value rows, each entry's two bracket keys (a one-bracket term reads its
+    bracket twice), whether it has one bracket, its coefficient's place in
+    the flat (`_COEF_ROWS`, block) table and its q-power key."""
+
+    def make():
+        reach, stride = _reach(basis)
+        valid = basis._row_stack(tuple((t.dj, t.dm) for t in terms)) >= 0
+        # per term: (sj, sm, k) of the first and last bracket, (sj, sm,
+        # quarters) of the q-power, the bracket count and the coefficient row
+        p = np.array(
+            [
+                (*t.brackets[0], *t.brackets[-1], *(t.qexp or (0, 0, 0)), len(t.brackets), _COEF_ROWS.index(t.coef))
+                for t in terms
+            ]
+        ).T[..., None]
+        j2, m2 = basis.j2, basis.m2
+        keys = np.stack([(p[i] * j2 + p[i + 1] * m2 + 2 * p[i + 2])[valid] for i in (0, 3)], axis=1)
+        power = (p[6] * j2 + p[7] * m2 + p[8])[valid]
+        single = np.broadcast_to(p[9] == 1, valid.shape)[valid]
+        coef = (p[10] * len(basis.spins) + (j2 - j2[0]) // 2)[valid]
+        return valid, (keys + reach) // stride, single, coef, power + reach
+
+    return basis._cached(("terms", terms), make)
+
+
 def _ladder(
     basis: Basis, terms: tuple[_Term, ...], d: Deformation, coeffs: Optional[dict] = None
-) -> OperatorMatrix:
-    """Matrix of a term table, one value row per term.
+) -> np.ndarray:
+    """Value rows of a term table on `basis`, one row per term.
 
-    Targets outside the basis are dropped.  Brackets and q-powers come from
-    the scalar code, once per distinct argument; numpy only negates,
-    multiplies and takes square roots, which round exactly as the scalar
-    operations do, so entries are independent of how they are batched.
-    coeffs maps "a", "c", "c1" to per-block values.
+    The whole table is evaluated in one pass over the entries whose target
+    lies in the basis (the others are 0): brackets and q-powers are looked up
+    in the basis's tables at q (`_q_tables`), which hold the scalar code's
+    values; numpy then takes one square root per two-bracket entry and
+    multiplies by the coefficient and the q-power, which round exactly as
+    the scalar operations do, so entries do not depend on how terms are
+    batched.  The sum into zeros turns -0.0 into +0.0, as the per-entry
+    reference does.  coeffs maps "a", "c", "c1" to per-block values.
     """
-    lnq = math.log(d.q)
+    valid, keys, single, coef, power = _term_plan(basis, terms)
+    brackets, powers = _q_tables(basis, d)
+    x = brackets[keys]
+    val = np.where(single, x[:, 0], np.sqrt(x[:, 0] * x[:, 1]))
+    table = [np.ones(len(basis.spins), dtype=np.complex128)]
+    if coeffs is not None:
+        table += [v for k in ("a", "c", "c1") for v in (coeffs[k], -coeffs[k])]
+    val = np.concatenate(table)[coef] * val * powers[power]
     data = np.zeros((len(terms), basis.dim), dtype=np.complex128)
-    for s, (dj, dm, coef, brackets, qexp) in enumerate(terms):
-        cols = np.flatnonzero(basis.rows((dj, dm)) >= 0)
-        j2, m2 = basis.j2[cols], basis.m2[cols]
-        qn = [
-            _gather(lambda t: q_number(t / 2, d), sj * j2 + sm * m2 + 2 * k)
-            for sj, sm, k in brackets
-        ]
-        val = np.sqrt(qn[0] * qn[1]) if len(qn) == 2 else qn[0]
-        if coef is not None:
-            c = coeffs[coef.lstrip("-")][(j2 - basis.j2[0]) // 2]
-            val = (-c if coef.startswith("-") else c) * val
-        if qexp is not None:
-            sj, sm, quarters = qexp
-            val = val * _gather(lambda e: math.exp(e / 4 * lnq), quarters + sj * j2 + sm * m2)
-        data[s, cols] += val
-    return OperatorMatrix(basis, tuple((t.dj, t.dm) for t in terms), data)
+    data[valid] += val
+    return data
+
+
+def _ladders(
+    basis: Basis, tables: tuple[tuple[_Term, ...], ...], d: Deformation, coeffs: Optional[dict] = None
+) -> list[OperatorMatrix]:
+    """One operator per term table, all tables evaluated in one `_ladder` pass."""
+    rows = _ladder(basis, sum(tables, ()), d, coeffs)
+    ops, start = [], 0
+    for terms in tables:
+        ops.append(OperatorMatrix(basis, tuple((t.dj, t.dm) for t in terms), rows[start : start + len(terms)]))
+        start += len(terms)
+    return ops
 
 
 def build_M(basis: Basis, d: Deformation) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """Rotation generators: raising/lowering within each spin block, weight on
     the diagonal.  Entries are real; M3 is exact (half-integers are binary)."""
-    return (
-        _ladder(basis, _ROTATION_TERMS["m_plus"], d),
-        _ladder(basis, _ROTATION_TERMS["m_minus"], d),
-        OperatorMatrix.diagonal(basis, basis.m2 / 2 + 0j),
-    )
+    mp, mm = _ladders(basis, _ROTATION_TERMS, d)
+    return mp, mm, OperatorMatrix.diagonal(basis, basis.m2 / 2 + 0j)
 
 
 def build_N(
@@ -678,8 +746,7 @@ def build_N(
     the top coupling is exactly zero anyway, for truncated bases this is the
     truncation boundary.
     """
-    coeffs = _boost_coeffs(basis, label)
-    return tuple(_ladder(basis, terms, label.d, coeffs) for terms in _boost_terms(conv))
+    return tuple(_ladders(basis, _boost_terms(conv), label.d, _boost_coeffs(basis, label)))
 
 
 def _boost_coeffs(basis: Basis, label: RepLabel) -> dict[str, np.ndarray]:
@@ -769,14 +836,25 @@ def build_generator_set(
     label: RepLabel,
     j_max: Optional[HalfInt] = None,
     conv: ConventionId = DEFAULT_CONVENTION,
+    basis: Optional[Basis] = None,
 ) -> GeneratorSet:
     """Full generator set for a label (j_max defaults to l0 + 8 when needed); a
     convention whose boost terms break their selection rules cannot satisfy
-    the algebra and raises `ConstructionInconsistencyError`."""
+    the algebra and raises `ConstructionInconsistencyError`.
+
+    A sibling of a set already built (the same label at 1/q, its conjugate
+    partner, another q) passes that set's `basis` to be built on it, so the
+    rows, index plans and q tables the basis keeps serve both; it must equal
+    the label's own basis, else ValueError.
+    """
     if j_max is None:
         j_max = label.l0 + 8
     _check_boost_steps(conv)
-    basis = build_basis(label, j_max)
+    own = build_basis(label, j_max)
+    if basis is None:
+        basis = own
+    elif basis != own:
+        raise ValueError(f"{label} has the basis {own}, not the shared {basis}")
     mp, mm, m3 = build_M(basis, label.d)
     np_, nm, n3 = build_N(basis, label, conv)
     n3t = build_N3_tilde(n3, basis, label.d)
@@ -817,10 +895,7 @@ def suq2_matrices(two_j: int, d: Deformation) -> SuQ2Triple:
         raise ValueError(f"need two_j >= 1, got {two_j}")
     basis = Basis(spins=(HalfInt(two_j),))
     # the rotation ladder without its q-tensor dressing (no q-power)
-    mp, mm = (
-        _ladder(basis, tuple(t._replace(qexp=None) for t in _ROTATION_TERMS[name]), d)
-        for name in ("m_plus", "m_minus")
-    )
+    mp, mm = _ladders(basis, tuple(tuple(t._replace(qexp=None) for t in ts) for ts in _ROTATION_TERMS), d)
     m3 = OperatorMatrix.diagonal(basis, basis.m2 / 2 + 0j)
     return SuQ2Triple(basis=basis, m_plus=mp, m_minus=mm, m3=m3)
 

@@ -37,6 +37,8 @@ class HalfInt:
     twice: int
 
     def __post_init__(self):
+        if type(self.twice) is int:  # the common case, without the ABC check
+            return
         if isinstance(self.twice, bool) or not isinstance(self.twice, numbers.Integral):
             raise TypeError(f"HalfInt.twice must be an integer, got {type(self.twice).__name__}")
         object.__setattr__(self, "twice", int(self.twice))

@@ -436,7 +436,7 @@ def check_q_adjoint(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> Veri
     """
     label = gens.label
     label_inv = RepLabel(label.l0, label.l1, label.d.inverse())
-    gi = build_generator_set(label_inv, gens.basis.j_max, gens.convention)
+    gi = build_generator_set(label_inv, gens.basis.j_max, gens.convention, gens.basis)
     unitary = classify(label).unitary != "non_unitary"
     n_tier = 1 if unitary else 2
 
@@ -730,21 +730,23 @@ def classical_limit_compare(
     # matrix is left out: its assembly divides by q^(1/2) - q^(-1/2), which
     # amplifies roundoff as 1/eps near the classical point; its limit is
     # checked through the well-conditioned scalar i[l0][l1] instead.
-    def deviations(e: float) -> dict[str, float]:
-        lab = RepLabel(label_l0, label_l1, Deformation(1.0 + e))
-        g = build_generator_set(lab, j_max, conv)
+    def build(e: float, basis: Optional[Basis] = None) -> GeneratorSet:
+        return build_generator_set(RepLabel(label_l0, label_l1, Deformation(1.0 + e)), j_max, conv, basis)
+
+    def deviations(g: GeneratorSet) -> dict[str, float]:
         out = {}
         for name, op in g.matrices().items():
             if name == "casimir":
                 continue
             out[name] = float(np.max(np.abs(op.toarray() - oracle.matrices()[name])))
         out["casimir_scalar"] = abs(
-            casimir_eigenvalue(lab) - 1j * float(label_l0) * complex(label_l1)
+            casimir_eigenvalue(g.label) - 1j * float(label_l0) * complex(label_l1)
         )
         return out
 
-    dev1 = deviations(eps)
-    dev2 = deviations(eps / 10.0)
+    g1 = build(eps)
+    dev1 = deviations(g1)
+    dev2 = deviations(build(eps / 10.0, g1.basis))  # the eps/10 build shares the basis
     tol = 100.0 * eps
 
     rep = VerificationReport(
@@ -794,24 +796,21 @@ def _boost_scores(
     """Summed relative residual of the defining lines for each exponent
     reading, under the printed and the swapped line-04/05 pairing.
 
-    Each N+/N- term depends on one exponent axis, so each distinct term row
-    is built once and the readings share them; N3, N3~ and the rotations read
-    no exponent.  Lines 03-10 run on stacks of readings side by side, with
-    the same arithmetic per column as on one reading, so the scores are
-    bitwise those of one set per reading.
+    Each N+/N- term depends on one exponent axis, so N3 and the distinct
+    N+/N- terms of all readings are evaluated in one `_ladder` pass and the
+    readings share their rows; N3, N3~ and the rotations read no exponent.
+    Lines 03-10 run on stacks of readings side by side, with the same
+    arithmetic per column as on one reading, so the scores are bitwise those
+    of one set per reading.
     """
     d, c_scalar = label.d, casimir_eigenvalue(label)
-    coeffs = _boost_coeffs(basis, label)
+    n3_terms = _boost_terms(readings[0])[2]
+    distinct = tuple(dict.fromkeys(n3_terms + sum((sum(_boost_terms(r)[:2], ()) for r in readings), ())))
+    rows = dict(zip(distinct, _ladder(basis, distinct, d, _boost_coeffs(basis, label))))
     ops = dict(zip(("m_plus", "m_minus", "m3"), build_M(basis, d)))
-    ops["n3"] = _ladder(basis, _boost_terms(readings[0])[2], d, coeffs)
+    ops["n3"] = OperatorMatrix(basis, tuple((t.dj, t.dm) for t in n3_terms), [rows[t] for t in n3_terms])
     ops["n3_tilde"] = build_N3_tilde(ops["n3"], basis, d)
     shared = _eq4_lines(ops, d, c_scalar, lines=("line01", "line02", "other1", "other2", "other3"))
-    rows: dict = {}
-
-    def row(term) -> np.ndarray:
-        if term not in rows:
-            rows[term] = _ladder(basis, (term,), d, coeffs).data[0]
-        return rows[term]
 
     per_stack = max(1, _STACK_COLUMNS // basis.dim)
     scores = []
@@ -823,7 +822,7 @@ def _boost_scores(
         }
         for name, k in (("n_plus", 0), ("n_minus", 1)):
             terms = [_boost_terms(r)[k] for r in group]
-            data = np.hstack([[row(t) for t in ts] for ts in terms])
+            data = np.hstack([[rows[t] for t in ts] for ts in terms])
             stacked[name] = OperatorMatrix(grid, tuple((t.dj, t.dm) for t in terms[0]), data)
         lines = {**shared, **_eq4_lines(stacked, d, c_scalar, lines=_EQ4_LINES[2:10])}
         swapped = {**lines, **_eq4_lines(stacked, d, c_scalar, 1, ("line04", "line05"))}
@@ -911,9 +910,9 @@ def resolve_conventions(
 
     # axis group 3: coproduct grouplike for the lowering right generator,
     # scored on the mixed spinor product where the readings differ
-    from .chiral import build_chiral, check_chiral_relations, coproduct, spinor_labels
+    from .chiral import _spinor_chiral_sets, check_chiral_relations, coproduct
 
-    cs_tau, cs_taut = (build_chiral(build_generator_set(t, t.l0)) for t in spinor_labels(d))
+    cs_tau, cs_taut = _spinor_chiral_sets(d)
     # both alive at once, so they share one weakly held ProductBasis and its index plans
     products = [
         coproduct(cs_tau, cs_taut, ConventionId(cop_r_grouplike=rg)) for rg in options["cop_r_grouplike"]

@@ -194,14 +194,14 @@ def max_norm_difference_passes(cs):
 
 
 def entry_plants(cs, rel=1e-8):
-    """Copies of cs with a relative error in one nonzero entry of one of the
-    four diagonal generators each."""
+    """(step, copy of cs) with a relative error in one nonzero entry of one of
+    the four diagonal generators each."""
     for name in ("I3_L", "I3_R", "I3_L_tilde", "I3_R_tilde"):
         op = getattr(cs, name)
         for s, k in zip(*np.nonzero(op.data)):
             data = op.data.copy()
             data[s, k] *= 1 + rel
-            yield replace(cs, **{name: OperatorMatrix(op.basis, op.steps, data)})
+            yield op.steps[s], replace(cs, **{name: OperatorMatrix(op.basis, op.steps, data)})
 
 
 @pytest.mark.parametrize("q,rel", [(0.1, 1e-4), (0.5, 1e-8), (1.3, 1e-8), (2.0, 1e-8)])
@@ -212,12 +212,56 @@ def test_reduction_difference_catches_every_max_norm_record_plant(l0, l1, q, rel
     assert by_id(check_reduction_identities(cs), "eq28.difference").passed
     assert max_norm_difference_passes(cs)
     caught = old = 0
-    for planted in entry_plants(cs, rel):
+    for _, planted in entry_plants(cs, rel):
         new_caught = not by_id(check_reduction_identities(planted), "eq28.difference").passed
         old_caught = not max_norm_difference_passes(planted)
         assert new_caught or not old_caught
         caught, old = caught + new_caught, old + old_caught
     assert caught > old > 0
+
+
+def sum_bound_inverse_ratio(cs):
+    """Worst |R|/bound of the eq28.inverse record whose bound took the
+    magnitudes of the sums, (1 + |alpha||I3t^L + I3t^R|)(1 + |alpha||I3^L + I3^R|)."""
+    a = cs.d.alpha
+    eye = OperatorMatrix.diagonal(cs.I3_L.basis, 1.0)
+    sum3, sum3t = cs.I3_L + cs.I3_R, cs.I3_L_tilde + cs.I3_R_tilde
+    resid = (eye + a * sum3t) @ (eye - a * sum3) - eye
+    bound = (eye + abs(a) * sum3t.abs()) @ (eye + abs(a) * sum3.abs())
+    assert resid.steps == bound.steps
+    r, b = np.abs(resid.data), bound.data.real
+    return float(np.max(np.divide(r, b, out=np.where(r > 0, np.inf, 0.0), where=b > 0)))
+
+
+@pytest.mark.parametrize("q,rel", [(0.1, 1e-4), (0.5, 1e-8), (1.3, 1e-8), (2.0, 1e-8)])
+@pytest.mark.parametrize("l0,l1", [("0", 2.7j), ("1", 1 - 0.5j), ("2", 5)])
+def test_reduction_inverse_misses_only_cancelling_or_marginal_sum_bound_plants(l0, l1, q, rel):
+    # The operand-magnitude bound is no smaller than the sum-magnitude one, so
+    # it cannot catch every plant that one catches.  What it gives up: plants
+    # in the boost steps (+-1, 0), where I3^L and I3^R (and I3t^L, I3t^R)
+    # cancel in the sums, so the old bound left their stored rounding
+    # uncovered; and diagonal plants the old record caught by less than 2x.
+    cs = chiral_for(l0, l1, q, extra=8)
+    assert by_id(check_reduction_identities(cs), "eq28.inverse").passed
+    assert sum_bound_inverse_ratio(cs) <= TIER1_TOL
+    caught = old = 0
+    for step, planted in entry_plants(cs, rel):
+        new_caught = not by_id(check_reduction_identities(planted), "eq28.inverse").passed
+        old_ratio = sum_bound_inverse_ratio(planted)
+        if old_ratio > TIER1_TOL and not new_caught:
+            assert step in ((-1, 0), (1, 0)) or old_ratio < 2 * TIER1_TOL, (step, old_ratio)
+        caught, old = caught + new_caught, old + (old_ratio > TIER1_TOL)
+    assert caught > 0 and old > 0
+
+
+def test_reduction_inverse_passes_with_large_coefficients():
+    # the boost parts of I3 and I3t reach about 1e11 here and cancel in the
+    # sums; their rounding is covered only by the operand magnitudes
+    for q, j_max in ((3.0, "1"), (3.0, "4"), (3.0, "11"), (0.1, "11")):
+        cs = build_chiral(build_generator_set(lab("1", 50 + 50j, q), HalfInt.parse(j_max)))
+        assert sum_bound_inverse_ratio(cs) > 1e4 * TIER1_TOL
+        r = by_id(check_reduction_identities(cs), "eq28.inverse")
+        assert r.passed and r.residual <= 1e-7 * 2.0**-53 * r.scale
 
 
 # ---------------------------------------------------------------- adjoint

@@ -513,16 +513,62 @@ def test_build_counts(monkeypatch, tmp_path, args, n_builds):
         assert len(set(calls)) == n_builds
 
 
+@pytest.mark.parametrize(
+    "args, n_sets, n_bases",
+    [
+        (["verify", "--l0", "1", "--l1", "2.7i", "--q", "1.3"], 2, 1),
+        (["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3"], 5, 2),
+        (["limit", "--l0", "1", "--l1", "2.7i", "--eps", "1e-6", "--j-max", "4"], 2, 1),
+        (["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"], 2, 1),
+    ],
+)
+def test_each_op_builds_its_sibling_sets_on_one_basis(monkeypatch, tmp_path, args, n_sets, n_bases):
+    # verify: the set and its 1/q sibling; chiral: the label with its two
+    # conjugate partners, and the two spinors; limit: the two eps; conventions:
+    # the two spinors
+    import sys
+
+    import qlorentz.matrep as matrep
+
+    bases = []
+    real_build = matrep.build_generator_set
+
+    def recording(*a, **kw):
+        gens = real_build(*a, **kw)
+        bases.append(gens.basis)
+        return gens
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "qlorentz" and getattr(mod, "build_generator_set", None) is real_build:
+            monkeypatch.setattr(mod, "build_generator_set", recording)
+    assert run_cli(args, tmp_path)[0] == 0
+    assert len(bases) == n_sets
+    assert len({id(b) for b in bases}) == n_bases
+
+
 def test_conventions_builds_one_label_basis_and_each_consistent_reading_once(monkeypatch, tmp_path):
     # the 36 boost-exponent readings share one basis and one evaluation of the
     # label's a_j, c_j; the 18 whose N+/N- steps break their selection rule
     # are rejected before any matrix.  The other 18 differ only in N+ and N-,
     # whose terms each depend on one exponent axis: 3 + 2 + 3 distinct terms
-    # per boost, each built once, and no build_N.  N3 and N3~ read no
+    # per boost, each evaluated once, and no build_N.  N3 and N3~ read no
     # exponent and are built once (the two spinor sets of the coproduct axis
-    # make the other bases and boosts)
+    # make the other bases and boosts).  On the label's basis `_ladder` runs
+    # twice: once for M+ and M-, once for N3 and every distinct N+/N- term
+    import qlorentz.matrep as matrep
+    import qlorentz.verify as verify
+
+    ladders = []
+    real_ladder = matrep._ladder
+
+    def recording(basis, terms, *rest):
+        ladders.append((basis, terms))
+        return real_ladder(basis, terms, *rest)
+
+    for mod in (matrep, verify):
+        monkeypatch.setattr(mod, "_ladder", recording)
     args = ["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"]
-    names = ("build_basis", "build_N", "build_N3_tilde", "coeff_a", "coeff_c", "_ladder")
+    names = ("build_basis", "build_N", "build_N3_tilde", "coeff_a", "coeff_c")
     calls = _calls(monkeypatch, tmp_path, args, *names)
     basis = "Basis(spins=(HalfInt(2), HalfInt(4), HalfInt(6), HalfInt(8), HalfInt(10)), j_max=HalfInt(10))"
     of_label = {name: [c for c in calls[name] if "l1=(0.5+0j)" in c or basis in c] for name in names}
@@ -531,8 +577,10 @@ def test_conventions_builds_one_label_basis_and_each_consistent_reading_once(mon
     assert len(of_label["coeff_a"]) == len(set(of_label["coeff_a"])) == 5  # spins 1..5
     assert len(of_label["coeff_c"]) == len(set(of_label["coeff_c"])) == 6  # and c_6 of the top coupling
     assert len(of_label["build_N3_tilde"]) == 1
-    ladders = of_label["_ladder"]
-    assert len(ladders) == len(set(ladders)) == 2 + 1 + 16  # M+ and M-, N3, each N+/N- term
+    tables = [terms for b, terms in ladders if repr(b) == basis]
+    assert len(tables) == 2
+    rows = [t for terms in tables for t in terms]
+    assert len(rows) == len(set(rows)) == 2 + 3 + 16  # M+ and M-, N3, each N+/N- term
 
 
 # ---------------------------------------------------------------- JSON bytes

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qlorentz.qarith import Deformation, HalfInt, half_range, q_number
-from qlorentz.repcore import RepLabel, coeff_c
+from qlorentz.repcore import RepLabel, coeff_c, conjugate_partner
 from qlorentz.matrep import (
     Basis,
     ConstructionInconsistencyError,
@@ -236,6 +236,33 @@ def test_builders_bitwise_equal_to_per_entry_reference(l0, l1, q):
         built.update(m_plus=mp, m_minus=mm)
         for name, op in built.items():
             assert op.toarray().tobytes() == ref[name].tobytes(), (name, conv)
+
+
+@pytest.mark.parametrize("l0,l1", [("0", 2.7j), ("2", 5), ("1", 1 - 0.5j)])
+def test_sibling_sets_on_a_shared_basis_equal_fresh_builds_bitwise(l0, l1):
+    # principal, finite and non-unitary: the 1/q set and the conjugate partners
+    # built on the first set's basis (its rows, plans and q tables) equal
+    # builds on bases of their own, byte for byte
+    label = lab(l0, l1, 1.3)
+    g = build_generator_set(label, label.l0 + 4)
+    partner = conjugate_partner(label)
+    for sibling in (
+        RepLabel(label.l0, label.l1, label.d.inverse()),
+        partner,
+        RepLabel(partner.l0, partner.l1, label.d.inverse()),
+    ):
+        shared = build_generator_set(sibling, g.basis.j_max, basis=g.basis)
+        fresh = build_generator_set(sibling, g.basis.j_max)
+        assert shared.basis is g.basis and fresh.basis is not g.basis
+        for name in GENERATOR_PATTERNS:
+            assert getattr(shared, name).toarray().tobytes() == getattr(fresh, name).toarray().tobytes(), name
+
+
+def test_sibling_set_on_another_labels_basis_raises():
+    g = build_generator_set(lab("0", 2.7j, 1.3), HalfInt.parse("4"))
+    for label, j_max in ((lab("1", 2.7j, 1.3), "4"), (lab("0", 2.7j, 1.3), "5"), (lab("0", 2.0, 1.3), "4")):
+        with pytest.raises(ValueError, match="not the shared"):
+            build_generator_set(label, HalfInt.parse(j_max), basis=g.basis)
 
 
 def test_boosts_on_spinor_are_rotations_times_minus_i():

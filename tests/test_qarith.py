@@ -35,6 +35,14 @@ def test_halfint_arithmetic_is_exact():
     assert HalfInt(4) == 2 and 2 == HalfInt(4)
 
 
+def test_halfint_accepts_only_integers():
+    for bad in (True, 3.0, "3"):
+        with pytest.raises(TypeError):
+            HalfInt(bad)
+    j = HalfInt(np.int64(3))
+    assert type(j.twice) is int and j == HalfInt(3) and hash(j) == hash(HalfInt(3))
+
+
 def test_half_range():
     got = half_range(HalfInt(1), HalfInt(7))
     assert [g.twice for g in got] == [1, 3, 5, 7]
