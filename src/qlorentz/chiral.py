@@ -95,19 +95,9 @@ class ChiralSet:
         return self.I_plus_L.dim
 
     def triple(self, side: str) -> dict[str, OperatorMatrix]:
-        if side == "L":
-            return {
-                "I_plus": self.I_plus_L,
-                "I_minus": self.I_minus_L,
-                "I3": self.I3_L,
-                "I3_tilde": self.I3_L_tilde,
-            }
-        return {
-            "I_plus": self.I_plus_R,
-            "I_minus": self.I_minus_R,
-            "I3": self.I3_R,
-            "I3_tilde": self.I3_R_tilde,
-        }
+        """The four generators of one chirality ("L" or "R")."""
+        fields = {"I_plus": f"I_plus_{side}", "I_minus": f"I_minus_{side}", "I3": f"I3_{side}"}
+        return {key: getattr(self, name) for key, name in {**fields, "I3_tilde": f"I3_{side}_tilde"}.items()}
 
     def _mask(self, order: int) -> np.ndarray:
         if self.basis is None:
@@ -265,7 +255,9 @@ def check_reduction_identities(
     return rep
 
 
-def check_chiral_adjoint(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> VerificationReport:
+def check_chiral_adjoint(
+    gens: GeneratorSet, tols: Tolerances = Tolerances(), cs: Optional[ChiralSet] = None
+) -> VerificationReport:
     """Adjoint involution on the chiral generators of a built set.
 
     The involution maps a representation to its conjugate partner
@@ -274,13 +266,15 @@ def check_chiral_adjoint(gens: GeneratorSet, tols: Tolerances = Tolerances()) ->
     dagger at q against the partner at 1/q; diagonal pairs against the
     partner at the same q.  Exact for unitary-series labels and for
     single-block representations; measured (tier 2) otherwise.
+
+    cs is `build_chiral(gens)` when the caller has it already (built here
+    otherwise); the two partner sets are built on the set's own basis.
     """
     label, j_max, conv = gens.label, gens.basis.j_max, gens.convention
     partner = conjugate_partner(label)
-    # both partners are built on the set's own basis
     gp_inv = build_generator_set(RepLabel(partner.l0, partner.l1, label.d.inverse()), j_max, conv, gens.basis)
     gp_same = build_generator_set(partner, j_max, conv, gens.basis)
-    cs = build_chiral(gens)
+    cs = cs if cs is not None else build_chiral(gens)
     cp_inv = build_chiral(gp_inv)
     cp_same = build_chiral(gp_same)
 

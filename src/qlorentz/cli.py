@@ -30,6 +30,7 @@ from .matrep import (
     import_generator_set,
 )
 from .verify import (
+    LIMIT_EPS,
     TIER1_TOL,
     TIER2_TOL,
     Tolerances,
@@ -221,7 +222,7 @@ def _chiral(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tup
         check_spinor_annihilation(gens.d),
     ]
     if ns.spin is None:
-        reports.append(check_chiral_adjoint(gens, tols))
+        reports.append(check_chiral_adjoint(gens, tols, cs))
     return _bundle("chiral", subject, reports)
 
 
@@ -336,6 +337,10 @@ def _check_args(ns: argparse.Namespace) -> None:
         ns.j_max = HalfInt.parse(ns.j_max)
         if ns.l0 is not None and ns.j_max < ns.l0:
             raise ValueError(f"j_max = {ns.j_max} below l0 = {ns.l0}")
+    eps = getattr(ns, "eps", None)
+    if eps is not None and not LIMIT_EPS[0] <= eps <= LIMIT_EPS[1]:
+        lo, hi = LIMIT_EPS
+        raise ValueError(f"--eps must be in [{lo:g}, {hi:g}] (the eps/10 build needs |q-1| > 1e-12), got {eps}")
     if getattr(ns, "spin", None) is not None and ns.spin < 1:
         raise ValueError("twice-spin must be >= 1")
     for flag, parse in (("l0_b", HalfInt.parse), ("l1_b", parse_l1)):

@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .qarith import Deformation, HalfInt, half_range, q_number
+from .qarith import Deformation, HalfInt, QNumbers, half_range, q_number
 from .repcore import RepLabel, casimir_eigenvalue, classify, coeff_a, coeff_c
 
 __all__ = [
@@ -375,10 +375,20 @@ class OperatorMatrix:
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "data", arr)
 
+    @classmethod
+    def _result(cls, basis: _Grid, steps: tuple, data: np.ndarray) -> "OperatorMatrix":
+        """An algebra result, not checked again: its steps are distinct by
+        construction and data is a new complex128 array of their shape."""
+        op = object.__new__(cls)
+        data.setflags(write=False)
+        op.__dict__.update(basis=basis, steps=steps, data=data)
+        return op
+
     @staticmethod
     def diagonal(basis: _Grid, values) -> "OperatorMatrix":
         """The diagonal matrix with the given entries (a scalar fills it)."""
-        return OperatorMatrix(basis, (basis.zero_step,), np.full((1, basis.dim), values, dtype=np.complex128))
+        data = np.full((1, basis.dim), values, dtype=np.complex128)
+        return OperatorMatrix._result(basis, (basis.zero_step,), data)
 
     @staticmethod
     def from_entries(basis: _Grid, rows, cols, vals) -> "OperatorMatrix":
@@ -396,7 +406,7 @@ class OperatorMatrix:
 
     @property
     def max_norm(self) -> float:
-        return float(np.max(np.abs(self.data)))
+        return float(np.abs(self.data).max())
 
     def masked_max(self, mask: np.ndarray) -> float:
         """Largest |entry| in the columns where `mask` is true."""
@@ -431,7 +441,7 @@ class OperatorMatrix:
         steps = tuple(tuple(-x for x in s) for s in self.steps)
         rows = self.basis._row_stack(steps)
         vals = np.take_along_axis(self.data, np.maximum(rows, 0), axis=1)
-        return OperatorMatrix(self.basis, steps, np.where(rows >= 0, vals.conj(), 0))
+        return OperatorMatrix._result(self.basis, steps, np.where(rows >= 0, vals.conj(), 0))
 
     def abs(self) -> "OperatorMatrix":
         """Entrywise |.|, for componentwise rounding bounds."""
@@ -447,13 +457,13 @@ class OperatorMatrix:
             return NotImplemented
         basis = self._basis_with(other)
         if self.steps == other.steps:
-            return OperatorMatrix(basis, self.steps, ufunc(self.data, other.data))
+            return OperatorMatrix._result(basis, self.steps, ufunc(self.data, other.data))
         steps, pos = basis._sum_plan(self.steps, other.steps)
         # entries missing from one operand are its exact zeros, as in a dense sum
         a, b = np.zeros((2, len(steps), basis.dim), dtype=np.complex128)
         a[: len(self.steps)] = self.data
         b[pos] = other.data
-        return OperatorMatrix(basis, steps, ufunc(a, b))
+        return OperatorMatrix._result(basis, steps, ufunc(a, b))
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -464,17 +474,17 @@ class OperatorMatrix:
     def __mul__(self, scalar):
         if isinstance(scalar, OperatorMatrix):
             return NotImplemented
-        return OperatorMatrix(self.basis, self.steps, self.data * scalar)
+        return OperatorMatrix._result(self.basis, self.steps, self.data * scalar)
 
     def __rmul__(self, scalar):
         if isinstance(scalar, OperatorMatrix):
             return NotImplemented
-        return OperatorMatrix(self.basis, self.steps, scalar * self.data)
+        return OperatorMatrix._result(self.basis, self.steps, scalar * self.data)
 
     def __truediv__(self, scalar):
         if isinstance(scalar, OperatorMatrix):
             return NotImplemented
-        return OperatorMatrix(self.basis, self.steps, self.data / scalar)
+        return OperatorMatrix._result(self.basis, self.steps, self.data / scalar)
 
     def __matmul__(self, other):
         """(A @ B)[:, c] sums A's column at each row B reaches from c, so the
@@ -486,7 +496,7 @@ class OperatorMatrix:
         terms = (self.data[:, gather] * other.data).reshape(-1, basis.dim)[order]
         if len(starts) < len(order):
             terms = np.add.reduceat(terms, starts, axis=0)
-        return OperatorMatrix(basis, steps, terms)
+        return OperatorMatrix._result(basis, steps, terms)
 
 
 def pattern_violation(op: OperatorMatrix, pattern: frozenset, basis: Basis) -> float:
@@ -723,7 +733,8 @@ def _ladders(
     rows = _ladder(basis, sum(tables, ()), d, coeffs)
     ops, start = [], 0
     for terms in tables:
-        ops.append(OperatorMatrix(basis, tuple((t.dj, t.dm) for t in terms), rows[start : start + len(terms)]))
+        steps = tuple((t.dj, t.dm) for t in terms)
+        ops.append(OperatorMatrix._result(basis, steps, rows[start : start + len(terms)]))
         start += len(terms)
     return ops
 
@@ -750,9 +761,12 @@ def build_N(
 
 
 def _boost_coeffs(basis: Basis, label: RepLabel) -> dict[str, np.ndarray]:
-    """a_j, c_j and c_{j+1} per block of `basis`, keyed as `_Term.coef` names them."""
-    a = np.array([coeff_a(j, label) for j in basis.spins])
-    c = np.array([coeff_c(j, label) for j in basis.spins + (basis.spins[-1] + 1,)])
+    """a_j, c_j and c_{j+1} per block of `basis`, keyed as `_Term.coef` names
+    them; the brackets they read are kept per (basis, q), so every set built
+    on the basis at that q (a conjugate partner too) evaluates each once."""
+    qn = basis._cached(("[x]", label.d), lambda: QNumbers(label.d))
+    a = np.array([coeff_a(j, label, qn) for j in basis.spins])
+    c = np.array([coeff_c(j, label, qn) for j in basis.spins + (basis.spins[-1] + 1,)])
     return {"a": a, "c": c[:-1], "c1": c[1:]}
 
 
@@ -796,7 +810,10 @@ def build_casimir_matrix(
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The seven generator matrices plus the invariant, frozen after build."""
+    """The seven generator matrices, frozen after build, plus the invariant
+    `casimir`: few checks read it, so it is assembled on first read (an
+    imported set passes its file's matrix as `_casimir`).  `matrices()` reads
+    it too; a check that needs only the generators reads them by name."""
 
     basis: Basis
     label: RepLabel
@@ -809,7 +826,14 @@ class GeneratorSet:
     n_minus: OperatorMatrix
     n3: OperatorMatrix
     n3_tilde: OperatorMatrix
-    casimir: OperatorMatrix
+    _casimir: Optional[OperatorMatrix] = field(default=None, repr=False, compare=False)
+
+    @property
+    def casimir(self) -> OperatorMatrix:
+        if self._casimir is None:
+            ops = (self.m_plus, self.m_minus, self.n_plus, self.n_minus, self.n3, self.n3_tilde)
+            object.__setattr__(self, "_casimir", build_casimir_matrix(*ops, self.d))
+        return self._casimir
 
     def matrices(self) -> dict[str, OperatorMatrix]:
         return {name: getattr(self, name) for name in GENERATOR_PATTERNS}
@@ -858,7 +882,6 @@ def build_generator_set(
     mp, mm, m3 = build_M(basis, label.d)
     np_, nm, n3 = build_N(basis, label, conv)
     n3t = build_N3_tilde(n3, basis, label.d)
-    cas = build_casimir_matrix(mp, mm, np_, nm, n3, n3t, label.d)
     return GeneratorSet(
         basis=basis,
         label=label,
@@ -871,7 +894,6 @@ def build_generator_set(
         n_minus=nm,
         n3=n3,
         n3_tilde=n3t,
-        casimir=cas,
     )
 
 
@@ -920,7 +942,6 @@ def build_from_suq2(two_j: int, d: Deformation) -> GeneratorSet:
     n3 = diag_from_m(basis, lambda m: -1j * q_number(m, d) * math.pow(d.q, -float(m) / 2))
     n3t = diag_from_m(basis, lambda m: -1j * q_number(m, d) * math.pow(d.q, float(m) / 2))
     label = RepLabel(j, complex(float(j) + 1.0), d)
-    cas = build_casimir_matrix(mp, mm, np_, nm, n3, n3t, d)
     return GeneratorSet(
         basis=basis,
         label=label,
@@ -933,7 +954,6 @@ def build_from_suq2(two_j: int, d: Deformation) -> GeneratorSet:
         n_minus=nm,
         n3=n3,
         n3_tilde=n3t,
-        casimir=cas,
     )
 
 
@@ -961,24 +981,24 @@ def build_ST_vectors(
     variant and T the primary variant of the tensor-operator relations
     exactly.
     """
-    return _st_vectors(suq2_matrices(two_j, d), d, conv)
+    return _st_vectors(suq2_matrices(two_j, d), d, math.pow(d.q, conv.st_quarters / 4.0))
 
 
-def _st_vectors(tri: SuQ2Triple, d: Deformation, conv: ConventionId) -> tuple[TensorOperator, TensorOperator]:
+def _st_vectors(tri: SuQ2Triple, d: Deformation, qe) -> tuple[TensorOperator, TensorOperator]:
+    """S and T with the prefactor qe = q^e: one number, or one per column of
+    a stacked triple (`_st_readings`)."""
     basis = tri.basis
-    e = conv.st_quarters / 4.0
-    qe = math.pow(d.q, e)
     qdn = diag_from_m(basis, lambda m: math.pow(d.q, -float(m) / 2))
     qup = diag_from_m(basis, lambda m: math.pow(d.q, float(m) / 2))
     mp, mm = tri.m_plus, tri.m_minus
     inv_sqrt2 = 1.0 / math.sqrt(q_number(HalfInt.from_int(2), d))
     rq = math.sqrt(d.q)
 
-    s_plus = (1.0 / qe) * mp @ qdn
-    s_minus = -qe * mm @ qdn
+    s_plus = mp * (1.0 / qe) @ qdn
+    s_minus = mm * -qe @ qdn
     s_zero = inv_sqrt2 * (mm @ mp / rq - rq * mp @ mm)
-    t_plus = qe * mp @ qup
-    t_minus = -(1.0 / qe) * mm @ qup
+    t_plus = mp * qe @ qup
+    t_minus = mm * -(1.0 / qe) @ qup
     t_zero = inv_sqrt2 * (rq * mm @ mp - mp @ mm / rq)
 
     one = HalfInt.from_int(1)
@@ -986,6 +1006,19 @@ def _st_vectors(tri: SuQ2Triple, d: Deformation, conv: ConventionId) -> tuple[Te
         TensorOperator(one, comps)
         for comps in ({1: s_plus, 0: s_zero, -1: s_minus}, {1: t_plus, 0: t_zero, -1: t_minus})
     )
+
+
+def _st_readings(
+    tri: SuQ2Triple, d: Deformation, convs: list[ConventionId]
+) -> tuple[SuQ2Triple, TensorOperator, TensorOperator]:
+    """The triple and S, T under every prefactor reading of `convs` side by
+    side, reading k in copy k of one `StackedBasis`: the dressings and the
+    zero components are built once, and one pass of a check serves all."""
+    grid = StackedBasis(tri.basis, len(convs))
+    tri_ops = (tri.m_plus, tri.m_minus, tri.m3)
+    triple = SuQ2Triple(grid, *(OperatorMatrix(grid, op.steps, np.tile(op.data, len(convs))) for op in tri_ops))
+    qe = np.repeat([math.pow(d.q, conv.st_quarters / 4.0) for conv in convs], tri.basis.dim)
+    return (triple, *_st_vectors(triple, d, qe))
 
 
 def tensor_embed(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -1103,4 +1136,5 @@ def import_generator_set(directory) -> GeneratorSet:
             raise ValueError(f"{name}.txt disagrees with {first}.txt on dim, label or convention")
     basis = _import_basis(label, dim)
     ops = {name: OperatorMatrix.from_entries(basis, *f[3]) for name, f in files.items()}
-    return GeneratorSet(basis=basis, label=label, convention=conv, tag="imported", **ops)
+    cas = ops.pop("casimir")
+    return GeneratorSet(basis=basis, label=label, convention=conv, tag="imported", _casimir=cas, **ops)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .qarith import Deformation, HalfInt, half_range, q_number, sqrt_principal
+from .qarith import Deformation, HalfInt, QNumbers, half_range, q_number, sqrt_principal
 
 __all__ = [
     "RepLabel",
@@ -168,49 +168,56 @@ def classify(label: RepLabel) -> Classification:
     return Classification(kind="infinite", unitary=unitary, rho=rho)
 
 
-def coeff_a(j: HalfInt, label: RepLabel) -> complex:
+def _brackets(label: RepLabel, qn: Optional[QNumbers]) -> QNumbers:
+    if qn is None:
+        return QNumbers(label.d)
+    if qn.d != label.d:
+        raise ValueError(f"q-numbers at {qn.d}, label at {label.d}")
+    return qn
+
+
+def coeff_a(j: HalfInt, label: RepLabel, qn: Optional[QNumbers] = None) -> complex:
     """Diagonal coupling a_j = i [l0][l1] / ([j][j+1]).
 
     At j = 0 (reachable only for l0 = 0) the closed form is 0/0; the value is
     fixed to 0, which is unobservable because every matrix element carrying
-    a_0 also carries [m] = 0.
+    a_0 also carries [m] = 0.  Callers that need many coefficients at one q
+    pass one `QNumbers`, so each bracket is evaluated once.
     """
-    d = label.d
     if j.twice == 0:
         if label.l0.twice == 0:
             return 0j
         raise SingularCoefficientError(f"a_0 undefined for l0 = {label.l0} > 0")
-    num = 1j * q_number(label.l0, d) * q_number(label.l1, d)
-    return num / (q_number(j, d) * q_number(j + 1, d))
+    qn = _brackets(label, qn)
+    num = 1j * qn[label.l0] * qn[label.l1]
+    return num / (qn[j] * qn[j + 1])
 
 
-def coeff_c(j: HalfInt, label: RepLabel) -> complex:
+def coeff_c(j: HalfInt, label: RepLabel, qn: Optional[QNumbers] = None) -> complex:
     """Off-diagonal coupling c_j, with the principal branch on the full radicand.
 
     c_{l0} = 0 exactly (the [j]^2 - [l0]^2 factor vanishes), and for finite
     labels c_{|l1|} = 0 exactly, which is what terminates the spin ladder.
     j = 1/2 with l0 = 0 would divide by [2j-1] = 0 with a non-vanishing
     numerator and raises `SingularCoefficientError`; it labels no state of
-    an l0 = 0 representation (integer spins only).
+    an l0 = 0 representation (integer spins only).  qn as for `coeff_a`.
     """
-    d = label.d
     if j == label.l0:
         return 0j
     if j.twice == 1:  # [2j-1] = [0] = 0; numerator vanishes only via j = l0
         raise SingularCoefficientError(
             f"c_{{1/2}} singular for l0 = {label.l0}: [2j-1] = 0 with nonzero numerator"
         )
-    jj = q_number(j, d)
+    qn = _brackets(label, qn)
+    jj = qn[j]
     sq_j = jj * jj
-    sq_l0 = q_number(label.l0, d) ** 2
-    sq_l1 = q_number(label.l1, d) ** 2
-    radicand = (sq_j - sq_l0) * (sq_j - sq_l1) / (
-        q_number(j + j - 1, d) * q_number(j + j + 1, d)
-    )
+    sq_l0 = qn[label.l0] ** 2
+    sq_l1 = qn[label.l1] ** 2
+    radicand = (sq_j - sq_l0) * (sq_j - sq_l1) / (qn[j + j - 1] * qn[j + j + 1])
     return 1j / jj * sqrt_principal(radicand)
 
 
-def _boundary_a(j: HalfInt, label: RepLabel) -> complex:
+def _boundary_a(j: HalfInt, label: RepLabel, qn: QNumbers) -> complex:
     """a_j with the j = l0 = 0 case taken as its closed-form limit i[l1].
 
     The matrix builders never observe a_0, but the second difference equation
@@ -218,8 +225,8 @@ def _boundary_a(j: HalfInt, label: RepLabel) -> complex:
     under which the closed form satisfies it identically.
     """
     if j.twice == 0 and label.l0.twice == 0:
-        return 1j * q_number(label.l1, label.d)
-    return coeff_a(j, label)
+        return 1j * qn[label.l1]
+    return coeff_a(j, label, qn)
 
 
 def check_recurrences(label: RepLabel, j_max: HalfInt) -> list[dict]:
@@ -232,19 +239,16 @@ def check_recurrences(label: RepLabel, j_max: HalfInt) -> list[dict]:
     """
     if j_max < label.l0:
         raise ValueError(f"j_max = {j_max} below l0 = {label.l0}")
-    d = label.d
+    qn = QNumbers(label.d)
+    # each coefficient once: a_j and a_{j+1}, c_j and c_{j+1} of the window
+    spins = half_range(label.l0, j_max + 1)
+    a = [_boundary_a(spins[0], label, qn)] + [coeff_a(j, label, qn) for j in spins[1:]]
+    c = [coeff_c(j, label, qn) for j in spins]
     out = []
-    for j in half_range(label.l0, j_max):
-        a_j = _boundary_a(j, label)
-        a_next = coeff_a(j + 1, label)
-        c_j = coeff_c(j, label)
-        c_next = coeff_c(j + 1, label)
-        lhs1 = (a_next * q_number(j + 2, d) - a_j * q_number(j, d)) * c_next
-        lhs2 = (
-            c_j * c_j * q_number(j + j - 1, d)
-            - a_j * a_j
-            - c_next * c_next * q_number(j + j + 3, d)
-        )
+    for k, j in enumerate(spins[:-1]):
+        a_j, a_next, c_j, c_next = a[k], a[k + 1], c[k], c[k + 1]
+        lhs1 = (a_next * qn[j + 2] - a_j * qn[j]) * c_next
+        lhs2 = c_j * c_j * qn[j + j - 1] - a_j * a_j - c_next * c_next * qn[j + j + 3]
         out.append(
             {
                 "j": str(j),

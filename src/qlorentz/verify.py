@@ -18,7 +18,7 @@ Residual norm: max|entry| of (LHS - RHS) over interior columns; scale is the
 product of the max-norms of the operators on the commutator side, floored
 at 1.  A record passes iff residual <= tolerance * scale.  Both sides are
 evaluated with the step-operator algebra of `matrep`; only the classical
-oracle is a separate path, filled entry by entry.
+oracle is a separate path, filled from its own formulas.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _jsonfmt
-from .qarith import Deformation, HalfInt, half_range, q_number, sqrt_principal
+from .qarith import Deformation, HalfInt, QNumbers, half_range, q_number, sqrt_principal
 from .repcore import (
     RepLabel,
     classify,
@@ -56,7 +56,7 @@ from .matrep import (
     _boost_terms,
     _check_boost_steps,
     _ladder,
-    _st_vectors,
+    _st_readings,
     build_basis,
     build_generator_set,
     build_M,
@@ -72,6 +72,7 @@ __all__ = [
     "VerificationReport",
     "TIER1_TOL",
     "TIER2_TOL",
+    "LIMIT_EPS",
     "check_lorentz_relations",
     "check_casimir",
     "check_tensor_operator",
@@ -87,6 +88,9 @@ __all__ = [
 TIER1_TOL = 1e-10
 TIER2_TOL = 1e-10
 ADJOINT_ELEMENTWISE_TOL = 1e-13
+# eps range of the classical-limit comparison: its eps/10 rebuild must stay
+# clear of the q = 1 guard of `Deformation` (|q - 1| > 1e-12)
+LIMIT_EPS = (1e-11, 1e-3)
 
 
 @dataclass(frozen=True)
@@ -351,6 +355,31 @@ def check_casimir(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> Verifi
 # tensor-operator suite
 
 
+def _tensor_rows(tri: SuQ2Triple, tensor: TensorOperator, d: Deformation, sign: float) -> list[tuple]:
+    """(id, residual, scale) rows of the primary (sign +1) or alternative (-1)
+    tensor-operator relations, residual and scale one value per grid copy."""
+    rank = tensor.l.twice // 2
+    mp, mm, m3 = tri.m_plus, tri.m_minus, tri.m3
+    dress = diag_from_m(tri.basis, lambda m: math.pow(d.q, sign * float(m) / 2))
+    rows = []
+    for mu in range(-rank, rank + 1):
+        t_mu = tensor.component(mu)
+        res = (m3 @ t_mu - t_mu @ m3 - mu * t_mu).block_max()
+        rows.append((f"weight.m{mu:+d}", res, np.fmax(1.0, t_mu.block_max())))
+        for pm, mat, tagc in ((1, mp, "raise"), (-1, mm, "lower")):
+            lhs = mat @ t_mu - math.pow(d.q, -sign * mu / 2.0) * (t_mu @ mat)
+            tgt = mu + pm
+            if abs(tgt) <= rank:
+                amp = math.sqrt(
+                    q_number(HalfInt.from_int(rank - pm * mu), d)
+                    * q_number(HalfInt.from_int(rank + pm * mu + 1), d)
+                )
+                lhs = lhs - amp * tensor.component(tgt) @ dress
+            scale = np.fmax(1.0, mat.block_max() * t_mu.block_max())
+            rows.append((f"{tagc}.m{mu:+d}", lhs.block_max(), scale))
+    return rows
+
+
 def check_tensor_operator(
     tri: SuQ2Triple,
     tensor: TensorOperator,
@@ -367,55 +396,21 @@ def check_tensor_operator(
     """
     if tensor.l.twice % 2 != 0 or tensor.l.twice < 0:
         raise ValueError("only integer-rank tensor operators are checked")
-    rank = tensor.l.twice // 2
-    mp, mm, m3 = tri.m_plus, tri.m_minus, tri.m3
-    basis = tri.basis
-
-    def variant_rows(sign: float) -> list[tuple[str, float, float]]:
-        dress = diag_from_m(basis, lambda m: math.pow(d.q, sign * float(m) / 2))
-        rows = []
-        for mu in range(-rank, rank + 1):
-            t_mu = tensor.component(mu)
-            res = (m3 @ t_mu - t_mu @ m3 - mu * t_mu).max_norm
-            rows.append((f"weight.m{mu:+d}", res, max(1.0, t_mu.max_norm)))
-            for pm, mat, tagc in ((1, mp, "raise"), (-1, mm, "lower")):
-                lhs = mat @ t_mu - math.pow(d.q, -sign * mu / 2.0) * (t_mu @ mat)
-                tgt = mu + pm
-                if abs(tgt) <= rank:
-                    amp = math.sqrt(
-                        q_number(HalfInt.from_int(rank - pm * mu), d)
-                        * q_number(HalfInt.from_int(rank + pm * mu + 1), d)
-                    )
-                    lhs = lhs - amp * tensor.component(tgt) @ dress
-                scale = max(1.0, mat.max_norm * t_mu.max_norm)
-                rows.append((f"{tagc}.m{mu:+d}", lhs.max_norm, scale))
-        return rows
-
-    primary = variant_rows(+1.0)
-    alternative = variant_rows(-1.0)
+    primary, alternative = (_tensor_rows(tri, tensor, d, sign) for sign in (1.0, -1.0))
     tot_p = sum(r / s for _i, r, s in primary)
     tot_a = sum(r / s for _i, r, s in alternative)
-    satisfied = "primary" if tot_p <= tot_a else "alternative"
+    satisfied = "primary" if tot_p[0] <= tot_a[0] else "alternative"
 
     rep = VerificationReport(
         suite="tensor_operator",
-        subject={"tag": f"vector operator {name}", "dim": basis.dim, "satisfies": satisfied},
+        subject={"tag": f"vector operator {name}", "dim": tri.basis.dim, "satisfies": satisfied},
         convention=DEFAULT_CONVENTION,
         environment={"q": d.q, "tier1_tol": tols.tier1, "tier2_tol": tols.tier2},
     )
     for variant, rows in (("primary", primary), ("alternative", alternative)):
         tier = 1 if variant == satisfied else 2
         for rid, res, scale in rows:
-            rep.add(
-                RelationResidual(
-                    f"eq1.{variant}.{rid}",
-                    res,
-                    scale,
-                    tols.of(tier),
-                    tier,
-                    "all columns",
-                )
-            )
+            rep.add(RelationResidual(f"eq1.{variant}.{rid}", float(res[0]), float(scale[0]), tols.of(tier), tier))
     return rep
 
 
@@ -509,9 +504,10 @@ def check_unitary_coeffs(
         environment={"q": label.d.q, "j_max": str(j_max), "tier1_tol": tols.tier1},
     )
     any_fail = informative = False
+    qn = QNumbers(label.d)
     for j in half_range(label.l0, j_max):
-        a = coeff_a(j, label)
-        c = coeff_c(j, label)
+        a = coeff_a(j, label, qn)
+        c = coeff_c(j, label, qn)
         ra = RelationResidual(
             f"unit.a_real.j={j}",
             abs(a.imag),
@@ -561,17 +557,9 @@ def check_recurrence_suite(
         environment={"q": label.d.q, "j_max": str(j_max), "tier1_tol": tols.tier1},
     )
     for row in check_recurrences(label, j_max):
-        j = row["j"]
-        rep.add(
-            RelationResidual(
-                f"rec.ladder.j={j}", row["residual_ladder"], 1.0, tols.tier1, 1, "coefficient"
-            )
-        )
-        rep.add(
-            RelationResidual(
-                f"rec.norm.j={j}", row["residual_norm"], 1.0, tols.tier1, 1, "coefficient"
-            )
-        )
+        for kind in ("ladder", "norm"):
+            residual = row[f"residual_{kind}"]
+            rep.add(RelationResidual(f"rec.{kind}.j={row['j']}", residual, 1.0, tols.tier1, 1, "coefficient"))
     return rep
 
 
@@ -583,8 +571,9 @@ def check_recurrence_suite(
 class ClassicalGeneratorSet:
     """Classical (undeformed) generator matrices built from the closed-form
     matrix elements with every bracket [x] replaced by x and every q-power
-    by 1.  Completely independent of the deformed code paths: plain dense
-    arrays, filled entry by entry."""
+    by 1.  Independent of the deformed code paths: plain dense arrays, filled
+    by their own formulas.  The invariant is formed on first read (three
+    dense products), which the limit comparison never does."""
 
     basis: Basis
     l0: float
@@ -596,24 +585,27 @@ class ClassicalGeneratorSet:
     n_minus: np.ndarray
     n3: np.ndarray
     n3_tilde: np.ndarray
-    casimir: np.ndarray
 
-    def matrices(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in GENERATOR_PATTERNS}
-
-
-def _classical_c(j: float, l0: float, l1: complex) -> complex:
-    if j <= 0.0:
-        return 0j
-    rad = (j * j - l0 * l0) * (j * j - l1 * l1) / ((2 * j - 1.0) * (2 * j + 1.0))
-    return 1j / j * sqrt_principal(rad)
+    @functools.cached_property
+    def casimir(self) -> np.ndarray:
+        # quadratic invariant, normalized to the deformed one: brute-force
+        # evaluation shows the plain rotation-boost contraction M.N is scalar
+        # with eigenvalue i l0 l1 / 2 in this coefficient normalization, so the
+        # counterpart of the deformed invariant (eigenvalue i l0 l1) is -2 M.N
+        return -(2.0 * self.m3 @ self.n3 + self.m_plus @ self.n_minus + self.m_minus @ self.n_plus)
 
 
 def classical_oracle(l0: HalfInt, l1: complex, j_max: HalfInt) -> ClassicalGeneratorSet:
     """Classical matrices: a_j = i l0 l1 / (j(j+1)), c_j from the classical
     square root, rotation elements sqrt((j-+m)(j+-m+1)).  Spin content mirrors
     the deformed case: full ladder for real l1 with |l1| - l0 a positive
-    integer, truncated at j_max otherwise."""
+    integer, truncated at j_max otherwise.
+
+    a_j, c_j and c_{j+1} are scalars per spin; each term of a generator is
+    then filled for every column (j, m) at once from the basis's j and m
+    arrays, with the same float operations per entry as a loop over (j, m).
+    No `_ladder`, q table or q-number is used: the oracle stays independent.
+    """
     l1 = complex(l1)
     fl0 = float(l0)
     spins: Sequence[HalfInt]
@@ -628,85 +620,50 @@ def classical_oracle(l0: HalfInt, l1: complex, j_max: HalfInt) -> ClassicalGener
         spins = half_range(l0, j_max)
     basis = Basis(spins=tuple(spins), j_max=None if finite else j_max)
 
-    dim = basis.dim
-    mats = {k: np.zeros((dim, dim), dtype=np.complex128) for k in
-            ("m_plus", "m_minus", "m3", "n_plus", "n_minus", "n3")}
-
     def a_of(j: float) -> complex:
         if j == 0.0:
             return 0j
         return 1j * fl0 * l1 / (j * (j + 1.0))
 
     def c_of(j: HalfInt) -> complex:
-        if j == l0:
-            return 0j
-        return _classical_c(float(j), fl0, l1)
-
-    for j in basis.spins:
         fj = float(j)
-        aj, cj, cj1 = a_of(fj), c_of(j), c_of(j + 1)
-        for m in half_range(-j, j):
-            col = basis.index(j, m)
-            fm = float(m)
-            mats["m3"][col, col] = fm
-            if m < j:
-                mats["m_plus"][basis.index(j, m + 1), col] = math.sqrt((fj - fm) * (fj + fm + 1))
-            if -j < m:
-                mats["m_minus"][basis.index(j, m - 1), col] = math.sqrt((fj + fm) * (fj - fm + 1))
-            # raising boost
-            if basis.has(j - 1, m + 1):
-                mats["n_plus"][basis.index(j - 1, m + 1), col] += cj * math.sqrt(
-                    (fj - fm) * (fj - fm - 1)
-                )
-            if basis.has(j, m + 1):
-                mats["n_plus"][basis.index(j, m + 1), col] += -aj * math.sqrt(
-                    (fj - fm) * (fj + fm + 1)
-                )
-            if basis.has(j + 1, m + 1):
-                mats["n_plus"][basis.index(j + 1, m + 1), col] += cj1 * math.sqrt(
-                    (fj + fm + 1) * (fj + fm + 2)
-                )
-            # lowering boost
-            if basis.has(j - 1, m - 1):
-                mats["n_minus"][basis.index(j - 1, m - 1), col] += -cj * math.sqrt(
-                    (fj + fm) * (fj + fm - 1)
-                )
-            if basis.has(j, m - 1):
-                mats["n_minus"][basis.index(j, m - 1), col] += -aj * math.sqrt(
-                    (fj + fm) * (fj - fm + 1)
-                )
-            if basis.has(j + 1, m - 1):
-                mats["n_minus"][basis.index(j + 1, m - 1), col] += -cj1 * math.sqrt(
-                    (fj - fm + 1) * (fj - fm + 2)
-                )
-            # diagonal boost
-            if basis.has(j - 1, m):
-                mats["n3"][basis.index(j - 1, m), col] += cj * math.sqrt(
-                    (fj - fm) * (fj + fm)
-                )
-            mats["n3"][col, col] += -aj * fm
-            if basis.has(j + 1, m):
-                mats["n3"][basis.index(j + 1, m), col] += -cj1 * math.sqrt(
-                    (fj + fm + 1) * (fj - fm + 1)
-                )
+        if j == l0 or fj <= 0.0:
+            return 0j
+        rad = (fj * fj - fl0 * fl0) * (fj * fj - l1 * l1) / ((2 * fj - 1.0) * (2 * fj + 1.0))
+        return 1j / fj * sqrt_principal(rad)
 
-    # quadratic invariant, normalized to the deformed one: brute-force
-    # evaluation shows the plain rotation-boost contraction M.N is scalar
-    # with eigenvalue i l0 l1 / 2 in this coefficient normalization, so the
-    # counterpart of the deformed invariant (eigenvalue i l0 l1) is -2 M.N
-    cas = -(
-        2.0 * mats["m3"] @ mats["n3"]
-        + mats["m_plus"] @ mats["n_minus"]
-        + mats["m_minus"] @ mats["n_plus"]
-    )
-    return ClassicalGeneratorSet(
-        basis=basis,
-        l0=fl0,
-        l1=l1,
-        n3_tilde=mats["n3"],
-        casimir=cas,
-        **mats,
-    )
+    block = (basis.j2 - basis.j2[0]) // 2
+    a = np.array([a_of(float(j)) for j in spins])[block]
+    c = np.array([c_of(j) for j in spins])[block]
+    c1 = np.array([c_of(j + 1) for j in spins])[block]
+    j, m = basis.j2 / 2, basis.m2 / 2
+
+    def root(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # sqrt(x y); the clip only reaches entries whose target leaves the basis
+        return np.sqrt(np.maximum(x * y, 0.0))
+
+    # (generator, (delta_j, delta_m) step, value per column) of each term
+    terms = [
+        ("m_plus", (0, 1), root(j - m, j + m + 1)),
+        ("m_minus", (0, -1), root(j + m, j - m + 1)),
+        ("m3", (0, 0), m),
+        ("n_plus", (-1, 1), c * root(j - m, j - m - 1)),
+        ("n_plus", (0, 1), -a * root(j - m, j + m + 1)),
+        ("n_plus", (1, 1), c1 * root(j + m + 1, j + m + 2)),
+        ("n_minus", (-1, -1), -c * root(j + m, j + m - 1)),
+        ("n_minus", (0, -1), -a * root(j + m, j - m + 1)),
+        ("n_minus", (1, -1), -c1 * root(j - m + 1, j - m + 2)),
+        ("n3", (-1, 0), c * root(j - m, j + m)),
+        ("n3", (0, 0), -a * m),
+        ("n3", (1, 0), -c1 * root(j + m + 1, j - m + 1)),
+    ]
+    cols = np.arange(basis.dim)
+    mats = {name: np.zeros((basis.dim, basis.dim), dtype=np.complex128) for name, _step, _vals in terms}
+    for name, step, vals in terms:
+        rows = basis.rows(step)
+        inside = rows >= 0
+        mats[name][rows[inside], cols[inside]] += vals[inside]
+    return ClassicalGeneratorSet(basis=basis, l0=fl0, l1=l1, n3_tilde=mats["n3"], **mats)
 
 
 def classical_limit_compare(
@@ -721,32 +678,35 @@ def classical_limit_compare(
     Deviations scale linearly in eps; the shrink check rebuilds at eps/10 and
     requires at least a 3x reduction.  Tolerance for the deviation records is
     100 * eps (smooth first-order dependence on q across the whole grid).
+    eps must lie in `LIMIT_EPS`, checked before anything is built.
     """
-    if not (0.0 < eps <= 1e-3):
-        raise ValueError(f"eps must be in (0, 1e-3], got {eps}")
+    if not LIMIT_EPS[0] <= eps <= LIMIT_EPS[1]:
+        raise ValueError(f"eps must be in [{LIMIT_EPS[0]:g}, {LIMIT_EPS[1]:g}], got {eps}")
+    d1, d2 = Deformation(1.0 + eps), Deformation(1.0 + eps / 10.0)
     oracle = classical_oracle(label_l0, label_l1, j_max)
 
-    # Entrywise comparison covers the seven generators.  The invariant
-    # matrix is left out: its assembly divides by q^(1/2) - q^(-1/2), which
-    # amplifies roundoff as 1/eps near the classical point; its limit is
-    # checked through the well-conditioned scalar i[l0][l1] instead.
-    def build(e: float, basis: Optional[Basis] = None) -> GeneratorSet:
-        return build_generator_set(RepLabel(label_l0, label_l1, Deformation(1.0 + e)), j_max, conv, basis)
+    # Entrywise comparison covers the seven generators, read by name: the
+    # invariant matrix is left out (and so never built).  Its assembly divides
+    # by q^(1/2) - q^(-1/2), which amplifies roundoff as 1/eps near the
+    # classical point; its limit is checked through the well-conditioned
+    # scalar i[l0][l1] instead.
+    names = [name for name in GENERATOR_PATTERNS if name != "casimir"]
+
+    def build(d: Deformation, basis: Optional[Basis] = None) -> GeneratorSet:
+        return build_generator_set(RepLabel(label_l0, label_l1, d), j_max, conv, basis)
 
     def deviations(g: GeneratorSet) -> dict[str, float]:
-        out = {}
-        for name, op in g.matrices().items():
-            if name == "casimir":
-                continue
-            out[name] = float(np.max(np.abs(op.toarray() - oracle.matrices()[name])))
+        out = {
+            name: float(np.max(np.abs(getattr(g, name).toarray() - getattr(oracle, name)))) for name in names
+        }
         out["casimir_scalar"] = abs(
             casimir_eigenvalue(g.label) - 1j * float(label_l0) * complex(label_l1)
         )
         return out
 
-    g1 = build(eps)
+    g1 = build(d1)
     dev1 = deviations(g1)
-    dev2 = deviations(build(eps / 10.0, g1.basis))  # the eps/10 build shares the basis
+    dev2 = deviations(build(d2, g1.basis))  # the eps/10 build shares the basis
     tol = 100.0 * eps
 
     rep = VerificationReport(
@@ -832,12 +792,19 @@ def _boost_scores(
     return scores
 
 
-def _eq1_score(tri: SuQ2Triple, d: Deformation, conv: ConventionId) -> float:
+def _st_scores(tri: SuQ2Triple, d: Deformation, convs: list[ConventionId]) -> list[float]:
+    """Summed relative residual of the tier-1 tensor-operator records of S
+    and T for each prefactor reading.  The readings are the copies of one
+    stacked grid, so the relations run once for all of them with the same
+    arithmetic per column as on one reading: the scores are bitwise those of
+    `check_tensor_operator` per reading."""
+    triple, *tensors = _st_readings(tri, d, convs)
     total = 0.0
-    for tensor, name in zip(_st_vectors(tri, d, conv), "ST"):
-        rep = check_tensor_operator(tri, tensor, d, name)
-        total += sum(r.residual / r.scale for r in rep.residuals if r.tier == 1)
-    return total
+    for tensor in tensors:
+        # the satisfied variant's records are the tier-1 ones
+        tot_p, tot_a = (sum(r / s for _i, r, s in _tensor_rows(triple, tensor, d, sign)) for sign in (1.0, -1.0))
+        total = total + np.where(tot_p <= tot_a, tot_p, tot_a)
+    return total.tolist()
 
 
 def resolve_conventions(
@@ -906,7 +873,7 @@ def resolve_conventions(
     if two_j is not None:
         tri = suq2_matrices(two_j, d)
         convs = [ConventionId(st_quarters=k) for k in options["st_quarters"]]
-        pick("st_prefactor", [(_eq1_score(tri, d, c), c) for c in convs], ("st_quarters",))
+        pick("st_prefactor", list(zip(_st_scores(tri, d, convs), convs)), ("st_quarters",))
 
     # axis group 3: coproduct grouplike for the lowering right generator,
     # scored on the mixed spinor product where the readings differ

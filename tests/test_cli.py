@@ -514,6 +514,61 @@ def test_build_counts(monkeypatch, tmp_path, args, n_builds):
 
 
 @pytest.mark.parametrize(
+    "args, n_casimirs",
+    [
+        (["build", "--l0", "1", "--l1", "2.7i", "--q", "1.3"], 1),
+        (["verify", "--l0", "1", "--l1", "2.7i", "--q", "1.3"], 2),
+        (["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3"], 0),
+        (["chiral", "--spin", "2", "--q", "1.3"], 0),
+        (["limit", "--l0", "1", "--l1", "2.7i", "--eps", "1e-6", "--j-max", "4"], 0),
+        (["coproduct", "--q", "1.3"], 0),
+        (["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"], 0),
+    ],
+)
+def test_casimir_built_only_where_a_report_reads_it(monkeypatch, tmp_path, args, n_casimirs):
+    # build reports its max norm; verify checks it on the set and (struct
+    # record) on the 1/q set; no other command reads the invariant
+    calls = _calls(monkeypatch, tmp_path, args, "build_casimir_matrix")["build_casimir_matrix"]
+    assert len(calls) == n_casimirs
+
+
+def test_chiral_builds_one_chiral_set_per_generator_set(monkeypatch, tmp_path):
+    # the label's set feeds both the chiral suites and the adjoint check, plus
+    # its two conjugate partners and the two spinors: 5 sets, 5 chiral sets
+    import sys
+
+    import qlorentz.chiral as chiral
+
+    built = []
+    real = chiral.build_chiral
+
+    def recording(gens):
+        built.append(gens)
+        return real(gens)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "qlorentz" and getattr(mod, "build_chiral", None) is real:
+            monkeypatch.setattr(mod, "build_chiral", recording)
+    assert run_cli(["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3"], tmp_path)[0] == 0
+    assert len(built) == len({id(g) for g in built}) == 5
+
+
+@pytest.mark.parametrize("eps", ["5e-12", "1e-12", "0", "2e-3", "nan"])
+def test_limit_eps_outside_its_range_exits_2_before_any_build(tmp_path, capsys, monkeypatch, eps):
+    # at eps = 5e-12 the eps/10 build would hit the q = 1 guard of Deformation
+    import qlorentz.verify as verify
+
+    def no_build(*a, **kw):
+        raise AssertionError("built before the eps check")
+
+    monkeypatch.setattr(verify, "classical_oracle", no_build)
+    monkeypatch.setattr(verify, "build_generator_set", no_build)
+    code, _ = run_cli(["limit", "--l0", "0", "--l1", "2.7i", "--eps", eps], tmp_path)
+    assert code == 2
+    assert "--eps must be in [1e-11, 0.001]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "args, n_sets, n_bases",
     [
         (["verify", "--l0", "1", "--l1", "2.7i", "--q", "1.3"], 2, 1),

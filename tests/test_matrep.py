@@ -446,6 +446,28 @@ def test_generator_set_round_trip_bit_exact(tmp_path):
         assert g2.basis.dim == g.basis.dim
 
 
+def test_casimir_is_assembled_on_first_read_and_an_import_keeps_its_file(tmp_path, monkeypatch):
+    import qlorentz.matrep as matrep
+
+    g = build_generator_set(lab("1", 2.7j, 1.3), HalfInt.parse("3"))
+    assert g._casimir is None
+    cas = g.casimir
+    assert g.casimir is cas
+    direct = matrep.build_casimir_matrix(g.m_plus, g.m_minus, g.n_plus, g.n_minus, g.n3, g.n3_tilde, g.d)
+    assert direct.steps == cas.steps and direct.data.tobytes() == cas.data.tobytes()
+    export_generator_set(g, tmp_path / "exp")
+    path = tmp_path / "exp" / "casimir.txt"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:1] + ["0 0 7 0"]) + "\n")
+
+    def no_casimir(*a):
+        raise AssertionError("an imported set rebuilt its invariant")
+
+    monkeypatch.setattr(matrep, "build_casimir_matrix", no_casimir)
+    imported = import_generator_set(tmp_path / "exp")
+    assert imported.casimir.entries()[2].tolist() == [7 + 0j]
+
+
 def test_export_header_format(tmp_path):
     label = lab("1/2", 1.5, 1.3)
     g = build_generator_set(label, HalfInt(1))

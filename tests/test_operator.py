@@ -247,6 +247,25 @@ def test_operator_rejects_mismatched_bases():
     assert math.isclose(a.max_norm, 1.0)
 
 
+def test_public_constructor_checks_and_every_result_is_read_only_complex128():
+    basis = Basis(spins=(HalfInt(1), HalfInt(3)), j_max=HalfInt(3))
+    n = basis.dim
+    for steps, shape in ((((0, 0), (0, 0)), (2, n)), (((0, 0), (0, 1)), (2, n - 1)), (((0, 1),), (2, n))):
+        with pytest.raises(ValueError):
+            OperatorMatrix(basis, steps, np.zeros(shape))
+    g = build_generator_set(RepLabel(HalfInt(1), 2.7j, Deformation(1.3)), HalfInt(3))
+    a, b = g.n_plus, g.m_minus
+    results = [a @ b, a + b, a - b, a * 2.0, 2j * a, a / 3.0, a.dagger(), a.abs()]
+    results += [getattr(g, name) for name in GENERATOR_PATTERNS]
+    results += [OperatorMatrix.diagonal(g.basis, 1.5), OperatorMatrix(g.basis, ((0, 0),), [np.arange(g.basis.dim)])]
+    for op in results:
+        assert op.data.dtype == np.complex128 and op.data.flags.c_contiguous
+        assert not op.data.flags.writeable
+        assert op.data.shape == (len(op.steps), op.dim) and len(set(op.steps)) == len(op.steps)
+        with pytest.raises(ValueError):
+            op.data[0, 0] = 1.0
+
+
 def test_product_basis_is_shared_and_freed_without_the_cycle_collector():
     # krons on one pair of bases share a product basis (and its plans) while
     # one is alive, and it is freed by reference counting once unused: a

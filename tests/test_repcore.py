@@ -1,6 +1,6 @@
 import pytest
 
-from qlorentz.qarith import Deformation, HalfInt, half_range, q_number
+from qlorentz.qarith import Deformation, HalfInt, QNumbers, half_range, q_number
 from qlorentz.repcore import (
     RepLabel,
     SingularCoefficientError,
@@ -186,6 +186,52 @@ def test_recurrences_relative_bound_deep_ladder():
         label = lab("0", 0.5, q)
         for row in check_recurrences(label, HalfInt.parse("30")):
             assert row["residual_norm"] < 1e-10
+
+
+def _reference_recurrences(label, j_max):
+    # each row derived on its own: a_{j+1} and c_{j+1} again as the next
+    # row's a_j and c_j, every bracket by a fresh q_number call
+    d, out = label.d, []
+    for j in half_range(label.l0, j_max):
+        a_j = 1j * q_number(label.l1, d) if j.twice == 0 and label.l0.twice == 0 else coeff_a(j, label)
+        a_next, c_j, c_next = coeff_a(j + 1, label), coeff_c(j, label), coeff_c(j + 1, label)
+        lhs1 = (a_next * q_number(j + 2, d) - a_j * q_number(j, d)) * c_next
+        lhs2 = c_j * c_j * q_number(j + j - 1, d) - a_j * a_j - c_next * c_next * q_number(j + j + 3, d)
+        out.append({"j": str(j), "residual_ladder": abs(lhs1), "residual_norm": abs(lhs2 - 1.0)})
+    return out
+
+
+@pytest.mark.parametrize("q", [0.5, 1.3, 1 + 1e-6])
+@pytest.mark.parametrize("l0,l1", [("0", 0.5), ("1/2", 1.5), ("1", 2.7j), ("2", 1.3 + 0.4j)])
+def test_recurrences_equal_per_row_reference_bitwise(q, l0, l1):
+    # each coefficient derived once and each bracket read from one table
+    # must not move a bit (== on floats)
+    label = lab(l0, l1, q)
+    assert check_recurrences(label, label.l0 + 12) == _reference_recurrences(label, label.l0 + 12)
+
+
+def test_coefficients_from_shared_brackets_equal_fresh_calls_bitwise(monkeypatch):
+    import qlorentz.qarith as qarith
+
+    calls = []
+
+    def counting(x, d):
+        calls.append(x)
+        return q_number(x, d)
+
+    for label in (lab("0", 2.7j, 0.5), lab("3/2", 2.5, 1.3), lab("1", 1 - 0.5j, 7.0)):
+        spins = half_range(label.l0, label.l0 + 6)
+        fresh = [(coeff_a(j, label), coeff_c(j, label)) for j in spins]
+        qn = QNumbers(label.d)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(qarith, "q_number", counting)
+            shared = [(coeff_a(j, label, qn), coeff_c(j, label, qn)) for j in spins]
+        assert repr(shared) == repr(fresh)
+        # one evaluation per distinct bracket: [l0], [l1], and [j], [2j +- 1]
+        assert len(calls) == len(set(calls)) == len(qn)
+    with pytest.raises(ValueError):
+        coeff_a(HalfInt(2), lab("1", 2.7j, 1.3), QNumbers(Deformation(0.5)))
 
 
 def test_recurrences_reject_bad_jmax():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qlorentz.qarith import Deformation, HalfInt, q_number
+from qlorentz.qarith import Deformation, HalfInt, half_range, q_number, sqrt_principal
 from qlorentz.repcore import RepLabel
 from qlorentz.chiral import build_chiral, check_chiral_relations, coproduct, spinor_labels
 from qlorentz.matrep import (
@@ -362,6 +362,79 @@ def test_oracle_spinor_is_classical_su2():
     np.testing.assert_allclose(o.n_plus, -1j * o.m_plus, atol=1e-14)
 
 
+def _reference_oracle(l0, l1, j_max):
+    # the per-(j, m) loop the vectorized oracle replaced: one scalar entry at
+    # a time, targets looked up with Basis.has/index
+    basis = classical_oracle(l0, l1, j_max).basis
+    fl0, l1 = float(l0), complex(l1)
+    mats = {k: np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+            for k in ("m_plus", "m_minus", "m3", "n_plus", "n_minus", "n3")}
+
+    def c_of(j):
+        if j == l0 or float(j) <= 0.0:
+            return 0j
+        fj = float(j)
+        rad = (fj * fj - fl0 * fl0) * (fj * fj - l1 * l1) / ((2 * fj - 1.0) * (2 * fj + 1.0))
+        return 1j / fj * sqrt_principal(rad)
+
+    for j in basis.spins:
+        fj = float(j)
+        aj = 0j if fj == 0.0 else 1j * fl0 * l1 / (fj * (fj + 1.0))
+        cj, cj1 = c_of(j), c_of(j + 1)
+        for m in half_range(-j, j):
+            col, fm = basis.index(j, m), float(m)
+
+            def put(name, tj, tm, val):
+                if basis.has(tj, tm):
+                    mats[name][basis.index(tj, tm), col] += val
+
+            mats["m3"][col, col] = fm
+            if m < j:
+                mats["m_plus"][basis.index(j, m + 1), col] = math.sqrt((fj - fm) * (fj + fm + 1))
+            if -j < m:
+                mats["m_minus"][basis.index(j, m - 1), col] = math.sqrt((fj + fm) * (fj - fm + 1))
+            if basis.has(j - 1, m + 1):
+                put("n_plus", j - 1, m + 1, cj * math.sqrt((fj - fm) * (fj - fm - 1)))
+            put("n_plus", j, m + 1, -aj * math.sqrt((fj - fm) * (fj + fm + 1)))
+            put("n_plus", j + 1, m + 1, cj1 * math.sqrt((fj + fm + 1) * (fj + fm + 2)))
+            if basis.has(j - 1, m - 1):
+                put("n_minus", j - 1, m - 1, -cj * math.sqrt((fj + fm) * (fj + fm - 1)))
+            put("n_minus", j, m - 1, -aj * math.sqrt((fj + fm) * (fj - fm + 1)))
+            put("n_minus", j + 1, m - 1, -cj1 * math.sqrt((fj - fm + 1) * (fj - fm + 2)))
+            if basis.has(j - 1, m):
+                put("n3", j - 1, m, cj * math.sqrt((fj - fm) * (fj + fm)))
+            mats["n3"][col, col] += -aj * fm
+            put("n3", j + 1, m, -cj1 * math.sqrt((fj + fm + 1) * (fj - fm + 1)))
+    return mats
+
+
+_ORACLE_LABELS = [
+    ("0", 2.7j), ("0", 0.5), ("0", -0.3), ("1", 2.5j), ("1/2", 1.5), ("1/2", -1.5), ("1/2", 3.5),
+    ("1", 3.0), ("2", 1 - 0.5j), ("3/2", 2 + 1j), ("5/2", 0.7j), ("1", 50 + 50j),
+]
+
+
+@pytest.mark.parametrize("l0,l1", _ORACLE_LABELS)
+def test_oracle_equals_per_entry_reference_bitwise(l0, l1):
+    # the vectorized fill takes the same float operations per entry as the
+    # loop, so every byte matches (signed zeros included)
+    for offset in (0, 1, 2, 5, 6, 8):
+        l0h = HalfInt.parse(l0)
+        o = classical_oracle(l0h, l1, l0h + offset)
+        ref = _reference_oracle(l0h, l1, l0h + offset)
+        for name, mat in ref.items():
+            assert getattr(o, name).tobytes() == mat.tobytes(), (l0, l1, offset, name)
+        assert o.n3_tilde is o.n3
+
+
+def test_oracle_casimir_is_formed_on_first_read_only():
+    o = classical_oracle(HalfInt(2), 2.5j, HalfInt(6))
+    assert "casimir" not in vars(o)
+    expected = -(2.0 * o.m3 @ o.n3 + o.m_plus @ o.n_minus + o.m_minus @ o.n_plus)
+    assert o.casimir.tobytes() == expected.tobytes()
+    assert o.casimir is o.casimir
+
+
 # ---------------------------------------------------------------- limit compare
 
 
@@ -388,6 +461,25 @@ def test_limit_compare_shrinks_linearly():
 def test_limit_compare_rejects_large_eps():
     with pytest.raises(ValueError):
         classical_limit_compare(HalfInt(0), 0.5, HalfInt(4), 0.5)
+
+
+def test_limit_compare_checks_both_eps_before_any_build(monkeypatch):
+    # eps/10 = 5e-13 is inside the q = 1 guard of Deformation: the call is
+    # refused before the oracle or the first set is built
+    import qlorentz.verify as verify
+
+    def no_build(*a, **kw):
+        raise AssertionError("built before the eps check")
+
+    monkeypatch.setattr(verify, "build_generator_set", no_build)
+    monkeypatch.setattr(verify, "classical_oracle", no_build)
+    for eps in (5e-12, 0.0, -1e-6, 2e-3, math.nan):
+        with pytest.raises(ValueError, match=r"eps must be in \[1e-11, 0.001\]"):
+            classical_limit_compare(HalfInt(0), 2.7j, HalfInt(4), eps)
+    monkeypatch.undo()
+    # the lower end of the range takes both builds
+    rep = classical_limit_compare(HalfInt(0), 2.7j, HalfInt(2), 1e-11)
+    assert rep.environment["eps"] == 1e-11 and len(rep.residuals) == 9
 
 
 # ---------------------------------------------------------------- resolver
