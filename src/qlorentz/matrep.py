@@ -37,9 +37,9 @@ readings under which every defining relation closes to machine precision.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import re
+import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .qarith import Deformation, HalfInt, QNumbers, half_range, q_number
-from .repcore import RepLabel, casimir_eigenvalue, classify, coeff_a, coeff_c
+from .repcore import RepLabel, casimir_eigenvalue, classify, coeff_a, coeff_c, spin_limit
 
 __all__ = [
     "Basis",
@@ -94,7 +94,8 @@ class _Grid:
     A step is a tuple of ints that moves every state to another one (or out
     of the basis).  The rows a step reaches and the index plans of the
     operator algebra (on a `Basis` also the builders' term plans and q
-    tables) are computed once per instance and kept in its `_cache`.
+    tables) are computed once per instance and kept in its `_cache`, with
+    each thread's scratch array for large products (`_work`).
     A grid is `copies` independent copies of one basis side by side (1 but
     for a `StackedBasis`).
     """
@@ -149,23 +150,119 @@ class _Grid:
 
         return self._cached(("+", sa, sb), make)
 
-    def _product_plan(self, sa: tuple, sb: tuple):
-        """Index plan of a product A @ B: pair (ia, ib) lands on step
-        sa[ia] + sb[ib]; pairs are ordered by that step for `reduceat`."""
+    def _product_plan(self, sa: tuple, sb: tuple) -> "_ProductPlan":
+        """Index plan of a product A @ B: pair p = ia * len(sb) + ib lands on
+        step sa[ia] + sb[ib]; `order` sorts the pairs by that step (stably)
+        and `starts` marks each step's first pair, as `reduceat` reads them.
+        A plan whose pair array has `_RANKED_MIN` entries or more also holds
+        its `_RankSum` and runs in the grid's work buffer; smaller ones, which
+        the extra numpy calls would slow, keep the plain path."""
 
         def make():
-            sums = [tuple(map(operator.add, a, b)) for a in sa for b in sb]
-            steps = tuple(sorted(set(sums)))
-            pos = {s: i for i, s in enumerate(steps)}
-            group = np.array([pos[s] for s in sums])
-            order = np.argsort(group, kind="stable")
-            starts = np.searchsorted(group[order], np.arange(len(steps)))
+            sums = (np.array(sa)[:, None] + np.array(sb)).reshape(len(sa) * len(sb), -1).tolist()
+            order = sorted(range(len(sums)), key=sums.__getitem__)  # stable
+            steps, starts = [], []
+            for i, p in enumerate(order):
+                if not steps or sums[p] != steps[-1]:
+                    steps.append(sums[p])
+                    starts.append(i)
+            order, starts = np.array(order), np.array(starts)
             # B's values are 0 where its rows are -1; A is read in the first row
             # of the column's copy there, as on the copy alone
             gather = np.maximum(self._row_stack(sb), self._copy_starts)
-            return steps, order, starts, gather
+            ranked = _RankSum(order, starts) if len(order) * self.dim >= _RANKED_MIN else None
+            return _ProductPlan(tuple(map(tuple, steps)), order, starts, gather, ranked)
 
         return self._cached(("@", sa, sb), make)
+
+    def _work(self, size: int) -> np.ndarray:
+        """The calling thread's complex scratch array on this grid, at least
+        `size` entries long: kept in `_cache`, so it grows to the largest
+        request and dies with the grid.  Products write their pair arrays into
+        it; no result may alias it."""
+        key = ("work", threading.get_ident())
+        work = self._cache.get(key)
+        if work is None or work.size < size:
+            work = self._cache[key] = np.empty(size, dtype=np.complex128)
+        return work
+
+
+# Pair-array entries (128 KB) from which a product runs in the work buffer.
+_RANKED_MIN = 8192
+
+
+class _RankSum:
+    """Sums the rows of a pair array by group, bitwise as
+    `np.add.reduceat(terms[order], starts, axis=0)` does.
+
+    On a group of k <= 4 rows t0..t(k-1), reduceat takes
+    t0 + ((t1 + t2) + t3) (the first row plus the inner loop's sum from
+    -0.0, which adds no bit); from 5 rows on it takes numpy's blocked
+    pairwise sum.  So the groups of 2 to 4 rows are laid out rank-major,
+    longest first, and each rank is added for all of them at once; the
+    larger groups go through one `reduceat` of their own.  Each addition
+    is one IEEE operation on finite values, so a finite result does not
+    depend on how they are batched.  A NaN's sign does (numpy's SIMD and
+    scalar loops keep different operands), and so does the text of an
+    overflow warning, so a result that is not finite is made again, with
+    its warnings, by `reduceat` over the whole pair array.
+    """
+
+    def __init__(self, order: np.ndarray, starts: np.ndarray):
+        pairs, bounds = order.tolist(), starts.tolist() + [len(order)]
+        groups = [pairs[i:j] for i, j in zip(bounds, bounds[1:])]
+        small = [i for i, g in enumerate(groups) if 1 < len(g) < 5]
+        small.sort(key=lambda i: len(groups[i]), reverse=True)  # stable
+        # rank k of the groups that have it: a prefix of the longest-first layout
+        self.ranks = [np.array([groups[i][k] for i in small if len(groups[i]) > k], dtype=np.intp) for k in (1, 2, 3)]
+        self.small = np.array(small, dtype=np.intp)
+        large = [i for i, g in enumerate(groups) if len(g) > 4]
+        self.large = np.array(large, dtype=np.intp)
+        self.large_terms = np.array([p for i in large for p in groups[i]], dtype=np.intp)
+        self.large_starts = np.cumsum([0] + [len(groups[i]) for i in large[:-1]])
+        self.first = np.array([g[0] for g in groups])
+        self.order, self.starts = order, starts
+        # rows of scratch the sum needs past the pair array
+        self.rows = max(2 * len(small), len(self.large_terms) + len(large))
+
+    def __call__(self, terms: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """The group sums of `terms` as a new array; `work` holds at least
+        `rows` rows of scratch (not overlapping `terms`)."""
+        dim = terms.shape[1]
+        out = terms.take(self.first, axis=0)
+        if len(self.first) == len(self.order):
+            return out
+        with np.errstate(all="ignore"):
+            n = len(self.small)
+            if n:
+                acc, tmp = work[: 2 * n * dim].reshape(2, n, dim)
+                terms.take(self.ranks[0], axis=0, out=acc, mode="clip")
+                for rank in self.ranks[1:]:
+                    k = len(rank)
+                    if not k:
+                        break
+                    terms.take(rank, axis=0, out=tmp[:k], mode="clip")
+                    np.add(acc[:k], tmp[:k], out=acc[:k])
+                out.take(self.small, axis=0, out=tmp, mode="clip")
+                out[self.small] = np.add(tmp, acc, out=acc)
+            if len(self.large):
+                k = len(self.large_terms)
+                block = work[: (k + len(self.large)) * dim].reshape(-1, dim)
+                terms.take(self.large_terms, axis=0, out=block[:k], mode="clip")
+                out[self.large] = np.add.reduceat(block[:k], self.large_starts, axis=0, out=block[k:])
+            finite = np.isfinite(out.sum())
+        if not finite:
+            # a NaN's sign and numpy's overflow warnings follow its loop order
+            out = np.add.reduceat(terms[self.order], self.starts, axis=0)
+        return out
+
+
+class _ProductPlan(NamedTuple):
+    steps: tuple
+    order: np.ndarray
+    starts: np.ndarray
+    gather: np.ndarray
+    ranked: Optional[_RankSum]
 
 
 @dataclass(frozen=True)
@@ -307,27 +404,21 @@ class StackedBasis(_Grid):
         return np.tile(self.base.interior_columns(order), self.copies)
 
 
-# Entries reach [2 j] ~ q^(+-j) at spin j; products of two, and of the invariant
-# (rounding noise near u q^(3j/2)) with one, overflow in the suites past ln q^(+-j) = 300.
-_MAX_LOG_ENTRY = 300.0
-
-
 def build_basis(label: RepLabel, j_max: HalfInt) -> Basis:
     """Basis for a label: full spin content if finite, l0..j_max if infinite;
-    spins whose entries would overflow in the suites raise before any allocation."""
+    spins whose entries would overflow in the suites raise before any
+    allocation (`classify` refuses a finite label's, this a j_max)."""
     if j_max < label.l0:
         raise ValueError(f"j_max = {j_max} below l0 = {label.l0}")
     cls = classify(label)
-    top = cls.spins[-1] if cls.kind == "finite" else j_max
-    q = label.d.q
-    limit = _MAX_LOG_ENTRY / abs(math.log(q))
-    if float(top) > limit:
-        if cls.kind == "finite" or limit < float(label.l0):
-            raise ValueError(f"spin {top} overflows at q = {q:g}: spins above {limit:.4g} are out of range")
-        largest = label.l0 + math.floor(limit - float(label.l0))
-        raise ValueError(f"j_max = {j_max} overflows at q = {q:g}: the largest valid j_max is {largest}")
     if cls.kind == "finite":
         return Basis(spins=cls.spins)
+    q, limit = label.d.q, spin_limit(label.d)
+    if float(j_max) > limit:
+        if limit < float(label.l0):
+            raise ValueError(f"spin {j_max} overflows at q = {q:g}: spins above {limit:.4g} are out of range")
+        largest = label.l0 + math.floor(limit - float(label.l0))
+        raise ValueError(f"j_max = {j_max} overflows at q = {q:g}: the largest valid j_max is {largest}")
     return Basis(spins=tuple(half_range(label.l0, j_max)), j_max=j_max)
 
 
@@ -488,15 +579,28 @@ class OperatorMatrix:
 
     def __matmul__(self, other):
         """(A @ B)[:, c] sums A's column at each row B reaches from c, so the
-        pair (sa, sb) contributes A[sa, rows_sb] * B[sb] to step sa + sb."""
+        pair (sa, sb) contributes A[sa, rows_sb] * B[sb] to step sa + sb.
+
+        A small product makes its pair array, reorders it by step and sums it
+        with `np.add.reduceat`.  A large one (its plan has a `_RankSum`)
+        gathers and multiplies in place in the basis's work buffer, and its
+        `_RankSum` allocates only the result; both give the same bits."""
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
         basis = self._basis_with(other)
-        steps, order, starts, gather = basis._product_plan(self.steps, other.steps)
-        terms = (self.data[:, gather] * other.data).reshape(-1, basis.dim)[order]
-        if len(starts) < len(order):
-            terms = np.add.reduceat(terms, starts, axis=0)
-        return OperatorMatrix._result(basis, steps, terms)
+        plan = basis._product_plan(self.steps, other.steps)
+        dim, n = basis.dim, len(plan.order)
+        if plan.ranked is None:
+            terms = (self.data[:, plan.gather] * other.data).reshape(n, dim)[plan.order]
+            if len(plan.starts) < n:
+                terms = np.add.reduceat(terms, plan.starts, axis=0)
+            return OperatorMatrix._result(basis, plan.steps, terms)
+        work = basis._work((n + plan.ranked.rows) * dim)
+        pairs = work[: n * dim].reshape(len(self.steps), len(other.steps), dim)
+        self.data.take(plan.gather, axis=1, out=pairs, mode="clip")
+        np.multiply(pairs, other.data, out=pairs)
+        terms = plan.ranked(pairs.reshape(n, dim), work[n * dim :])
+        return OperatorMatrix._result(basis, plan.steps, terms)
 
 
 def pattern_violation(op: OperatorMatrix, pattern: frozenset, basis: Basis) -> float:

@@ -24,7 +24,8 @@ which `check_recurrences` evaluates as a brute-force oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 from .qarith import Deformation, HalfInt, QNumbers, half_range, q_number, sqrt_principal
@@ -46,6 +47,17 @@ __all__ = [
 REAL_DETECT_RTOL = 1e-9
 REAL_DETECT_ATOL = 1e-12
 _SMALL_L1 = 1e-3
+# Past this |l1| the integer test's tolerance reaches 1/2 and accepts any span.
+_MAX_REAL_L1 = 0.5 / REAL_DETECT_RTOL
+
+# Entries reach [2 j] ~ q^(+-j) at spin j; products of two, and of the invariant
+# (rounding noise near u q^(3j/2)) with one, overflow in the suites past ln q^(+-j) = 300.
+_MAX_LOG_ENTRY = 300.0
+
+
+def spin_limit(d: Deformation) -> float:
+    """Largest spin whose matrix entries stay finite in the suites at q."""
+    return _MAX_LOG_ENTRY / abs(math.log(d.q))
 
 
 class SingularCoefficientError(ValueError):
@@ -104,20 +116,27 @@ def _is_imaginary(l1: complex) -> bool:
 class Classification:
     """Series classification of a label.
 
-    kind is "finite" or "infinite"; finite classifications carry the spin
-    content and dimension.  unitary is "principal", "complementary" or
-    "non_unitary"; principal carries rho = Im l1.  degenerate flags the
-    |l1| = l0 boundary (empty spin range), which is reported as infinite
-    with a warning rather than rejected.
+    kind is "finite" or "infinite"; finite classifications carry n, the top
+    spin l0 + n and the dimension, and list their spin content on request.
+    unitary is "principal", "complementary" or "non_unitary"; principal
+    carries rho = Im l1.  degenerate flags the |l1| = l0 boundary (empty
+    spin range), which is reported as infinite with a warning rather than
+    rejected.
     """
 
     kind: str
     unitary: str
     n: Optional[int] = None
-    spins: tuple[HalfInt, ...] = field(default_factory=tuple)
+    top: Optional[HalfInt] = None
     dim: Optional[int] = None
     rho: Optional[float] = None
     degenerate: bool = False
+
+    @property
+    def spins(self) -> tuple[HalfInt, ...]:
+        if self.kind != "finite":
+            return ()
+        return tuple(half_range(self.top - self.n, self.top))
 
     def to_record(self) -> dict:
         rec: dict = {"kind": self.kind, "unitary": self.unitary}
@@ -138,13 +157,20 @@ def classify(label: RepLabel) -> Classification:
     The finiteness test uses the real form |l1| = l0 + n + 1 (for real q > 0
     the q-number is injective on the reals, so the q-squared form reduces to
     it).  The classification never depends on q, so it is stable under
-    q -> 1/q by construction.
+    q -> 1/q by construction; only its range checks read |ln q|.
+
+    Raises ValueError, before any spin is listed, for a real l1 too large
+    for the test to tell an integer span from a half-integer one, for a
+    finite label whose top spin is past `spin_limit` at its q, and for an
+    infinite one whose |Re l1| is past twice that (its bracket [l1] would
+    pass the largest [2j]).
     """
     l0, l1 = label.l0, label.l1
     tol = _detect_tol(l1)
 
     unitary = "non_unitary"
     rho: Optional[float] = None
+    degenerate = False
     if _is_imaginary(l1):
         unitary = "principal"
         rho = l1.imag
@@ -153,19 +179,29 @@ def classify(label: RepLabel) -> Classification:
 
     if _is_real(l1):
         mag = abs(l1.real)
+        if mag >= _MAX_REAL_L1:
+            raise ValueError(
+                f"|l1| = {mag:g} is too large to tell an integer |l1| - l0 from a half-integer one"
+                f" (|l1| must be below {_MAX_REAL_L1:g})"
+            )
         span = mag - float(l0)  # = n + 1 for finite labels
+        n = round(span) - 1
         if abs(mag - float(l0)) <= max(tol, REAL_DETECT_ATOL):
             # |l1| = l0: empty spin range, untreated boundary.
-            return Classification(kind="infinite", unitary=unitary, rho=rho, degenerate=True)
-        n = round(span) - 1
-        if n >= 0 and abs(span - (n + 1)) <= max(tol, REAL_DETECT_ATOL):
+            degenerate = True
+        elif n >= 0 and abs(span - (n + 1)) <= max(tol, REAL_DETECT_ATOL):
             top = l0 + n  # highest spin |l1| - 1
-            spins = tuple(half_range(l0, top))
-            dim = sum(j.twice + 1 for j in spins)
-            return Classification(
-                kind="finite", unitary=unitary, n=n, spins=spins, dim=dim, rho=rho
-            )
-    return Classification(kind="infinite", unitary=unitary, rho=rho)
+            limit = spin_limit(label.d)
+            if float(top) > limit:
+                raise ValueError(f"spin {top} overflows at q = {label.d.q:g}: spins above {limit:.4g} are out of range")
+            # blocks of 2 l0 + 1, 2 l0 + 3, ..., 2 l0 + 2 n + 1 states
+            dim = (n + 1) * (l0.twice + n + 1)
+            return Classification(kind="finite", unitary=unitary, n=n, top=top, dim=dim, rho=rho)
+    # the boost entries of an infinite label grow as [l1] ~ q^(|Re l1| / 2)
+    limit = 2 * spin_limit(label.d)
+    if abs(l1.real) > limit:
+        raise ValueError(f"|Re l1| = {abs(l1.real):g} overflows at q = {label.d.q:g}: above {limit:.4g} is out of range")
+    return Classification(kind="infinite", unitary=unitary, rho=rho, degenerate=degenerate)
 
 
 def _brackets(label: RepLabel, qn: Optional[QNumbers]) -> QNumbers:
@@ -189,8 +225,12 @@ def coeff_a(j: HalfInt, label: RepLabel, qn: Optional[QNumbers] = None) -> compl
             return 0j
         raise SingularCoefficientError(f"a_0 undefined for l0 = {label.l0} > 0")
     qn = _brackets(label, qn)
-    num = 1j * qn[label.l0] * qn[label.l1]
-    return num / (qn[j] * qn[j + 1])
+    return _a_value(qn[label.l0], qn[label.l1], qn[j], qn[j + 1])
+
+
+def _a_value(l0b, l1b, jb, j1b) -> complex:
+    """a_j from the brackets [l0], [l1], [j], [j+1]."""
+    return 1j * l0b * l1b / (jb * j1b)
 
 
 def coeff_c(j: HalfInt, label: RepLabel, qn: Optional[QNumbers] = None) -> complex:
@@ -209,24 +249,14 @@ def coeff_c(j: HalfInt, label: RepLabel, qn: Optional[QNumbers] = None) -> compl
             f"c_{{1/2}} singular for l0 = {label.l0}: [2j-1] = 0 with nonzero numerator"
         )
     qn = _brackets(label, qn)
-    jj = qn[j]
-    sq_j = jj * jj
-    sq_l0 = qn[label.l0] ** 2
-    sq_l1 = qn[label.l1] ** 2
-    radicand = (sq_j - sq_l0) * (sq_j - sq_l1) / (qn[j + j - 1] * qn[j + j + 1])
-    return 1j / jj * sqrt_principal(radicand)
+    return _c_value(qn[j], qn[j + j - 1], qn[j + j + 1], qn[label.l0] ** 2, qn[label.l1] ** 2)
 
 
-def _boundary_a(j: HalfInt, label: RepLabel, qn: QNumbers) -> complex:
-    """a_j with the j = l0 = 0 case taken as its closed-form limit i[l1].
-
-    The matrix builders never observe a_0, but the second difference equation
-    at j = 0 does; the limit [l0]/[j] -> 1 as both tend to [0] is the value
-    under which the closed form satisfies it identically.
-    """
-    if j.twice == 0 and label.l0.twice == 0:
-        return 1j * qn[label.l1]
-    return coeff_a(j, label, qn)
+def _c_value(jb, lo, hi, sq_l0, sq_l1) -> complex:
+    """c_j from the brackets [j], [2j-1], [2j+1] and the squares [l0]^2, [l1]^2."""
+    sq_j = jb * jb
+    radicand = (sq_j - sq_l0) * (sq_j - sq_l1) / (lo * hi)
+    return 1j / jb * sqrt_principal(radicand)
 
 
 def check_recurrences(label: RepLabel, j_max: HalfInt) -> list[dict]:
@@ -236,22 +266,38 @@ def check_recurrences(label: RepLabel, j_max: HalfInt) -> list[dict]:
     (a_{j+1}[j+2] - a_j[j]) c_{j+1}  and  c_j^2[2j-1] - a_j^2 - c_{j+1}^2[2j+3] - 1.
     This is a direct oracle for the closed-form coefficients: both residuals
     vanish identically in exact arithmetic, for every label.
+
+    Each coefficient of the window is derived once, by the arithmetic of
+    `coeff_a`/`coeff_c`, from brackets keyed by twice their argument (one
+    `q_number` call each).  At j = l0 = 0, a_0 is its closed-form limit
+    i[l1]: the builders never observe a_0, but the second equation at j = 0
+    does, and [l0]/[j] -> 1 as both tend to [0].
     """
     if j_max < label.l0:
         raise ValueError(f"j_max = {j_max} below l0 = {label.l0}")
-    qn = QNumbers(label.d)
-    # each coefficient once: a_j and a_{j+1}, c_j and c_{j+1} of the window
-    spins = half_range(label.l0, j_max + 1)
-    a = [_boundary_a(spins[0], label, qn)] + [coeff_a(j, label, qn) for j in spins[1:]]
-    c = [coeff_c(j, label, qn) for j in spins]
+    d = label.d
+    brackets: dict[int, float] = {}
+
+    def br(k: int) -> float:
+        if k not in brackets:
+            brackets[k] = q_number(HalfInt(k), d)
+        return brackets[k]
+
+    t0 = label.l0.twice
+    twice = range(t0, j_max.twice + 3, 2)  # j = l0 .. j_max + 1
+    l0b, l1b = br(t0), q_number(label.l1, d)
+    sq_l0, sq_l1 = l0b**2, l1b**2
+    a = [1j * l1b if t0 == 0 else _a_value(l0b, l1b, br(t0), br(t0 + 2))]
+    a += [_a_value(l0b, l1b, br(t), br(t + 2)) for t in twice[1:]]
+    c = [0j] + [_c_value(br(t), br(2 * t - 2), br(2 * t + 2), sq_l0, sq_l1) for t in twice[1:]]
     out = []
-    for k, j in enumerate(spins[:-1]):
+    for k, t in enumerate(twice[:-1]):
         a_j, a_next, c_j, c_next = a[k], a[k + 1], c[k], c[k + 1]
-        lhs1 = (a_next * qn[j + 2] - a_j * qn[j]) * c_next
-        lhs2 = c_j * c_j * qn[j + j - 1] - a_j * a_j - c_next * c_next * qn[j + j + 3]
+        lhs1 = (a_next * br(t + 4) - a_j * br(t)) * c_next
+        lhs2 = c_j * c_j * br(2 * t - 2) - a_j * a_j - c_next * c_next * br(2 * t + 6)
         out.append(
             {
-                "j": str(j),
+                "j": str(HalfInt(t)),
                 "residual_ladder": abs(lhs1),
                 "residual_norm": abs(lhs2 - 1.0),
             }

@@ -683,6 +683,7 @@ def classical_limit_compare(
     if not LIMIT_EPS[0] <= eps <= LIMIT_EPS[1]:
         raise ValueError(f"eps must be in [{LIMIT_EPS[0]:g}, {LIMIT_EPS[1]:g}], got {eps}")
     d1, d2 = Deformation(1.0 + eps), Deformation(1.0 + eps / 10.0)
+    classify(RepLabel(label_l0, label_l1, d1))  # its bounds, before the oracle lists any spin
     oracle = classical_oracle(label_l0, label_l1, j_max)
 
     # Entrywise comparison covers the seven generators, read by name: the

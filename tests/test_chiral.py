@@ -381,6 +381,18 @@ def test_coproduct_noncocommutative_witness():
         assert f"witness {float(np.max(np.abs(img - p @ img @ p))):.6g}," in rec.note
 
 
+@pytest.mark.parametrize("l1", [1.0, -1.0])
+def test_coproduct_of_the_trivial_representation_passes(l1):
+    # every generator of (0, +-1) is 0, so its coproduct is cocommutative: the
+    # witness record is left out, as for factors of unequal dim
+    trivial = build_chiral(build_generator_set(lab("0", l1, 1.3), conv=RESOLVED_CONVENTION))
+    assert trivial.dim == 1
+    for other in (trivial, tau_chiral(1.3)[0]):
+        rep = check_coproduct_homomorphism(coproduct(trivial, other, RESOLVED_CONVENTION))
+        assert rep.tier1_pass
+        assert "eq32.noncocommutative" not in {r.relation_id for r in rep.residuals}
+
+
 def test_coproduct_deformation_mismatch_rejected():
     a, _ = tau_chiral(1.3)
     c, _ = tau_chiral(0.7)

@@ -449,6 +449,37 @@ def test_overflowing_range_exits_2_before_any_matrix(tmp_path, capsys, monkeypat
     assert message in capsys.readouterr().err
 
 
+_HUGE_L1 = [
+    (command, l0, l1)
+    for command in ("classify", "build", "verify", "chiral", "coproduct", "conventions", "limit")
+    for l0 in ("0", "1/2")
+    for l1 in ("1e7", "1e300")
+    # at q = 1 + eps, (1/2, 1e7) is an infinite label in range, and (0, 1e7) a finite
+    # one whose 10^7 spins the dense classical oracle lists (ROADMAP item 2)
+    if command != "limit" or l1 != "1e7"
+]
+
+
+@pytest.mark.parametrize("command,l0,l1", _HUGE_L1)
+def test_huge_l1_exits_2_before_listing_spins(tmp_path, capsys, monkeypatch, command, l0, l1):
+    import qlorentz.matrep as matrep
+    import qlorentz.repcore as repcore
+    import qlorentz.verify as verify
+    from qlorentz.qarith import half_range
+
+    def short_range(lo, hi):
+        assert hi.twice - lo.twice < 2000, "a long spin range was listed"
+        return half_range(lo, hi)
+
+    for module in (matrep, repcore, verify):
+        monkeypatch.setattr(module, "half_range", short_range)
+    extra = ["--j-max", "2"] if command == "limit" else ["--q", "1.3"]
+    code, raw = run_cli([command, "--l0", l0, "--l1", l1, *extra], tmp_path)
+    assert code == 2 and raw == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("overflows at q" in err or "too large to tell" in err)
+
+
 def test_largest_valid_j_max_still_builds(tmp_path):
     code, raw = run_cli(["build", "--l0", "0", "--l1", "2.7i", "--q", "10", "--j-max", "130"], tmp_path)
     assert code == 0

@@ -1,6 +1,7 @@
 """The step-stored operator algebra against the same algebra on dense arrays."""
 
 import gc
+import itertools
 import math
 import os
 import subprocess
@@ -283,3 +284,129 @@ def test_product_basis_is_shared_and_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------- ranked products
+
+
+def _grouped(rng, sizes, dim, values=None):
+    """Terms of groups of the given sizes, their pairs shuffled, and the
+    (order, starts) that sort them back for `reduceat`."""
+    n = sum(sizes)
+    terms = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    terms *= 10.0 ** rng.integers(-3, 4, (n, dim))
+    if values is not None:
+        parts = terms.view(np.float64)  # re and im interleaved
+        pick = rng.random(parts.shape) < 0.3
+        parts[pick] = rng.choice(values, int(pick.sum()))
+    order = rng.permutation(n)
+    starts = np.cumsum([0] + list(sizes[:-1]))
+    return np.ascontiguousarray(terms), order, starts
+
+
+class _NoReorder(np.ndarray):
+    """Terms whose reordered copy, the `reduceat` path of a sum that is not
+    finite, may not be made."""
+
+    def __getitem__(self, key):
+        raise AssertionError("the sum fell back to reduceat over the reordered pairs")
+
+
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_sum_equals_reduceat_bitwise(seed, special):
+    # groups of 1..20 terms; finite terms with signed zeros take the ranked
+    # sum, and inf, nan and overflow take reduceat, with its warnings
+    import warnings
+
+    from qlorentz.matrep import _RankSum
+
+    rng = np.random.default_rng(seed)
+    sizes = rng.permutation(np.repeat(np.arange(1, 21), 2))
+    values = [0.0, -0.0, 1.0, -2.5]
+    if special:
+        values += [np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308]
+    terms, order, starts = _grouped(rng, sizes, 7, np.array(values))
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        expected = np.add.reduceat(terms[order], starts, axis=0)
+    plan = _RankSum(order, starts)
+    work = np.empty(plan.rows * terms.shape[1], dtype=np.complex128)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        result = plan(terms if special else terms.view(_NoReorder), work)
+    assert np.asarray(result).tobytes() == expected.tobytes()
+    assert [str(w.message) for w in got] == [str(w.message) for w in want]
+    assert bool(want) == special
+
+
+def _ranked_pairs(ops):
+    """Products of every pair of ops; the ranked ones are those whose plan has
+    a `_RankSum`."""
+    out = {}
+    for (i, a), (j, b) in itertools.product(enumerate(ops), repeat=2):
+        out[i, j] = (a @ b, a.basis._product_plan(a.steps, b.steps).ranked is not None)
+    return out
+
+
+def _coproduct_ops():
+    from qlorentz.chiral import build_chiral, coproduct
+
+    cs = build_chiral(build_generator_set(RepLabel(HalfInt(2), 2.7j, Deformation(1.3)), HalfInt(4)))
+    dc = coproduct(cs, cs)
+    names = ("I_plus_L", "I_minus_L", "I3_L", "I3_L_tilde", "I_plus_R", "I_minus_R", "I3_R", "I3_R_tilde")
+    return [getattr(dc, name) for name in names]
+
+
+def _verify_ops():
+    g = build_generator_set(RepLabel(HalfInt(0), 2.7j, Deformation(1.3)), HalfInt.from_int(40))
+    return [getattr(g, name) for name in GENERATOR_PATTERNS if name != "casimir"]
+
+
+def _stacked_ops():
+    g = build_generator_set(RepLabel(HalfInt(1), 1 - 0.5j, Deformation(0.7)), HalfInt(6))
+    copies = 80
+    grid = StackedBasis(g.basis, copies)
+    scale = np.repeat(np.linspace(0.5, 2.0, copies), g.basis.dim)
+    ops = [getattr(g, name) for name in ("m_plus", "n_plus", "n_minus", "n3")]
+    return [OperatorMatrix(grid, op.steps, np.tile(op.data, copies) * scale) for op in ops]
+
+
+@pytest.mark.parametrize("make", [_coproduct_ops, _verify_ops, _stacked_ops])
+def test_ranked_and_direct_products_agree_bitwise(monkeypatch, make):
+    import qlorentz.matrep as matrep
+
+    ranked = _ranked_pairs(make())
+    assert any(r for _, r in ranked.values())
+    monkeypatch.setattr(matrep, "_RANKED_MIN", math.inf)
+    direct = _ranked_pairs(make())  # fresh bases, so fresh plans
+    assert not any(r for _, r in direct.values())
+    for key, (op, _) in ranked.items():
+        assert op.steps == direct[key][0].steps
+        assert op.data.tobytes() == direct[key][0].data.tobytes(), key
+
+
+@pytest.mark.parametrize("make", [_coproduct_ops, _verify_ops, _stacked_ops])
+def test_ranked_products_own_their_read_only_results(make):
+    ops = make()
+    results = _ranked_pairs(ops)
+    work = ops[0].basis._work(0)
+    for op, is_ranked in results.values():
+        assert not np.shares_memory(op.data, work)
+        assert op.data.dtype == np.complex128 and op.data.flags.c_contiguous
+        assert not op.data.flags.writeable
+    # a later product reuses the buffer and leaves every earlier result as it was
+    again = _ranked_pairs(ops)
+    assert all(again[k][0].data.tobytes() == results[k][0].data.tobytes() for k in results)
+
+
+def test_ranked_products_from_several_threads_equal_serial_ones():
+    # each thread has its own work buffer on a shared basis
+    from concurrent.futures import ThreadPoolExecutor
+
+    ops = _coproduct_ops()
+    serial = {k: op.data.tobytes() for k, (op, _) in _ranked_pairs(ops).items()}
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        runs = list(pool.map(lambda _: _ranked_pairs(ops), range(6)))
+    for run in runs:
+        assert {k: op.data.tobytes() for k, (op, _) in run.items()} == serial

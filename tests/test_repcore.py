@@ -80,6 +80,47 @@ def test_classify_involution_stable():
         assert a == b
 
 
+@pytest.mark.parametrize("l0", ["0", "1/2", "1", "5/2"])
+@pytest.mark.parametrize("n", [0, 1, 4, 9])
+def test_finite_spin_content_and_dim_from_n(l0, n):
+    # dim in closed form, spins listed only on request, as the listing gives them
+    j0 = HalfInt.parse(l0)
+    c = classify(lab(l0, float(j0) + n + 1, 1.3))
+    assert c.kind == "finite" and c.n == n and c.top == j0 + n
+    assert c.spins == tuple(half_range(j0, j0 + n))
+    assert c.dim == sum(j.twice + 1 for j in c.spins)
+
+
+def test_classify_lists_no_spin_of_a_large_finite_label(monkeypatch):
+    import qlorentz.repcore as repcore
+
+    def no_listing(lo, hi):
+        raise AssertionError("spins listed")
+
+    monkeypatch.setattr(repcore, "half_range", no_listing)
+    q = 1 + 2e-12  # spins up to 1.5e14 are in range here
+    c = classify(lab("1/2", 4e8 + 0.5, q))
+    assert c.kind == "finite" and c.n == 4 * 10**8 - 1 and c.dim == 4 * 10**8 * (4 * 10**8 + 1)
+
+
+@pytest.mark.parametrize(
+    "l0,l1,q,message",
+    [
+        ("0", 1e7, 1.3, "spin 9999999 overflows at q = 1.3: spins above 1143 are out of range"),
+        ("1/2", 200.5, 10.0, "spin 399/2 overflows at q = 10"),
+        ("1/2", 1e7, 1.3, "|Re l1| = 1e+07 overflows at q = 1.3: above 2287 is out of range"),
+        ("1", 3000 + 1j, 1.3, "|Re l1| = 3000 overflows"),
+        ("0", 5e8, 1 + 2e-12, "|l1| = 5e+08 is too large to tell"),
+        ("1/2", 1e300, 1.3, "|l1| = 1e+300 is too large to tell"),
+        ("1/2", -1e300, 1.3, "|l1| = 1e+300 is too large to tell"),
+    ],
+)
+def test_classify_refuses_labels_it_cannot_bound(l0, l1, q, message):
+    with pytest.raises(ValueError) as err:
+        classify(lab(l0, l1, q))
+    assert message in str(err.value)
+
+
 def test_classify_degenerate_boundary():
     c = classify(lab("1", 1.0, 1.3))
     assert c.kind == "infinite"
@@ -255,3 +296,20 @@ def test_casimir_eigenvalue_spinor():
 def test_casimir_eigenvalue_classical_limit():
     val = casimir_eigenvalue(lab("1", 2.0, 1 + 1e-6))
     assert val == pytest.approx(2j, abs=1e-4)
+
+
+def test_recurrences_evaluate_each_bracket_once(monkeypatch):
+    import qlorentz.repcore as repcore
+
+    calls = []
+
+    def counting(x, d):
+        calls.append(x.twice if isinstance(x, HalfInt) else x)
+        return q_number(x, d)
+
+    monkeypatch.setattr(repcore, "q_number", counting)
+    for label in (lab("0", 0.5, 1.3), lab("3/2", 2.5, 0.5), lab("1", 2.7j, 2.0)):
+        calls.clear()
+        check_recurrences(label, label.l0 + 20)
+        assert len(calls) == len(set(calls))
+        assert label.l1 in calls and label.l0.twice in calls
