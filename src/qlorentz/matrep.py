@@ -10,7 +10,7 @@ operators S and T, and Kronecker embeddings for tensor products.
 Every column of a generator couples to at most three (delta_j, delta_m)
 steps, so an `OperatorMatrix` stores one value row of length dim per step
 and runs products, sums and adjoints in O(dim * steps^2) numpy work; only
-`toarray()` makes a dim x dim array, and only the `limit` comparison calls it.
+`toarray()` makes a dim x dim array, and no command calls it.
 
 Matrix actions, column (j, m) -> rows:
 

@@ -17,8 +17,9 @@ Each check produces `RelationResidual` records collected into deterministic
 Residual norm: max|entry| of (LHS - RHS) over interior columns; scale is the
 product of the max-norms of the operators on the commutator side, floored
 at 1.  A record passes iff residual <= tolerance * scale.  Both sides are
-evaluated with the step-operator algebra of `matrep`; only the classical
-oracle is a separate path, filled from its own formulas.
+evaluated with the step-operator algebra of `matrep`; the classical oracle
+fills its step rows from its own formulas, on the basis the deformed build
+has.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -569,37 +570,34 @@ def check_recurrence_suite(
 
 @dataclass(frozen=True)
 class ClassicalGeneratorSet:
-    """Classical (undeformed) generator matrices built from the closed-form
-    matrix elements with every bracket [x] replaced by x and every q-power
-    by 1.  Independent of the deformed code paths: plain dense arrays, filled
-    by their own formulas.  The invariant is formed on first read (three
-    dense products), which the limit comparison never does."""
+    """Classical (undeformed) generators built from the closed-form matrix
+    elements with every bracket [x] replaced by x and every q-power by 1.
+    Independent of the deformed formulas, but stored by step on the basis
+    the deformed build has.  The invariant is formed on first read (three
+    step products), which the limit comparison never does."""
 
     basis: Basis
-    l0: float
-    l1: complex
-    m_plus: np.ndarray
-    m_minus: np.ndarray
-    m3: np.ndarray
-    n_plus: np.ndarray
-    n_minus: np.ndarray
-    n3: np.ndarray
-    n3_tilde: np.ndarray
+    m_plus: OperatorMatrix
+    m_minus: OperatorMatrix
+    m3: OperatorMatrix
+    n_plus: OperatorMatrix
+    n_minus: OperatorMatrix
+    n3: OperatorMatrix
+    n3_tilde: OperatorMatrix
 
     @functools.cached_property
-    def casimir(self) -> np.ndarray:
+    def casimir(self) -> OperatorMatrix:
         # quadratic invariant, normalized to the deformed one: brute-force
         # evaluation shows the plain rotation-boost contraction M.N is scalar
         # with eigenvalue i l0 l1 / 2 in this coefficient normalization, so the
         # counterpart of the deformed invariant (eigenvalue i l0 l1) is -2 M.N
-        return -(2.0 * self.m3 @ self.n3 + self.m_plus @ self.n_minus + self.m_minus @ self.n_plus)
+        return -1.0 * (2.0 * self.m3 @ self.n3 + self.m_plus @ self.n_minus + self.m_minus @ self.n_plus)
 
 
-def classical_oracle(l0: HalfInt, l1: complex, j_max: HalfInt) -> ClassicalGeneratorSet:
-    """Classical matrices: a_j = i l0 l1 / (j(j+1)), c_j from the classical
-    square root, rotation elements sqrt((j-+m)(j+-m+1)).  Spin content mirrors
-    the deformed case: full ladder for real l1 with |l1| - l0 a positive
-    integer, truncated at j_max otherwise.
+def classical_oracle(basis: Basis, l0: HalfInt, l1: complex) -> ClassicalGeneratorSet:
+    """Classical generators on `basis`: a_j = i l0 l1 / (j(j+1)), c_j from the
+    classical square root, rotation elements sqrt((j-+m)(j+-m+1)).  The spin
+    content is the basis's, so it is `classify`'s (through `build_basis`).
 
     a_j, c_j and c_{j+1} are scalars per spin; each term of a generator is
     then filled for every column (j, m) at once from the basis's j and m
@@ -608,17 +606,6 @@ def classical_oracle(l0: HalfInt, l1: complex, j_max: HalfInt) -> ClassicalGener
     """
     l1 = complex(l1)
     fl0 = float(l0)
-    spins: Sequence[HalfInt]
-    finite = False
-    if abs(l1.imag) < 1e-12:
-        span = abs(l1.real) - fl0
-        n = round(span) - 1
-        if n >= 0 and abs(span - (n + 1)) < 1e-9:
-            finite = True
-            spins = half_range(l0, l0 + n)
-    if not finite:
-        spins = half_range(l0, j_max)
-    basis = Basis(spins=tuple(spins), j_max=None if finite else j_max)
 
     def a_of(j: float) -> complex:
         if j == 0.0:
@@ -633,9 +620,9 @@ def classical_oracle(l0: HalfInt, l1: complex, j_max: HalfInt) -> ClassicalGener
         return 1j / fj * sqrt_principal(rad)
 
     block = (basis.j2 - basis.j2[0]) // 2
-    a = np.array([a_of(float(j)) for j in spins])[block]
-    c = np.array([c_of(j) for j in spins])[block]
-    c1 = np.array([c_of(j + 1) for j in spins])[block]
+    a = np.array([a_of(float(j)) for j in basis.spins])[block]
+    c = np.array([c_of(j) for j in basis.spins])[block]
+    c1 = np.array([c_of(j + 1) for j in basis.spins])[block]
     j, m = basis.j2 / 2, basis.m2 / 2
 
     def root(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -657,13 +644,14 @@ def classical_oracle(l0: HalfInt, l1: complex, j_max: HalfInt) -> ClassicalGener
         ("n3", (0, 0), -a * m),
         ("n3", (1, 0), -c1 * root(j + m + 1, j - m + 1)),
     ]
-    cols = np.arange(basis.dim)
-    mats = {name: np.zeros((basis.dim, basis.dim), dtype=np.complex128) for name, _step, _vals in terms}
-    for name, step, vals in terms:
-        rows = basis.rows(step)
-        inside = rows >= 0
-        mats[name][rows[inside], cols[inside]] += vals[inside]
-    return ClassicalGeneratorSet(basis=basis, l0=fl0, l1=l1, n3_tilde=mats["n3"], **mats)
+    ops = {}
+    for name in dict.fromkeys(name for name, _step, _vals in terms):
+        mine = [(step, vals) for n, step, vals in terms if n == name]
+        # 0 off the basis; the sum into zeros turns -0.0 into +0.0, as a
+        # dense fill does
+        data = [np.where(basis.rows(step) >= 0, vals, 0) + 0.0 for step, vals in mine]
+        ops[name] = OperatorMatrix(basis, tuple(step for step, _vals in mine), np.stack(data))
+    return ClassicalGeneratorSet(basis=basis, n3_tilde=ops["n3"], **ops)
 
 
 def classical_limit_compare(
@@ -683,8 +671,6 @@ def classical_limit_compare(
     if not LIMIT_EPS[0] <= eps <= LIMIT_EPS[1]:
         raise ValueError(f"eps must be in [{LIMIT_EPS[0]:g}, {LIMIT_EPS[1]:g}], got {eps}")
     d1, d2 = Deformation(1.0 + eps), Deformation(1.0 + eps / 10.0)
-    classify(RepLabel(label_l0, label_l1, d1))  # its bounds, before the oracle lists any spin
-    oracle = classical_oracle(label_l0, label_l1, j_max)
 
     # Entrywise comparison covers the seven generators, read by name: the
     # invariant matrix is left out (and so never built).  Its assembly divides
@@ -697,15 +683,16 @@ def classical_limit_compare(
         return build_generator_set(RepLabel(label_l0, label_l1, d), j_max, conv, basis)
 
     def deviations(g: GeneratorSet) -> dict[str, float]:
-        out = {
-            name: float(np.max(np.abs(getattr(g, name).toarray() - getattr(oracle, name)))) for name in names
-        }
+        # entries off the steps are exact zeros on both sides, so this is the
+        # max over all dim x dim entries
+        out = {name: (getattr(g, name) - getattr(oracle, name)).max_norm for name in names}
         out["casimir_scalar"] = abs(
             casimir_eigenvalue(g.label) - 1j * float(label_l0) * complex(label_l1)
         )
         return out
 
     g1 = build(d1)
+    oracle = classical_oracle(g1.basis, label_l0, label_l1)
     dev1 = deviations(g1)
     dev2 = deviations(build(d2, g1.basis))  # the eps/10 build shares the basis
     tol = 100.0 * eps
@@ -714,10 +701,15 @@ def classical_limit_compare(
         suite="classical_limit",
         subject={
             "label": {"l0": str(label_l0), "l1": {"re": label_l1.real, "im": label_l1.imag}},
-            "dim": oracle.basis.dim,
+            "dim": g1.basis.dim,
         },
         convention=conv,
-        environment={"eps": eps, "j_max": str(j_max), "deviation_tol": tol},
+        # None for a finite label's full basis, as `_env` writes it
+        environment={
+            "eps": eps,
+            "j_max": str(g1.basis.j_max) if g1.basis.j_max is not None else None,
+            "deviation_tol": tol,
+        },
     )
     for name in sorted(dev1):
         rep.add(

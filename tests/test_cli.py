@@ -333,6 +333,28 @@ def test_limit_command(tmp_path):
     assert devs and max(devs) < 1e-4
 
 
+@pytest.mark.parametrize("l1", ["3+1e-10i", "3.000000002"])
+@pytest.mark.parametrize("j_max", [[], ["--j-max", "0"], ["--j-max", "3"]])
+def test_limit_builds_the_spin_content_classify_gives(tmp_path, l1, j_max):
+    # |l1| - l0 is 3 within classify's detection tolerance: a finite label of
+    # dim 9, whatever --j-max says, and limit compares on that same basis
+    code, raw = run_cli(["classify", "--l0", "0", "--l1", l1, "--q", "1.000001"], tmp_path, "c.json")
+    assert code == 0 and json.loads(raw)["classification"]["dim"] == 9
+    code, raw = run_cli(["limit", "--l0", "0", "--l1", l1, "--eps", "1e-6", *j_max], tmp_path)
+    assert code == 0
+    assert json.loads(raw)["reports"][0]["input"]["dim"] == 9
+
+
+def test_limit_echoes_the_j_max_of_its_basis(tmp_path):
+    # a finite label's basis ignores --j-max: the report names none, as the
+    # verify suites do; a truncated basis names its own
+    for l0, l1, dim, echo in (("1/2", "1.5", 2, None), ("1", "2.5i", 35, "5")):
+        code, raw = run_cli(["limit", "--l0", l0, "--l1", l1, "--j-max", "5"], tmp_path)
+        rep = json.loads(raw)["reports"][0]
+        assert code == 0 and rep["input"]["dim"] == dim
+        assert rep["environment"]["j_max"] == echo
+
+
 def test_chiral_command_realization(tmp_path):
     code, raw = run_cli(["chiral", "--spin", "1", "--q", "1.3"], tmp_path)
     assert code == 0
@@ -455,7 +477,7 @@ _HUGE_L1 = [
     for l0 in ("0", "1/2")
     for l1 in ("1e7", "1e300")
     # at q = 1 + eps, (1/2, 1e7) is an infinite label in range, and (0, 1e7) a finite
-    # one whose 10^7 spins the dense classical oracle lists (ROADMAP item 2)
+    # one whose 10^7 spins its basis lists (ROADMAP item 2)
     if command != "limit" or l1 != "1e7"
 ]
 
@@ -496,6 +518,7 @@ def test_chiral_and_coproduct_build_no_dense_matrix(tmp_path, monkeypatch):
     for args in (
         ["chiral", "--l0", "1", "--l1", "2.7i", "--q", "1.3", "--j-max", "40"],
         ["coproduct", "--l0", "6", "--l1", "2.7i", "--q", "1.3"],
+        ["limit", "--l0", "1", "--l1", "0+2.5i", "--eps", "1e-6", "--j-max", "12"],
     ):
         assert run_cli(args, tmp_path)[0] == 0
 

@@ -221,6 +221,21 @@ def test_large_build_and_verify_in_bounded_memory(tmp_path):
     assert main(["verify", *label, "--output", str(tmp_path / "v.json")]) == 0
 
 
+def test_limit_at_a_large_j_max_in_bounded_memory(tmp_path):
+    # dim 14641 at j_max 120: one dense complex matrix would take 3.4 GB.  The
+    # op exits 1, not 0, until the deviation tolerance follows the first-order
+    # bound (ROADMAP item 2): the boost deviations grow past 100 eps with j
+    args = ["limit", "--l0", "0", "--l1", "2.7i", "--eps", "1e-6", "--j-max", "120"]
+    tracemalloc.start()
+    try:
+        code = main([*args, "--output", str(tmp_path / "l.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code != 2
+    assert peak < 64 * 2**20, peak
+
+
 def test_verify_imports_no_scipy(tmp_path):
     script = (
         "import sys; import qlorentz; from qlorentz.cli import main; "

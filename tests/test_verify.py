@@ -318,13 +318,19 @@ def test_recurrence_suite_report():
 # ---------------------------------------------------------------- classical oracle
 
 
+def _oracle(l0, l1, j_max):
+    # the oracle on the basis a limit build at q = 1 + 1e-6 has
+    basis = build_basis(RepLabel(l0, l1, Deformation(1.0 + 1e-6)), j_max)
+    return classical_oracle(basis, l0, l1)
+
+
 def test_oracle_satisfies_classical_lorentz_relations():
     # independent construction; brute-force commutators against the
     # classical structure constants
     for l0s, l1, jm in [("0", 2.7j, "6"), ("1/2", 1.5, "1/2"), ("1", 2.5j, "8")]:
-        o = classical_oracle(HalfInt.parse(l0s), l1, HalfInt.parse(jm))
-        mp, mm, m3 = o.m_plus, o.m_minus, o.m3
-        npl, nm, n3 = o.n_plus, o.n_minus, o.n3
+        o = _oracle(HalfInt.parse(l0s), l1, HalfInt.parse(jm))
+        mp, mm, m3 = (op.toarray() for op in (o.m_plus, o.m_minus, o.m3))
+        npl, nm, n3 = (op.toarray() for op in (o.n_plus, o.n_minus, o.n3))
         mask = o.basis.interior_columns(2)
 
         def res(x):
@@ -342,30 +348,30 @@ def test_oracle_satisfies_classical_lorentz_relations():
 
 
 def test_oracle_principal_diagonal_boost_is_hermitian():
-    o = classical_oracle(HalfInt(0), 2.7j, HalfInt.parse("5"))
-    np.testing.assert_allclose(o.n3, o.n3.conj().T, atol=1e-12)
+    n3 = _oracle(HalfInt(0), 2.7j, HalfInt.parse("5")).n3.toarray()
+    np.testing.assert_allclose(n3, n3.conj().T, atol=1e-12)
 
 
 def test_oracle_casimir_is_scalar():
-    o = classical_oracle(HalfInt(1), 2.5j, HalfInt.parse("7"))
+    o = _oracle(HalfInt(1), 2.5j, HalfInt.parse("7"))
     mask = o.basis.interior_columns(2)
     expect = 1j * 1.0 * 2.5j
-    diff = o.casimir - expect * np.eye(o.basis.dim)
+    diff = o.casimir.toarray() - expect * np.eye(o.basis.dim)
     assert float(np.max(np.abs(diff[:, mask]))) < 1e-10
 
 
 def test_oracle_spinor_is_classical_su2():
     # basis order (m = -1/2, +1/2): raising hits the (2,1) entry
-    o = classical_oracle(HalfInt(1), 1.5, HalfInt(1))
+    o = _oracle(HalfInt(1), 1.5, HalfInt(1))
     assert o.basis.dim == 2
-    np.testing.assert_allclose(o.m_plus, [[0, 0], [1, 0]], atol=1e-14)
-    np.testing.assert_allclose(o.n_plus, -1j * o.m_plus, atol=1e-14)
+    np.testing.assert_allclose(o.m_plus.toarray(), [[0, 0], [1, 0]], atol=1e-14)
+    np.testing.assert_allclose(o.n_plus.toarray(), -1j * o.m_plus.toarray(), atol=1e-14)
 
 
 def _reference_oracle(l0, l1, j_max):
     # the per-(j, m) loop the vectorized oracle replaced: one scalar entry at
-    # a time, targets looked up with Basis.has/index
-    basis = classical_oracle(l0, l1, j_max).basis
+    # a time into dense arrays, targets looked up with Basis.has/index
+    basis = build_basis(RepLabel(l0, l1, Deformation(1.0 + 1e-6)), j_max)
     fl0, l1 = float(l0), complex(l1)
     mats = {k: np.zeros((basis.dim, basis.dim), dtype=np.complex128)
             for k in ("m_plus", "m_minus", "m3", "n_plus", "n_minus", "n3")}
@@ -420,18 +426,18 @@ def test_oracle_equals_per_entry_reference_bitwise(l0, l1):
     # loop, so every byte matches (signed zeros included)
     for offset in (0, 1, 2, 5, 6, 8):
         l0h = HalfInt.parse(l0)
-        o = classical_oracle(l0h, l1, l0h + offset)
+        o = _oracle(l0h, l1, l0h + offset)
         ref = _reference_oracle(l0h, l1, l0h + offset)
         for name, mat in ref.items():
-            assert getattr(o, name).tobytes() == mat.tobytes(), (l0, l1, offset, name)
+            assert getattr(o, name).toarray().tobytes() == mat.tobytes(), (l0, l1, offset, name)
         assert o.n3_tilde is o.n3
 
 
 def test_oracle_casimir_is_formed_on_first_read_only():
-    o = classical_oracle(HalfInt(2), 2.5j, HalfInt(6))
+    o = _oracle(HalfInt(2), 2.5j, HalfInt(6))
     assert "casimir" not in vars(o)
-    expected = -(2.0 * o.m3 @ o.n3 + o.m_plus @ o.n_minus + o.m_minus @ o.n_plus)
-    assert o.casimir.tobytes() == expected.tobytes()
+    expected = -1.0 * (2.0 * o.m3 @ o.n3 + o.m_plus @ o.n_minus + o.m_minus @ o.n_plus)
+    assert o.casimir.toarray().tobytes() == expected.toarray().tobytes()
     assert o.casimir is o.casimir
 
 
