@@ -36,6 +36,7 @@ readings under which every defining relation closes to machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -92,10 +93,12 @@ class _Grid:
     """Step bookkeeping shared by `Basis` and `ProductBasis`.
 
     A step is a tuple of ints that moves every state to another one (or out
-    of the basis).  The rows a step reaches and the index plans of the
-    operator algebra (on a `Basis` also the builders' term plans and q
-    tables) are computed once per instance and kept in its `_cache`, with
-    each thread's scratch array for large products (`_work`).
+    of the basis).  The rows a step reaches and the gather rows of products
+    (on a `Basis` also the builders' term plans and q tables) are computed
+    once per instance and kept in its `_cache`, with each thread's scratch
+    array for large products (`_work`).  What a sum or product plan takes
+    from the two step tuples alone is kept once per process (`_step_plan`),
+    so every grid shares it.
     A grid is `copies` independent copies of one basis side by side (1 but
     for a `StackedBasis`).
     """
@@ -139,41 +142,20 @@ class _Grid:
             self._cache[("x", id(other))] = weakref.ref(prod)
         return prod
 
-    def _sum_plan(self, sa: tuple, sb: tuple) -> tuple[tuple, np.ndarray]:
-        """Steps of a sum (those of `sa`, then the new ones of `sb`) and the
-        positions of `sb` among them."""
-
-        def make():
-            steps = tuple(dict.fromkeys(sa + sb))
-            pos = {s: i for i, s in enumerate(steps)}
-            return steps, np.array([pos[s] for s in sb])
-
-        return self._cached(("+", sa, sb), make)
-
     def _product_plan(self, sa: tuple, sb: tuple) -> "_ProductPlan":
-        """Index plan of a product A @ B: pair p = ia * len(sb) + ib lands on
-        step sa[ia] + sb[ib]; `order` sorts the pairs by that step (stably)
-        and `starts` marks each step's first pair, as `reduceat` reads them.
-        A plan whose pair array has `_RANKED_MIN` entries or more also holds
-        its `_RankSum` and runs in the grid's work buffer; smaller ones, which
-        the extra numpy calls would slow, keep the plain path."""
-
-        def make():
-            sums = (np.array(sa)[:, None] + np.array(sb)).reshape(len(sa) * len(sb), -1).tolist()
-            order = sorted(range(len(sums)), key=sums.__getitem__)  # stable
-            steps, starts = [], []
-            for i, p in enumerate(order):
-                if not steps or sums[p] != steps[-1]:
-                    steps.append(sums[p])
-                    starts.append(i)
-            order, starts = np.array(order), np.array(starts)
-            # B's values are 0 where its rows are -1; A is read in the first row
-            # of the column's copy there, as on the copy alone
-            gather = np.maximum(self._row_stack(sb), self._copy_starts)
-            ranked = _RankSum(order, starts) if len(order) * self.dim >= _RANKED_MIN else None
-            return _ProductPlan(tuple(map(tuple, steps)), order, starts, gather, ranked)
-
-        return self._cached(("@", sa, sb), make)
+        """Index plan of a product A @ B on this grid: the step part of
+        `_step_plan(sa, sb)`, the rows at which A is read for each step of B
+        (kept per grid), and the `_RankSum` if the pair array has
+        `_RANKED_MIN` entries or more: such a product runs in the grid's work
+        buffer, and smaller ones, which the extra numpy calls would slow, keep
+        the plain path."""
+        plan = _step_plan(sa, sb)
+        steps, order, starts = plan.product
+        # B's values are 0 where its rows are -1; A is read in the first row
+        # of the column's copy there, as on the copy alone
+        gather = self._cached(("gather", sb), lambda: np.maximum(self._row_stack(sb), self._copy_starts))
+        ranked = plan.ranked if len(order) * self.dim >= _RANKED_MIN else None
+        return _ProductPlan(steps, order, starts, gather, ranked)
 
     def _work(self, size: int) -> np.ndarray:
         """The calling thread's complex scratch array on this grid, at least
@@ -214,7 +196,9 @@ class _RankSum:
         small = [i for i, g in enumerate(groups) if 1 < len(g) < 5]
         small.sort(key=lambda i: len(groups[i]), reverse=True)  # stable
         # rank k of the groups that have it: a prefix of the longest-first layout
-        self.ranks = [np.array([groups[i][k] for i in small if len(groups[i]) > k], dtype=np.intp) for k in (1, 2, 3)]
+        self.ranks = tuple(
+            np.array([groups[i][k] for i in small if len(groups[i]) > k], dtype=np.intp) for k in (1, 2, 3)
+        )
         self.small = np.array(small, dtype=np.intp)
         large = [i for i, g in enumerate(groups) if len(g) > 4]
         self.large = np.array(large, dtype=np.intp)
@@ -222,6 +206,8 @@ class _RankSum:
         self.large_starts = np.cumsum([0] + [len(groups[i]) for i in large[:-1]])
         self.first = np.array([g[0] for g in groups])
         self.order, self.starts = order, starts
+        for arr in (*self.ranks, self.small, self.large, self.large_terms, self.large_starts, self.first):
+            arr.setflags(write=False)  # shared by every product of the step pair
         # rows of scratch the sum needs past the pair array
         self.rows = max(2 * len(small), len(self.large_terms) + len(large))
 
@@ -255,6 +241,60 @@ class _RankSum:
             # a NaN's sign and numpy's overflow warnings follow its loop order
             out = np.add.reduceat(terms[self.order], self.starts, axis=0)
         return out
+
+
+class _StepPlan:
+    """What the sum and the product of two operators take from their step
+    tuples alone, each part made on first use.
+
+    `sum`: the steps of A + B (those of `sa`, then the new ones of `sb`) and
+    the positions of `sb` among them.  `product`: pair p = ia * len(sb) + ib
+    of A @ B lands on step sa[ia] + sb[ib]; the product's steps, `order`,
+    which sorts the pairs by that step (stably), and `starts`, which marks
+    each step's first pair, as `reduceat` reads them.  `ranked`: the
+    `_RankSum` of that order.  Every array is read-only.
+    """
+
+    def __init__(self, sa: tuple, sb: tuple):
+        self.sa, self.sb = sa, sb
+
+    @functools.cached_property
+    def sum(self) -> tuple[tuple, np.ndarray]:
+        steps = tuple(dict.fromkeys(self.sa + self.sb))
+        pos = {s: i for i, s in enumerate(steps)}
+        return steps, _frozen(np.array([pos[s] for s in self.sb]))
+
+    @functools.cached_property
+    def product(self) -> tuple[tuple, np.ndarray, np.ndarray]:
+        sa, sb = self.sa, self.sb
+        sums = (np.array(sa)[:, None] + np.array(sb)).reshape(len(sa) * len(sb), -1).tolist()
+        order = sorted(range(len(sums)), key=sums.__getitem__)  # stable
+        steps, starts = [], []
+        for i, p in enumerate(order):
+            if not steps or sums[p] != steps[-1]:
+                steps.append(sums[p])
+                starts.append(i)
+        return tuple(map(tuple, steps)), _frozen(np.array(order)), _frozen(np.array(starts))
+
+    @functools.cached_property
+    def ranked(self) -> "_RankSum":
+        return _RankSum(*self.product[1:])
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+# Step pairs whose plans a process keeps.  A plan holds only step tuples and
+# index arrays (about 10 KB for 144 pairs), no grid, label, q or operator
+# data.  The step tuples the builders make are few: a resolve_chiral batch of
+# the benchmark plans 98 pairs, and a grid of all seven commands 236.
+_STEP_PLANS = 512
+
+# The plans of a step pair, made once per process: a pure function of two
+# immutable step tuples, so every grid, label and q shares them.
+_step_plan = functools.lru_cache(maxsize=_STEP_PLANS)(_StepPlan)
 
 
 class _ProductPlan(NamedTuple):
@@ -495,12 +535,15 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.basis.dim
 
-    @property
+    @functools.cached_property
     def max_norm(self) -> float:
+        """Largest |entry|, kept on the instance (its data is read-only)."""
         return float(np.abs(self.data).max())
 
     def masked_max(self, mask: np.ndarray) -> float:
         """Largest |entry| in the columns where `mask` is true."""
+        if mask.all():
+            return self.max_norm
         sub = self.data[:, mask]
         return float(np.max(np.abs(sub))) if sub.size else 0.0
 
@@ -549,7 +592,7 @@ class OperatorMatrix:
         basis = self._basis_with(other)
         if self.steps == other.steps:
             return OperatorMatrix._result(basis, self.steps, ufunc(self.data, other.data))
-        steps, pos = basis._sum_plan(self.steps, other.steps)
+        steps, pos = _step_plan(self.steps, other.steps).sum
         # entries missing from one operand are its exact zeros, as in a dense sum
         a, b = np.zeros((2, len(steps), basis.dim), dtype=np.complex128)
         a[: len(self.steps)] = self.data
@@ -780,7 +823,8 @@ def _term_plan(basis: Basis, terms: tuple[_Term, ...]):
     target lies in the basis: the mask of those entries in the (term, column)
     value rows, each entry's two bracket keys (a one-bracket term reads its
     bracket twice), whether it has one bracket, its coefficient's place in
-    the flat (`_COEF_ROWS`, block) table and its q-power key."""
+    the flat (`_COEF_ROWS`, block) table and its q-power key; and per term,
+    whether its step reaches any row."""
 
     def make():
         reach, stride = _reach(basis)
@@ -798,7 +842,7 @@ def _term_plan(basis: Basis, terms: tuple[_Term, ...]):
         power = (p[6] * j2 + p[7] * m2 + p[8])[valid]
         single = np.broadcast_to(p[9] == 1, valid.shape)[valid]
         coef = (p[10] * len(basis.spins) + (j2 - j2[0]) // 2)[valid]
-        return valid, (keys + reach) // stride, single, coef, power + reach
+        return valid, (keys + reach) // stride, single, coef, power + reach, valid.any(axis=1).tolist()
 
     return basis._cached(("terms", terms), make)
 
@@ -817,7 +861,7 @@ def _ladder(
     batched.  The sum into zeros turns -0.0 into +0.0, as the per-entry
     reference does.  coeffs maps "a", "c", "c1" to per-block values.
     """
-    valid, keys, single, coef, power = _term_plan(basis, terms)
+    valid, keys, single, coef, power, _ = _term_plan(basis, terms)
     brackets, powers = _q_tables(basis, d)
     x = brackets[keys]
     val = np.where(single, x[:, 0], np.sqrt(x[:, 0] * x[:, 1]))
@@ -833,13 +877,21 @@ def _ladder(
 def _ladders(
     basis: Basis, tables: tuple[tuple[_Term, ...], ...], d: Deformation, coeffs: Optional[dict] = None
 ) -> list[OperatorMatrix]:
-    """One operator per term table, all tables evaluated in one `_ladder` pass."""
-    rows = _ladder(basis, sum(tables, ()), d, coeffs)
+    """One operator per term table, all tables evaluated in one `_ladder` pass.
+    A term whose step reaches no row of the basis (the j+-1 terms on a single
+    block) holds only zeros and is left out; a table left with no term is
+    the zero operator."""
+    terms = sum(tables, ())
+    rows = _ladder(basis, terms, d, coeffs)
+    live = _term_plan(basis, terms)[-1]
     ops, start = [], 0
-    for terms in tables:
-        steps = tuple((t.dj, t.dm) for t in terms)
-        ops.append(OperatorMatrix._result(basis, steps, rows[start : start + len(terms)]))
-        start += len(terms)
+    for table in tables:
+        span = range(start, start + len(table))
+        keep = [k for k in span if live[k]]
+        steps = tuple((terms[k].dj, terms[k].dm) for k in keep)
+        data = rows[start : span.stop] if len(keep) == len(span) else rows[keep]
+        ops.append(OperatorMatrix._result(basis, steps, data) if keep else OperatorMatrix(basis, (), rows[:0]))
+        start = span.stop
     return ops
 
 
@@ -1127,10 +1179,13 @@ def _st_readings(
 
 def tensor_embed(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """Kronecker product of two operators, on the product basis: step pair
-    (sa, sb) holds a[sa, ca] * b[sb, cb] in column ca * b.dim + cb."""
+    (sa, sb) holds a[sa, ca] * b[sb, cb] in column ca * b.dim + cb.  Only the
+    pairs that reach a row are kept: both steps must reach a row of their
+    factor, else the pair holds only zeros."""
     basis = a.basis.product(b.basis)
-    steps = tuple(sa + sb for sa in a.steps for sb in b.steps)
-    vals = a.data[:, None, :, None] * b.data[None, :, None, :]
+    ia, ib = (np.flatnonzero((op.basis._row_stack(op.steps) >= 0).any(axis=1)) for op in (a, b))
+    steps = tuple(a.steps[i] + b.steps[j] for i in ia.tolist() for j in ib.tolist())
+    vals = a.data[ia, None, :, None] * b.data[None, ib, None, :]
     return OperatorMatrix(basis, steps, vals.reshape(len(steps), basis.dim))
 
 

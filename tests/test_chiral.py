@@ -34,6 +34,12 @@ def by_id(report, rid):
     return next(r for r in report.residuals if r.relation_id == rid)
 
 
+CHIRAL_FIELDS = tuple(
+    f"{base}_{side}{tilde}" for side in "LR" for base, tilde in
+    (("I_plus", ""), ("I_minus", ""), ("I3", ""), ("I3", "_tilde"), ("T3", ""), ("T3", "_tilde"))
+)
+
+
 def chiral_for(l0, l1, q, extra=4):
     label = lab(l0, l1, q)
     return build_chiral(build_generator_set(label, label.l0 + extra))
@@ -327,6 +333,19 @@ def test_coproduct_grouplike_exact():
     for name in ("T3_L", "T3_L_tilde", "T3_R", "T3_R_tilde"):
         assert by_id(rep, f"eq32.grouplike.{name}").residual == 0.0
     np.testing.assert_array_equal(dc.T3_L.toarray(), tensor_embed(a.T3_L, a.T3_L).toarray())
+
+
+@pytest.mark.parametrize("conv", [RESOLVED_CONVENTION, ConventionId()])
+def test_spinor_sets_and_their_coproducts_store_only_live_steps(conv):
+    # on one spin block the j+-1 boost steps reach no row: the generators
+    # leave them out, and so do the step pairs of every coproduct image
+    a, b = tau_chiral(1.3, conv)
+    sets = [a, b] + [coproduct(x, y, conv) for x, y in ((a, a), (a, b), (b, a))]
+    for cs in sets:
+        for name in CHIRAL_FIELDS:
+            op = getattr(cs, name)
+            assert (op.basis._row_stack(op.steps) >= 0).any(axis=1).all(), (cs.tag, name)
+    assert a.I_plus_L.steps == ((0, 1),)
 
 
 def test_coproduct_homomorphism_on_spinor_square():

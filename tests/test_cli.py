@@ -2,6 +2,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -294,6 +296,39 @@ def test_reports_byte_identical_across_runs(tmp_path):
     _, a = run_cli(args, tmp_path, "c.json")
     _, b = run_cli(args, tmp_path, "d.json")
     assert a == b
+
+
+# one argv per subcommand, each on the product paths it has
+_EVERY_COMMAND = [
+    ["classify", "--l0", "1/2", "--l1", "1.5", "--q", "1.3"],
+    ["build", "--l0", "1", "--l1", "2.7i", "--q", "1.3", "--j-max", "3"],
+    ["verify", "--l0", "1/2", "--l1", "1.5", "--q", "1.3"],
+    ["chiral", "--l0", "1", "--l1", "1-0.5i", "--q", "0.7", "--j-max", "3"],
+    ["coproduct", "--l0", "1", "--l1", "2.7i", "--q", "1.3"],
+    ["limit", "--l0", "1/2", "--l1", "-1.5", "--eps", "1e-6"],
+    ["conventions", "--l0", "1/2", "--l1", "1.5", "--q", "3"],
+]
+
+
+@pytest.mark.parametrize("args", _EVERY_COMMAND, ids=lambda args: args[0])
+def test_reports_do_not_depend_on_the_step_plan_cache(tmp_path, args):
+    # the same bytes from an empty plan cache, from a warm one (which plans
+    # nothing more) and from a fresh interpreter
+    from qlorentz import matrep
+
+    matrep._step_plan.cache_clear()
+    _, cold = run_cli(args, tmp_path, "cold.json")
+    misses = matrep._step_plan.cache_info().misses
+    _, warm = run_cli(args, tmp_path, "warm.json")
+    assert matrep._step_plan.cache_info().misses == misses
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = "import sys; from qlorentz.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args, "--output", str(tmp_path / "fresh.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert cold and cold == warm == (tmp_path / "fresh.json").read_bytes()
 
 
 def test_export_import_round_trip_bit_exact(tmp_path):

@@ -172,6 +172,18 @@ def test_kron_matches_dense(data):
     np.testing.assert_array_equal(tensor_embed(a, b).toarray(), np.kron(a.toarray(), b.toarray()))
 
 
+def test_kron_keeps_only_the_step_pairs_that_reach_a_row():
+    # on one spin block a j+-1 step reaches no row, so no pair with it does
+    block = Basis(spins=(HalfInt(1),))
+    steps = ((-1, 1), (0, 1), (0, 0), (1, 0))
+    data = np.zeros((4, block.dim))
+    data[1:3] = [[1.0, 0.0], [2.0, 3.0]]
+    a = OperatorMatrix(block, steps, np.where(block._row_stack(steps) >= 0, data, 0))
+    k = tensor_embed(a, a)
+    assert k.steps == ((0, 1, 0, 1), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0))
+    np.testing.assert_array_equal(k.toarray(), np.kron(a.toarray(), a.toarray()))
+
+
 @SETTINGS
 @given(st.data())
 def test_pattern_violation_matches_dense(data):
@@ -301,6 +313,33 @@ def test_product_basis_is_shared_and_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_step_plans_are_kept_per_process_and_keep_no_grid_alive():
+    # a coproduct's plans are made once per step pair for the whole process:
+    # its product basis and factor bases are collected, their plans stay
+    from qlorentz import matrep
+    from qlorentz.chiral import build_chiral, coproduct
+
+    cs = build_chiral(build_generator_set(RepLabel(HalfInt(2), 2.7j, Deformation(1.3)), HalfInt(3)))
+    dc = coproduct(cs, cs)
+    a, b = dc.I_plus_L, dc.I3_L_tilde
+    pairs = [(a.steps, b.steps), (b.steps, a.steps)]
+    a @ b, b @ a, a + b
+    plans = [matrep._step_plan(*pair) for pair in pairs]
+    assert not [key for key in a.basis._cache if key[0] in ("@", "+")]
+    # every caller shares these values, so none of them can be written
+    for plan in plans:
+        r = plan.ranked
+        arrays = (plan.sum[1], *plan.product[1:], *r.ranks, r.small, r.large, r.large_terms, r.large_starts, r.first)
+        assert not any(arr.flags.writeable for arr in arrays)
+    refs = [weakref.ref(x) for x in (a.basis, cs.basis, cs.I_plus_L)]
+    del cs, dc, a, b
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
+    misses = matrep._step_plan.cache_info().misses
+    assert [matrep._step_plan(*pair) for pair in pairs] == plans
+    assert matrep._step_plan.cache_info().misses == misses
+
+
 # ---------------------------------------------------------------- ranked products
 
 
@@ -394,7 +433,7 @@ def test_ranked_and_direct_products_agree_bitwise(monkeypatch, make):
     ranked = _ranked_pairs(make())
     assert any(r for _, r in ranked.values())
     monkeypatch.setattr(matrep, "_RANKED_MIN", math.inf)
-    direct = _ranked_pairs(make())  # fresh bases, so fresh plans
+    direct = _ranked_pairs(make())  # the same cached step plans, each call takes the direct path
     assert not any(r for _, r in direct.values())
     for key, (op, _) in ranked.items():
         assert op.steps == direct[key][0].steps
@@ -416,12 +455,22 @@ def test_ranked_products_own_their_read_only_results(make):
 
 
 def test_ranked_products_from_several_threads_equal_serial_ones():
-    # each thread has its own work buffer on a shared basis
+    # each thread has its own work buffer on a shared basis; the threads
+    # start on a fresh basis and an empty plan cache, so they also race to
+    # make the same plans and gather rows
     from concurrent.futures import ThreadPoolExecutor
 
+    from qlorentz import matrep
+
+    serial = {k: op.data.tobytes() for k, (op, _) in _ranked_pairs(_coproduct_ops()).items()}
     ops = _coproduct_ops()
-    serial = {k: op.data.tobytes() for k, (op, _) in _ranked_pairs(ops).items()}
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        runs = list(pool.map(lambda _: _ranked_pairs(ops), range(6)))
+    matrep._step_plan.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(lambda _: _ranked_pairs(ops), range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     for run in runs:
         assert {k: op.data.tobytes() for k, (op, _) in run.items()} == serial
