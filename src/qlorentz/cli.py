@@ -370,9 +370,27 @@ def _check_args(ns: argparse.Namespace) -> None:
         raise ValueError("--l0, --l1 (and --q) are required for this command")
 
 
+def _join_signed_l1(argv: list[str]) -> list[str]:
+    """`--l1 -2.7i` as `--l1=-2.7i`: argparse takes a value that starts with
+    '-' for a flag unless it reads as a plain negative number ('-0.5'), so a
+    negative imaginary, complex or exponent value must be joined to its flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--l1", "--l1-b") and arg.startswith("-"):
+            try:
+                parse_l1(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser().parse_args(_join_signed_l1(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return 0 if exc.code == 0 else 2
     try:

@@ -90,21 +90,26 @@ class ConstructionInconsistencyError(RuntimeError):
 
 
 class _Grid:
-    """Step bookkeeping shared by `Basis` and `ProductBasis`.
+    """Step bookkeeping shared by `Basis`, `ProductBasis` and `StackedBasis`.
 
     A step is a tuple of ints that moves every state to another one (or out
-    of the basis).  The rows a step reaches and the gather rows of products
-    (on a `Basis` also the builders' term plans and q tables) are computed
-    once per instance and kept in its `_cache`, with each thread's scratch
-    array for large products (`_work`).  What a sum or product plan takes
-    from the two step tuples alone is kept once per process (`_step_plan`),
-    so every grid shares it.
+    of the basis).  What depends on the grid's shape alone (`_shape`: a
+    basis's spins and j_max, a product's factor shapes, a stack's base shape
+    and copy count) is kept once per process in `_SHAPES`: a basis's `j2`,
+    `m2` and `starts`, the rows each step reaches (a product's or stack's
+    from its factors' or base's), row stacks, the rows products gather at on
+    a stack and the builders' term plans.  Each grid also keeps in its
+    `_cache` the values it has read, so a value too large for the memo lives
+    as long as the grid, and its per-(basis, q) tables, each thread's scratch
+    array for large products (`_work`) and its product bases (weakly).  What
+    a sum or product plan takes from the two step tuples alone is kept once
+    per process too (`_step_plan`).  The module-level state is three bounded
+    memos: these two and the parser `cli._build_parser` builds once.
     A grid is `copies` independent copies of one basis side by side (1 but
     for a `StackedBasis`).
     """
 
     copies = 1
-    _copy_starts = 0  # first row of each column's copy
 
     def _cached(self, key, make):
         val = self._cache.get(key)
@@ -112,24 +117,20 @@ class _Grid:
             val = self._cache[key] = make()
         return val
 
+    def _shared(self, key, make):
+        """`_cached` for a value that depends on the grid's shape alone: made
+        once per process and shared with every grid of the same shape."""
+        val = self._cache.get(key)
+        if val is None:
+            val = self._cache[key] = _SHAPES.get((self._shape, *key), make)
+        return val
+
     def rows(self, step: tuple) -> np.ndarray:
         """Row reached from each column by `step`; -1 where it leaves the basis."""
-        return self._rows((step,))[0]
-
-    def _rows(self, steps: tuple) -> list[np.ndarray]:
-        """`rows` of each step; those not cached yet are computed together."""
-        missing = [s for s in dict.fromkeys(steps) if ("rows", s) not in self._cache]
-        if missing:
-            for s, rows in zip(missing, self._targets(missing)):
-                rows.setflags(write=False)
-                self._cache["rows", s] = rows
-        return [self._cache["rows", s] for s in steps]
-
-    def _targets(self, steps: list) -> list[np.ndarray]:
-        return [self._target(s) for s in steps]
+        return self._shared(("rows", step), lambda: self._target(step))
 
     def _row_stack(self, steps: tuple) -> np.ndarray:
-        return self._cached(("stack", steps), lambda: np.stack(self._rows(steps)))
+        return self._shared(("stack", steps), lambda: np.stack([self.rows(s) for s in steps]))
 
     def product(self, other: "_Grid") -> "ProductBasis":
         """The tensor product basis self x other, one instance per pair while in
@@ -145,15 +146,19 @@ class _Grid:
     def _product_plan(self, sa: tuple, sb: tuple) -> "_ProductPlan":
         """Index plan of a product A @ B on this grid: the step part of
         `_step_plan(sa, sb)`, the rows at which A is read for each step of B
-        (kept per grid), and the `_RankSum` if the pair array has
+        (kept per shape), and the `_RankSum` if the pair array has
         `_RANKED_MIN` entries or more: such a product runs in the grid's work
         buffer, and smaller ones, which the extra numpy calls would slow, keep
         the plain path."""
         plan = _step_plan(sa, sb)
         steps, order, starts = plan.product
         # B's values are 0 where its rows are -1; A is read in the first row
-        # of the column's copy there, as on the copy alone
-        gather = self._cached(("gather", sb), lambda: np.maximum(self._row_stack(sb), self._copy_starts))
+        # of the column's copy there, as on the copy alone: on one copy that
+        # is row 0, where take(mode="clip") reads at -1
+        if self.copies == 1:
+            gather = self._row_stack(sb)
+        else:
+            gather = self._shared(("gather", sb), lambda: np.maximum(self._row_stack(sb), self._copy_starts))
         ranked = plan.ranked if len(order) * self.dim >= _RANKED_MIN else None
         return _ProductPlan(steps, order, starts, gather, ranked)
 
@@ -167,6 +172,68 @@ class _Grid:
         if work is None or work.size < size:
             work = self._cache[key] = np.empty(size, dtype=np.complex128)
         return work
+
+
+class _ShapeMemo:
+    """Values that depend on a grid's shape alone, kept once per process.
+
+    Keys hold shapes, step tuples and term tables, values only read-only
+    index arrays (in tuples), so no grid, label, q or operator is kept
+    alive.  The memo keeps at most `budget` bytes of array data, the least
+    recently used value out first; a value larger than the budget is handed
+    back but not kept (the grid that asked for it keeps it in its own cache).
+    """
+
+    def __init__(self, budget: int):
+        self.budget, self.nbytes = budget, 0
+        self._items: dict = {}  # key -> (value, bytes), least recently used first
+        self._lock = threading.Lock()
+
+    def get(self, key, make):
+        with self._lock:
+            item = self._items.pop(key, None)
+            if item is not None:
+                self._items[key] = item
+                return item[0]
+        val = make()
+        arrays = list(_arrays(val))
+        for arr in arrays:
+            arr.setflags(write=False)  # shared by every grid of the shape
+        size = sum(arr.nbytes for arr in arrays)
+        with self._lock:
+            item = self._items.get(key)
+            if item is not None:  # made by another thread meanwhile
+                return item[0]
+            if size <= self.budget:
+                self._items[key] = (val, size)
+                self.nbytes += size
+                while self.nbytes > self.budget:
+                    self.nbytes -= self._items.pop(next(iter(self._items)))[1]
+        return val
+
+    def clear(self) -> None:
+        with self._lock:
+            self._items.clear()
+            self.nbytes = 0
+
+
+def _arrays(val):
+    """The arrays in a memo value: an array or nested tuples of them."""
+    if isinstance(val, np.ndarray):
+        yield val
+    elif isinstance(val, tuple):
+        for v in val:
+            yield from _arrays(v)
+
+
+# Bytes of index arrays the shape memo keeps.  Each workload of the benchmark
+# fills at most 1.8 MB (small_sweep, 51 shapes; deep_verify, 5 shapes up to
+# dim 1089), all three together 4.4 MB; the boost term plan of
+# `verify --j-max 480` alone is larger, so it is not kept.
+_SHAPE_BYTES = 16 << 20
+
+# The index arrays of each grid shape, made once per process.
+_SHAPES = _ShapeMemo(_SHAPE_BYTES)
 
 
 # Pair-array entries (128 KB) from which a product runs in the work buffer.
@@ -247,8 +314,9 @@ class _StepPlan:
     """What the sum and the product of two operators take from their step
     tuples alone, each part made on first use.
 
-    `sum`: the steps of A + B (those of `sa`, then the new ones of `sb`) and
-    the positions of `sb` among them.  `product`: pair p = ia * len(sb) + ib
+    `sum`: the steps of A + B (those of `sa`, then the new ones of `sb`), the
+    rows of A (ascending) and of B at the steps both have, and the rows of B
+    at its new steps.  `product`: pair p = ia * len(sb) + ib
     of A @ B lands on step sa[ia] + sb[ib]; the product's steps, `order`,
     which sorts the pairs by that step (stably), and `starts`, which marks
     each step's first pair, as `reduceat` reads them.  `ranked`: the
@@ -259,10 +327,13 @@ class _StepPlan:
         self.sa, self.sb = sa, sb
 
     @functools.cached_property
-    def sum(self) -> tuple[tuple, np.ndarray]:
-        steps = tuple(dict.fromkeys(self.sa + self.sb))
-        pos = {s: i for i, s in enumerate(steps)}
-        return steps, _frozen(np.array([pos[s] for s in self.sb]))
+    def sum(self) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+        pos = {s: i for i, s in enumerate(self.sb)}
+        ia = [i for i, s in enumerate(self.sa) if s in pos]
+        ib = [pos[self.sa[i]] for i in ia]
+        new = [i for i, s in enumerate(self.sb) if s not in self.sa]
+        steps = self.sa + tuple(self.sb[i] for i in new)
+        return steps, *(_frozen(np.array(x, dtype=np.intp)) for x in (ia, ib, new))
 
     @functools.cached_property
     def product(self) -> tuple[tuple, np.ndarray, np.ndarray]:
@@ -327,14 +398,17 @@ class Basis(_Grid):
         for a, b in zip(self.spins, self.spins[1:]):
             if b.twice - a.twice != 2:
                 raise ValueError("spin blocks must ascend in unit steps")
+        top = None if self.j_max is None else self.j_max.twice
+        object.__setattr__(self, "_shape", ("basis", self.spins[0].twice, len(self.spins), top))
+        object.__setattr__(self, "_cache", {})
+        for name, arr in zip(("j2", "m2", "starts"), self._shared(("index",), self._index)):
+            object.__setattr__(self, name, arr)
+
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         sizes = np.array([j.twice + 1 for j in self.spins], dtype=np.int64)
         starts = np.cumsum(sizes) - sizes
         j2 = np.repeat(sizes - 1, sizes)
-        m2 = 2 * (np.arange(int(sizes.sum())) - np.repeat(starts, sizes)) - j2
-        for name, arr in (("j2", j2), ("m2", m2), ("starts", starts)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_cache", {})
+        return j2, 2 * (np.arange(int(sizes.sum())) - np.repeat(starts, sizes)) - j2, starts
 
     @property
     def dim(self) -> int:
@@ -361,9 +435,8 @@ class Basis(_Grid):
         rows = self.starts[np.where(valid, k2 // 2, 0)] + (tm2 + tj2) // 2
         return valid, np.where(valid, rows, -1)
 
-    def _targets(self, steps: list) -> np.ndarray:
-        shift = 2 * np.array(steps)
-        return self.locate(self.j2 + shift[:, :1], self.m2 + shift[:, 1:])[1]
+    def _target(self, step: tuple) -> np.ndarray:
+        return self.locate(self.j2 + 2 * step[0], self.m2 + 2 * step[1])[1]
 
     def step_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """(n, 2) steps leading from cols to rows."""
@@ -386,6 +459,7 @@ class ProductBasis(_Grid):
     b: _Grid
 
     def __post_init__(self):
+        object.__setattr__(self, "_shape", ("x", self.a._shape, self.b._shape))
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -417,6 +491,7 @@ class StackedBasis(_Grid):
     copies: int
 
     def __post_init__(self):
+        object.__setattr__(self, "_shape", ("stack", self.base._shape, self.copies))
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -433,6 +508,7 @@ class StackedBasis(_Grid):
 
     @property
     def _copy_starts(self) -> np.ndarray:
+        """First row of each column's copy."""
         return np.repeat(self.base.dim * np.arange(self.copies), self.base.dim)
 
     def _target(self, step: tuple) -> np.ndarray:
@@ -592,12 +668,20 @@ class OperatorMatrix:
         basis = self._basis_with(other)
         if self.steps == other.steps:
             return OperatorMatrix._result(basis, self.steps, ufunc(self.data, other.data))
-        steps, pos = _step_plan(self.steps, other.steps).sum
-        # entries missing from one operand are its exact zeros, as in a dense sum
-        a, b = np.zeros((2, len(steps), basis.dim), dtype=np.complex128)
-        a[: len(self.steps)] = self.data
-        b[pos] = other.data
-        return OperatorMatrix._result(basis, steps, ufunc(a, b))
+        steps, ia, ib, new = _step_plan(self.steps, other.steps).sum
+        # an entry missing from one operand is its exact zero, as in a dense
+        # sum: ufunc(a, 0.0) and ufunc(0.0, b) keep the bits of -0.0 and NaN
+        n = len(self.steps)
+        out = np.empty((len(steps), basis.dim), dtype=np.complex128)
+        if len(ia) == n:
+            ufunc(self.data, other.data[ib], out=out[:n])
+        else:
+            ufunc(self.data, 0.0, out=out[:n])
+            if len(ia):
+                out[ia] = ufunc(self.data[ia], other.data[ib])
+        if len(new):
+            ufunc(0.0, other.data[new], out=out[n:])
+        return OperatorMatrix._result(basis, steps, out)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -634,7 +718,7 @@ class OperatorMatrix:
         plan = basis._product_plan(self.steps, other.steps)
         dim, n = basis.dim, len(plan.order)
         if plan.ranked is None:
-            terms = (self.data[:, plan.gather] * other.data).reshape(n, dim)[plan.order]
+            terms = (self.data.take(plan.gather, axis=1, mode="clip") * other.data).reshape(n, dim)[plan.order]
             if len(plan.starts) < n:
                 terms = np.add.reduceat(terms, plan.starts, axis=0)
             return OperatorMatrix._result(basis, plan.steps, terms)
@@ -806,7 +890,7 @@ def _reach(basis: Basis) -> tuple[int, int]:
 def _q_tables(basis: Basis, d: Deformation) -> tuple[np.ndarray, np.ndarray]:
     """[t/2] and q^(e/4) at every key of `_reach`, made once per (basis, q) by
     the scalar `q_number` and `math.exp`, one call per key, and kept in the
-    basis's cache with its rows and plans."""
+    basis's own cache (they depend on q, not only on the basis's shape)."""
 
     def make():
         reach, stride = _reach(basis)
@@ -824,11 +908,11 @@ def _term_plan(basis: Basis, terms: tuple[_Term, ...]):
     value rows, each entry's two bracket keys (a one-bracket term reads its
     bracket twice), whether it has one bracket, its coefficient's place in
     the flat (`_COEF_ROWS`, block) table and its q-power key; and per term,
-    whether its step reaches any row."""
+    whether its step reaches any row.  Made once per basis shape."""
 
     def make():
         reach, stride = _reach(basis)
-        valid = basis._row_stack(tuple((t.dj, t.dm) for t in terms)) >= 0
+        valid = np.stack([basis.rows((t.dj, t.dm)) for t in terms]) >= 0
         # per term: (sj, sm, k) of the first and last bracket, (sj, sm,
         # quarters) of the q-power, the bracket count and the coefficient row
         p = np.array(
@@ -842,9 +926,9 @@ def _term_plan(basis: Basis, terms: tuple[_Term, ...]):
         power = (p[6] * j2 + p[7] * m2 + p[8])[valid]
         single = np.broadcast_to(p[9] == 1, valid.shape)[valid]
         coef = (p[10] * len(basis.spins) + (j2 - j2[0]) // 2)[valid]
-        return valid, (keys + reach) // stride, single, coef, power + reach, valid.any(axis=1).tolist()
+        return valid, (keys + reach) // stride, single, coef, power + reach, tuple(valid.any(axis=1).tolist())
 
-    return basis._cached(("terms", terms), make)
+    return basis._shared(("terms", terms), make)
 
 
 def _ladder(
@@ -1024,7 +1108,7 @@ def build_generator_set(
 
     A sibling of a set already built (the same label at 1/q, its conjugate
     partner, another q) passes that set's `basis` to be built on it, so the
-    rows, index plans and q tables the basis keeps serve both; it must equal
+    q tables and brackets the basis keeps serve both; it must equal
     the label's own basis, else ValueError.
     """
     if j_max is None:

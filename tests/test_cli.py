@@ -36,6 +36,26 @@ def test_parse_l1_rejects_fractions_and_garbage():
             parse_l1(bad)
 
 
+@pytest.mark.parametrize("value", ["-2.7i", "-1-0.5i", "-1e-3", "-0.5", "-i", "-1.5+0.3i"])
+@pytest.mark.parametrize("command", ["classify", "coproduct"])
+def test_negative_l1_after_a_space_reads_as_its_joined_form(tmp_path, command, value):
+    # argparse takes '-2.7i' for a flag; the value must still reach --l1 and --l1-b
+    label = ["--l0", "1", "--q", "1.3"]
+    if command == "classify":
+        spaced, joined = ["--l1", value], ["--l1=" + value]
+    else:
+        label += ["--l1", "2.7i", "--l0-b", "1/2"]
+        spaced, joined = ["--l1-b", value], ["--l1-b=" + value]
+    code, want = run_cli([command, *label, *joined], tmp_path, "joined.json")
+    assert code in (0, 1) and want
+    assert run_cli([command, *label, *spaced], tmp_path, "spaced.json") == (code, want)
+
+
+def test_a_flag_after_l1_is_still_a_missing_value(capsys):
+    assert main(["classify", "--l0", "1", "--l1", "--q", "1.3"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- classify
 
 
@@ -312,15 +332,18 @@ _EVERY_COMMAND = [
 
 @pytest.mark.parametrize("args", _EVERY_COMMAND, ids=lambda args: args[0])
 def test_reports_do_not_depend_on_the_step_plan_cache(tmp_path, args):
-    # the same bytes from an empty plan cache, from a warm one (which plans
-    # nothing more) and from a fresh interpreter
+    # the same bytes from empty plan and shape memos, from warm ones (which
+    # make nothing more) and from a fresh interpreter
     from qlorentz import matrep
 
     matrep._step_plan.cache_clear()
+    matrep._SHAPES.clear()
     _, cold = run_cli(args, tmp_path, "cold.json")
     misses = matrep._step_plan.cache_info().misses
+    shapes = set(matrep._SHAPES._items)
     _, warm = run_cli(args, tmp_path, "warm.json")
     assert matrep._step_plan.cache_info().misses == misses
+    assert set(matrep._SHAPES._items) == shapes
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     script = "import sys; from qlorentz.cli import main; sys.exit(main(sys.argv[1:]))"
     out = subprocess.run(

@@ -248,6 +248,69 @@ def test_limit_at_a_large_j_max_in_bounded_memory(tmp_path):
     assert peak < 64 * 2**20, peak
 
 
+def test_shape_memo_keeps_at_most_its_budget(tmp_path, monkeypatch):
+    # dim 14641: the boost term plan alone takes 4.4 MB, so the small budget
+    # evicts and leaves it out; neither moves a report byte
+    from qlorentz import matrep
+
+    args = ["verify", "--l0", "0", "--l1", "2.7i", "--q", "1.3", "--j-max", "120"]
+    reports = []
+    for budget in (matrep._SHAPE_BYTES, 4 * 2**20):
+        monkeypatch.setattr(matrep, "_SHAPES", matrep._ShapeMemo(budget))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main([*args, "--output", str(tmp_path / "v.json")])
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        memo = matrep._SHAPES
+        assert code == 0 and memo._items
+        assert memo.nbytes == sum(size for _, size in memo._items.values()) <= budget
+        assert kept < budget + 2**20, kept
+        reports.append((tmp_path / "v.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("ufunc", [np.add, np.subtract])
+def test_sums_on_different_steps_equal_the_zero_filled_reference_bitwise(ufunc):
+    # an entry missing from one operand is an exact +0.0, as in a dense sum:
+    # -0.0 + 0.0 is +0.0, and 0.0 - x is not -x for x = +0.0 or NaN
+    import warnings
+
+    basis = _basis("finite", 0, 8)  # dim 64: each pair of special values in every row
+    values = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan, -np.nan])
+    x, y = np.repeat(values, 8), np.tile(values, 8)
+
+    def op(steps, re, im):
+        data = np.empty((len(steps), basis.dim), dtype=np.complex128)
+        data.real, data.imag = re, im
+        return OperatorMatrix(basis, steps, data)
+
+    layouts = [
+        (((0, 0), (1, 0), (0, 1)), ((1, 0), (2, 2), (0, 0))),  # shared in another order, one new each
+        (((0, 1),), ((-1, 1), (0, 1), (1, 1))),  # A's steps among B's
+        (((-1, 0), (0, 0), (1, 0)), ((1, 0),)),  # B's steps among A's
+        (((0, 1),), ((0, -1),)),  # disjoint
+    ]
+    for sa, sb in layouts:
+        a, b = op(sa, x, y), op(sb, y, x)
+        steps = tuple(dict.fromkeys(sa + sb))
+        da, db = np.zeros((2, len(steps), basis.dim), dtype=np.complex128)
+        da[: len(sa)] = a.data
+        db[[steps.index(s) for s in sb]] = b.data
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            expected = ufunc(da, db)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            result = a + b if ufunc is np.add else a - b
+        assert result.steps == steps
+        assert result.data.tobytes() == expected.tobytes(), (sa, sb)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+
+
 def test_verify_imports_no_scipy(tmp_path):
     script = (
         "import sys; import qlorentz; from qlorentz.cli import main; "
@@ -313,13 +376,24 @@ def test_product_basis_is_shared_and_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def _memo_leaves(x):
+    """The leaves of a shape-memo key or value, tuples unpacked."""
+    if isinstance(x, tuple):
+        for v in x:
+            yield from _memo_leaves(v)
+    else:
+        yield x
+
+
 def test_step_plans_are_kept_per_process_and_keep_no_grid_alive():
-    # a coproduct's plans are made once per step pair for the whole process:
-    # its product basis and factor bases are collected, their plans stay
+    # a coproduct's plans are made once per step pair and its index arrays
+    # once per grid shape for the whole process: its product basis and
+    # factor bases are collected, their plans and index arrays stay
     from qlorentz import matrep
     from qlorentz.chiral import build_chiral, coproduct
 
-    cs = build_chiral(build_generator_set(RepLabel(HalfInt(2), 2.7j, Deformation(1.3)), HalfInt(3)))
+    label = RepLabel(HalfInt(2), 2.7j, Deformation(1.3))
+    cs = build_chiral(build_generator_set(label, HalfInt(3)))
     dc = coproduct(cs, cs)
     a, b = dc.I_plus_L, dc.I3_L_tilde
     pairs = [(a.steps, b.steps), (b.steps, a.steps)]
@@ -329,8 +403,21 @@ def test_step_plans_are_kept_per_process_and_keep_no_grid_alive():
     # every caller shares these values, so none of them can be written
     for plan in plans:
         r = plan.ranked
-        arrays = (plan.sum[1], *plan.product[1:], *r.ranks, r.small, r.large, r.large_terms, r.large_starts, r.first)
+        arrays = (*plan.sum[1:], *plan.product[1:], *r.ranks, r.small, r.large, r.large_terms, r.large_starts, r.first)
         assert not any(arr.flags.writeable for arr in arrays)
+    # the shape memo holds read-only index arrays under keys of ints and
+    # strings: no grid, label, q table or operator
+    q_tables = [arr for key, val in cs.basis._cache.items() if key[0] == "q" for arr in val]
+    assert q_tables and matrep._SHAPES.nbytes <= matrep._SHAPE_BYTES
+    for key, (val, size) in matrep._SHAPES._items.items():
+        assert all(type(x) in (str, int, bool, type(None)) for x in _memo_leaves(key)), key
+        leaves = list(_memo_leaves(val))
+        assert all(type(x) in (np.ndarray, bool) for x in leaves), key
+        arrays = [x for x in leaves if isinstance(x, np.ndarray)]
+        assert size == sum(x.nbytes for x in arrays)
+        for arr in arrays:
+            assert not arr.flags.writeable and not any(np.shares_memory(arr, t) for t in q_tables)
+    keys = set(matrep._SHAPES._items)
     refs = [weakref.ref(x) for x in (a.basis, cs.basis, cs.I_plus_L)]
     del cs, dc, a, b
     gc.collect()
@@ -338,6 +425,18 @@ def test_step_plans_are_kept_per_process_and_keep_no_grid_alive():
     misses = matrep._step_plan.cache_info().misses
     assert [matrep._step_plan(*pair) for pair in pairs] == plans
     assert matrep._step_plan.cache_info().misses == misses
+    # a new basis of the same shape reads the same arrays and makes none
+    again, other = build_basis(label, HalfInt(3)), build_basis(label, HalfInt(3))
+    assert again is not other
+    terms = (matrep._Term(0, 1, None, ((1, -1, 0), (1, 1, 1)), None),)
+    for make in (lambda g: g, lambda g: StackedBasis(g, 2), lambda g: g.product(g)):
+        grid, twin = make(again), make(other)
+        steps = (grid.zero_step, tuple(1 for _ in grid.zero_step))
+        assert grid.rows(steps[1]) is twin.rows(steps[1])
+        assert grid._row_stack(steps) is twin._row_stack(steps)
+        assert grid._product_plan(steps, steps).gather is twin._product_plan(steps, steps).gather
+    assert matrep._term_plan(again, terms)[0] is matrep._term_plan(other, terms)[0]
+    assert keys <= set(matrep._SHAPES._items)
 
 
 # ---------------------------------------------------------------- ranked products
@@ -456,8 +555,8 @@ def test_ranked_products_own_their_read_only_results(make):
 
 def test_ranked_products_from_several_threads_equal_serial_ones():
     # each thread has its own work buffer on a shared basis; the threads
-    # start on a fresh basis and an empty plan cache, so they also race to
-    # make the same plans and gather rows
+    # start on a fresh basis and empty plan and shape memos, so they also
+    # race to make the same plans and index arrays, and to count their bytes
     from concurrent.futures import ThreadPoolExecutor
 
     from qlorentz import matrep
@@ -465,6 +564,7 @@ def test_ranked_products_from_several_threads_equal_serial_ones():
     serial = {k: op.data.tobytes() for k, (op, _) in _ranked_pairs(_coproduct_ops()).items()}
     ops = _coproduct_ops()
     matrep._step_plan.cache_clear()
+    matrep._SHAPES.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -474,3 +574,5 @@ def test_ranked_products_from_several_threads_equal_serial_ones():
         sys.setswitchinterval(interval)
     for run in runs:
         assert {k: op.data.tobytes() for k, (op, _) in run.items()} == serial
+    memo = matrep._SHAPES
+    assert memo._items and memo.nbytes == sum(size for _, size in memo._items.values())
