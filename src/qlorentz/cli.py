@@ -15,44 +15,21 @@ import functools
 import math
 import re
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import _jsonfmt
 from .qarith import Deformation, HalfInt
 from .repcore import RepLabel, classify
-from .matrep import (
-    ConventionId,
-    DEFAULT_CONVENTION,
-    RESOLVED_CONVENTION,
-    build_generator_set,
-    build_from_suq2,
-    export_generator_set,
-    import_generator_set,
-)
-from .verify import (
-    LIMIT_EPS,
-    TIER1_TOL,
-    TIER2_TOL,
-    Tolerances,
-    VerificationReport,
-    check_casimir,
-    check_lorentz_relations,
-    check_q_adjoint,
-    check_recurrence_suite,
-    check_unitary_coeffs,
-    classical_limit_compare,
-    resolve_conventions,
-)
-from .chiral import (
-    build_chiral,
-    check_chiral_adjoint,
-    check_chiral_relations,
-    check_coproduct_homomorphism,
-    check_reduction_identities,
-    check_spinor_annihilation,
-    coproduct,
-    spinor_labels,
-)
+
+if TYPE_CHECKING:
+    from .matrep import ConventionId
+    from .verify import Tolerances, VerificationReport
+
+# The numpy-backed modules load inside the handlers that run them (`build`:
+# matrep; `verify`, `limit`: matrep and verify; `chiral`, `coproduct`,
+# `conventions`: those and chiral), so `classify`, `--help` and usage errors
+# never import numpy.  Handlers read functions from their modules at call
+# time, so a patched module attribute is the one called.
 
 __all__ = ["main", "parse_l1"]
 
@@ -150,7 +127,7 @@ def _j_max(ns: argparse.Namespace) -> HalfInt:
     return ns.j_max if ns.j_max is not None else ns.l0 + 8
 
 
-def _classify(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
+def _classify(ns: argparse.Namespace, tols: None, conv: None) -> tuple[dict, bool]:
     """Series classification of a label."""
     label = _label(ns)
     return {
@@ -160,10 +137,12 @@ def _classify(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> t
     }, True
 
 
-def _build(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
+def _build(ns: argparse.Namespace, tols: None, conv: ConventionId) -> tuple[dict, bool]:
     """Build generator matrices, optionally export them."""
+    from . import matrep
+
     label = _label(ns)
-    gens = build_generator_set(label, _j_max(ns), conv)
+    gens = matrep.build_generator_set(label, _j_max(ns), conv)
     doc = {
         "command": "build",
         "label": label.to_record(),
@@ -176,30 +155,32 @@ def _build(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tupl
         "matrix_max_norms": {k: v.max_norm for k, v in sorted(gens.matrices().items())},
     }
     if ns.export:
-        files = export_generator_set(gens, ns.export)
+        files = matrep.export_generator_set(gens, ns.export)
         doc["exported"] = {"directory": ns.export, "files": files}
     return doc, True
 
 
 def _verify(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
     """Run the defining-relation suites."""
+    from . import matrep, verify
+
     if ns.import_dir:
-        gens = import_generator_set(ns.import_dir)
+        gens = matrep.import_generator_set(ns.import_dir)
         j_max = gens.basis.j_max if gens.basis.j_max is not None else gens.label.l0
     else:
         j_max = _j_max(ns)
-        gens = build_generator_set(_label(ns), j_max, conv)
+        gens = matrep.build_generator_set(_label(ns), j_max, conv)
     label = gens.label
     reports = [
-        check_lorentz_relations(gens, tols=tols),
-        check_casimir(gens, tols=tols),
-        check_recurrence_suite(label, label.l0 + 20, tols),
-        check_unitary_coeffs(label, gens.basis.spins[-1], tols),
+        verify.check_lorentz_relations(gens, tols=tols),
+        verify.check_casimir(gens, tols=tols),
+        verify.check_recurrence_suite(label, label.l0 + 20, tols),
+        verify.check_unitary_coeffs(label, gens.basis.spins[-1], tols),
     ]
     for rep in reports[2:]:  # the coefficient suites read no set; name the one verified
         rep.convention = gens.convention
     if not ns.import_dir:
-        reports.append(check_q_adjoint(gens, tols))
+        reports.append(verify.check_q_adjoint(gens, tols))
     return _bundle(
         "verify",
         {"label": label.to_record(), "j_max": str(j_max), "convention": gens.convention.to_list()},
@@ -209,41 +190,47 @@ def _verify(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tup
 
 def _chiral(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
     """Chiral decomposition suites."""
+    from . import chiral, matrep
+
     if ns.spin is not None:
-        gens = build_from_suq2(ns.spin, Deformation(ns.q))
+        gens = matrep.build_from_suq2(ns.spin, Deformation(ns.q))
         subject = {"realization": gens.tag}
     else:
-        gens = build_generator_set(_label(ns), _j_max(ns), conv)
+        gens = matrep.build_generator_set(_label(ns), _j_max(ns), conv)
         subject = {"label": gens.label.to_record()}
-    cs = build_chiral(gens)
+    cs = chiral.build_chiral(gens)
     reports = [
-        check_chiral_relations(cs, tols),
-        check_reduction_identities(cs, tols),
-        check_spinor_annihilation(gens.d),
+        chiral.check_chiral_relations(cs, tols),
+        chiral.check_reduction_identities(cs, tols),
+        chiral.check_spinor_annihilation(gens.d),
     ]
     if ns.spin is None:
-        reports.append(check_chiral_adjoint(gens, tols, cs))
+        reports.append(chiral.check_chiral_adjoint(gens, tols, cs))
     return _bundle("chiral", subject, reports)
 
 
 def _coproduct(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
     """Coproduct homomorphism checks (default: spinor x spinor)."""
+    from . import chiral, matrep
+
     d = Deformation(ns.q)
-    la = RepLabel(ns.l0, ns.l1, d) if ns.l0 is not None else spinor_labels(d)[0]
+    la = RepLabel(ns.l0, ns.l1, d) if ns.l0 is not None else chiral.spinor_labels(d)[0]
     lb = RepLabel(ns.l0_b, ns.l1_b, d) if ns.l0_b is not None else la
-    cs_a = build_chiral(build_generator_set(la, la.l0 + 2, conv))
-    cs_b = cs_a if ns.l0_b is None else build_chiral(build_generator_set(lb, lb.l0 + 2, conv))
-    dc = coproduct(cs_a, cs_b, conv)
+    cs_a = chiral.build_chiral(matrep.build_generator_set(la, la.l0 + 2, conv))
+    cs_b = cs_a if ns.l0_b is None else chiral.build_chiral(matrep.build_generator_set(lb, lb.l0 + 2, conv))
+    dc = chiral.coproduct(cs_a, cs_b, conv)
     return _bundle(
         "coproduct",
         {"factor_a": la.to_record(), "factor_b": lb.to_record(), "convention": conv.to_list()},
-        [check_coproduct_homomorphism(dc, tols)],
+        [chiral.check_coproduct_homomorphism(dc, tols)],
     )
 
 
-def _limit(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
+def _limit(ns: argparse.Namespace, tols: None, conv: ConventionId) -> tuple[dict, bool]:
     """Entrywise comparison against the classical oracle."""
-    rep = classical_limit_compare(ns.l0, ns.l1, _j_max(ns), ns.eps, conv)
+    from . import verify
+
+    rep = verify.classical_limit_compare(ns.l0, ns.l1, _j_max(ns), ns.eps, conv)
     return _bundle(
         "limit",
         {"l0": str(ns.l0), "l1": {"re": ns.l1.real, "im": ns.l1.imag}, "eps": ns.eps},
@@ -251,9 +238,11 @@ def _limit(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tupl
     )
 
 
-def _conventions(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
+def _conventions(ns: argparse.Namespace, tols: None, conv: None) -> tuple[dict, bool]:
     """Resolve the catalogued reading ambiguities."""
-    winner, table = resolve_conventions(
+    from . import verify
+
+    winner, table = verify.resolve_conventions(
         label=_label(ns) if ns.l0 is not None else None,
         two_j=ns.spin if ns.spin else 2,
         d=Deformation(ns.q),
@@ -278,8 +267,8 @@ _FLAGS = {
     "--l1": dict(help="second constant: 'a', 'bi', 'a+bi' or 'a-bi'"),
     "--q": dict(type=float, help="deformation parameter (>0, != 1)"),
     "--j-max": dict(help="truncation spin for infinite representations (default l0+8)"),
-    "--tier1-tol": dict(type=float, default=TIER1_TOL, help="override the tier-1 tolerance"),
-    "--tier2-tol": dict(type=float, default=TIER2_TOL, help="override the tier-2 tolerance"),
+    "--tier1-tol": dict(type=float, help="override the tier-1 tolerance"),
+    "--tier2-tol": dict(type=float, help="override the tier-2 tolerance"),
     "--conv": dict(
         choices=("resolved", "printed"),
         help="convention set: resolver-selected readings (default) or the printed ones",
@@ -296,7 +285,8 @@ _FLAGS = {
 }
 
 # each command's handler (checked namespace, tolerances, convention) -> (report, tier-1 pass),
-# the flags it reads besides --format/--output, and the required ones
+# the flags it reads besides --format/--output, and the required ones; `main` passes
+# tolerances and a convention only to a command whose flags set them, else None
 _COMMANDS = {
     "classify": (_classify, _LABEL, _LABEL),
     "build": (_build, (*_LABEL, "--j-max", "--conv", "--export"), _LABEL),
@@ -338,9 +328,12 @@ def _check_args(ns: argparse.Namespace) -> None:
         if ns.l0 is not None and ns.j_max < ns.l0:
             raise ValueError(f"j_max = {ns.j_max} below l0 = {ns.l0}")
     eps = getattr(ns, "eps", None)
-    if eps is not None and not LIMIT_EPS[0] <= eps <= LIMIT_EPS[1]:
+    if eps is not None:
+        from .verify import LIMIT_EPS
+
         lo, hi = LIMIT_EPS
-        raise ValueError(f"--eps must be in [{lo:g}, {hi:g}] (the eps/10 build needs |q-1| > 1e-12), got {eps}")
+        if not lo <= eps <= hi:
+            raise ValueError(f"--eps must be in [{lo:g}, {hi:g}] (the eps/10 build needs |q-1| > 1e-12), got {eps}")
     if getattr(ns, "spin", None) is not None and ns.spin < 1:
         raise ValueError("twice-spin must be >= 1")
     for flag, parse in (("l0_b", HalfInt.parse), ("l1_b", parse_l1)):
@@ -351,8 +344,8 @@ def _check_args(ns: argparse.Namespace) -> None:
     if (getattr(ns, "l0_b", None) is None) != (getattr(ns, "l1_b", None) is None):
         raise ValueError("--l0-b and --l1-b must be given together")
     for flag in ("tier1_tol", "tier2_tol"):
-        tol = getattr(ns, flag, 0.0)
-        if not (math.isfinite(tol) and tol >= 0):
+        tol = getattr(ns, flag, None)
+        if tol is not None and not (math.isfinite(tol) and tol >= 0):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite and >= 0, got {tol}")
 
     if getattr(ns, "import_dir", None):
@@ -395,8 +388,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         _check_args(ns)
-        tols = Tolerances(getattr(ns, "tier1_tol", TIER1_TOL), getattr(ns, "tier2_tol", TIER2_TOL))
-        conv = DEFAULT_CONVENTION if getattr(ns, "conv", None) == "printed" else RESOLVED_CONVENTION
+        flags = _COMMANDS[ns.command][1]
+        tols = conv = None
+        if "--tier1-tol" in flags:
+            from .verify import Tolerances
+
+            given = {"tier1": ns.tier1_tol, "tier2": ns.tier2_tol}
+            tols = Tolerances(**{k: v for k, v in given.items() if v is not None})
+        if "--conv" in flags:
+            from .matrep import DEFAULT_CONVENTION, RESOLVED_CONVENTION
+
+            conv = DEFAULT_CONVENTION if ns.conv == "printed" else RESOLVED_CONVENTION
         doc, tier1 = ns.run(ns, tols, conv)
         _emit(doc, ns)
     except (ValueError, OSError) as exc:

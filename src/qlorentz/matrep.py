@@ -130,7 +130,21 @@ class _Grid:
         return self._shared(("rows", step), lambda: self._target(step))
 
     def _row_stack(self, steps: tuple) -> np.ndarray:
-        return self._shared(("stack", steps), lambda: np.stack([self.rows(s) for s in steps]))
+        return self._shared(("stack", steps), lambda: np.stack(self._rows(steps)))
+
+    def _rows(self, steps: tuple) -> list[np.ndarray]:
+        """`rows` of each step; those neither this grid nor the memo holds
+        are made together by `_targets` (one pass on a `Basis`)."""
+        missing = [
+            s
+            for s in dict.fromkeys(steps)
+            if ("rows", s) not in self._cache and not _SHAPES.holds((self._shape, "rows", s))
+        ]
+        made = dict(zip(missing, self._targets(missing))) if missing else {}
+        return [self._shared(("rows", s), lambda s=s: made[s] if s in made else self._target(s)) for s in steps]
+
+    def _targets(self, steps: list) -> list[np.ndarray]:
+        return [self._target(s) for s in steps]
 
     def product(self, other: "_Grid") -> "ProductBasis":
         """The tensor product basis self x other, one instance per pair while in
@@ -210,6 +224,10 @@ class _ShapeMemo:
                 while self.nbytes > self.budget:
                     self.nbytes -= self._items.pop(next(iter(self._items)))[1]
         return val
+
+    def holds(self, key) -> bool:
+        with self._lock:
+            return key in self._items
 
     def clear(self) -> None:
         with self._lock:
@@ -438,6 +456,10 @@ class Basis(_Grid):
     def _target(self, step: tuple) -> np.ndarray:
         return self.locate(self.j2 + 2 * step[0], self.m2 + 2 * step[1])[1]
 
+    def _targets(self, steps: list) -> list[np.ndarray]:
+        shift = 2 * np.array(steps)
+        return list(self.locate(self.j2 + shift[:, :1], self.m2 + shift[:, 1:])[1])
+
     def step_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """(n, 2) steps leading from cols to rows."""
         return np.stack(((self.j2[rows] - self.j2[cols]) // 2, (self.m2[rows] - self.m2[cols]) // 2), axis=1)
@@ -528,6 +550,9 @@ def build_basis(label: RepLabel, j_max: HalfInt) -> Basis:
         raise ValueError(f"j_max = {j_max} below l0 = {label.l0}")
     cls = classify(label)
     if cls.kind == "finite":
+        # its index arrays, sized by the closed-form dim, first: a label too
+        # large for memory fails here, before its spins are listed
+        np.empty((2, cls.dim), dtype=np.int64)
         return Basis(spins=cls.spins)
     q, limit = label.d.q, spin_limit(label.d)
     if float(j_max) > limit:
@@ -912,7 +937,7 @@ def _term_plan(basis: Basis, terms: tuple[_Term, ...]):
 
     def make():
         reach, stride = _reach(basis)
-        valid = np.stack([basis.rows((t.dj, t.dm)) for t in terms]) >= 0
+        valid = np.stack(basis._rows(tuple((t.dj, t.dm) for t in terms))) >= 0
         # per term: (sj, sm, k) of the first and last bracket, (sj, sm,
         # quarters) of the q-power, the bracket count and the coefficient row
         p = np.array(

@@ -58,6 +58,7 @@ from .matrep import (
     _check_boost_steps,
     _ladder,
     _st_readings,
+    _term_plan,
     build_basis,
     build_generator_set,
     build_M,
@@ -760,7 +761,15 @@ def _boost_scores(
     n3_terms = _boost_terms(readings[0])[2]
     distinct = tuple(dict.fromkeys(n3_terms + sum((sum(_boost_terms(r)[:2], ()) for r in readings), ())))
     rows = dict(zip(distinct, _ladder(basis, distinct, d, _boost_coeffs(basis, label))))
+    # as in `_ladders`, a term whose step reaches no row (the j+-1 terms on a
+    # single block) holds only zeros and is left out
+    live = {t for t, reaches in zip(distinct, _term_plan(basis, distinct)[-1]) if reaches}
+
+    def reaching(terms):
+        return [t for t in terms if t in live]
+
     ops = dict(zip(("m_plus", "m_minus", "m3"), build_M(basis, d)))
+    n3_terms = reaching(n3_terms)
     ops["n3"] = OperatorMatrix(basis, tuple((t.dj, t.dm) for t in n3_terms), [rows[t] for t in n3_terms])
     ops["n3_tilde"] = build_N3_tilde(ops["n3"], basis, d)
     shared = _eq4_lines(ops, d, c_scalar, lines=("line01", "line02", "other1", "other2", "other3"))
@@ -774,7 +783,7 @@ def _boost_scores(
             name: OperatorMatrix(grid, op.steps, np.tile(op.data, len(group))) for name, op in ops.items()
         }
         for name, k in (("n_plus", 0), ("n_minus", 1)):
-            terms = [_boost_terms(r)[k] for r in group]
+            terms = [reaching(_boost_terms(r)[k]) for r in group]
             data = np.hstack([[rows[t] for t in ts] for ts in terms])
             stacked[name] = OperatorMatrix(grid, tuple((t.dj, t.dm) for t in terms[0]), data)
         lines = {**shared, **_eq4_lines(stacked, d, c_scalar, lines=_EQ4_LINES[2:10])}

@@ -156,12 +156,13 @@ def test_bad_tolerance_exits_2_naming_the_flag(tmp_path, capsys, flag, value):
 
 
 def test_out_of_memory_exits_2_with_message(tmp_path, capsys, monkeypatch):
-    import qlorentz.cli as cli
+    import qlorentz.matrep as matrep
 
     def no_memory(*_args, **_kwargs):
         raise MemoryError("Unable to allocate 8.13 GiB for an array")
 
-    monkeypatch.setattr(cli, "build_generator_set", no_memory)
+    # the build handler reads build_generator_set from matrep when it runs
+    monkeypatch.setattr(matrep, "build_generator_set", no_memory)
     code, raw = run_cli(
         ["build", "--l0", "0", "--l1", "0.5", "--q", "1.3", "--j-max", "200"], tmp_path
     )
@@ -352,6 +353,36 @@ def test_reports_do_not_depend_on_the_step_plan_cache(tmp_path, args):
     )
     assert out.returncode == 0, out.stderr
     assert cold and cold == warm == (tmp_path / "fresh.json").read_bytes()
+
+
+_NUMPY_MODULES = ("numpy", "qlorentz.matrep", "qlorentz.verify", "qlorentz.chiral")
+
+
+@pytest.mark.parametrize(
+    "args, code, absent",
+    [
+        (["classify", "--l0", "1/2", "--l1", "1.5", "--q", "1.3"], 0, _NUMPY_MODULES),
+        (["classify", "--l0", "1", "--l1", "--q", "1.3"], 2, _NUMPY_MODULES),
+        (["build", "--l0", "1", "--l1", "2.7i", "--q", "1.3", "--j-max", "3"], 0, _NUMPY_MODULES[2:]),
+        (["verify", "--l0", "1/2", "--l1", "1.5", "--q", "1.3"], 0, _NUMPY_MODULES[3:]),
+        (["limit", "--l0", "1/2", "--l1", "-1.5", "--eps", "1e-6"], 0, _NUMPY_MODULES[3:]),
+    ],
+    ids=["classify", "usage-error", "build", "verify", "limit"],
+)
+def test_a_fresh_process_imports_only_what_its_command_runs(tmp_path, args, code, absent):
+    # the package and the CLI load matrep, verify and chiral (and numpy with
+    # them) only in the handlers that run them
+    script = (
+        "import sys; import qlorentz; from qlorentz.cli import main; "
+        "rc = main(sys.argv[2:] + ['--output', sys.argv[1]]); "
+        f"print(rc, *[m for m in {absent!r} if m in sys.modules])"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out.json"), *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert out.stdout.split() == [str(code)], out.stderr
 
 
 def test_export_import_round_trip_bit_exact(tmp_path):
@@ -558,6 +589,36 @@ def test_huge_l1_exits_2_before_listing_spins(tmp_path, capsys, monkeypatch, com
     assert code == 2 and raw == b""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and ("overflows at q" in err or "too large to tell" in err)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["build", "--l0", "0", "--l1", "1e7", "--q", "1.000001"],
+        ["limit", "--l0", "0", "--l1", "1e7"],
+    ],
+    ids=["build", "limit"],
+)
+def test_huge_finite_label_near_q_1_exits_2_before_listing_spins(tmp_path, capsys, monkeypatch, args):
+    # spin_limit admits the 10^7 spins of (0, 1e7) near q = 1, but its
+    # closed-form dim of 10^14 states cannot be allocated
+    import time
+
+    import qlorentz.matrep as matrep
+    import qlorentz.repcore as repcore
+    from qlorentz.qarith import half_range
+
+    def short_range(lo, hi):
+        assert hi.twice - lo.twice < 2000, "a long spin range was listed"
+        return half_range(lo, hi)
+
+    for module in (matrep, repcore):
+        monkeypatch.setattr(module, "half_range", short_range)
+    start = time.perf_counter()
+    code, raw = run_cli(args, tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and raw == b""
+    assert capsys.readouterr().err.startswith("error: out of memory: ")
 
 
 def test_largest_valid_j_max_still_builds(tmp_path):
@@ -875,3 +936,47 @@ def test_json_escapes_and_empty_containers_match_reference():
     }
     for indent in (False, True):
         assert _jsonfmt.dumps(doc, indent) == _dumps_reference(doc, indent)
+
+
+def test_json_of_subclasses_and_bad_values_matches_reference():
+    # values that are not of an exact JSON type take the isinstance path
+    import collections
+    import enum
+
+    import numpy as np
+
+    from qlorentz import _jsonfmt
+
+    class Tier(enum.IntEnum):
+        ONE = 1
+
+    class Name(str):
+        pass
+
+    class Tag(str):
+        def __str__(self):
+            return "tag:" + self
+
+    Pair = collections.namedtuple("Pair", "re im")
+    doc = collections.OrderedDict(
+        [
+            ("float64", np.float64(0.1)),
+            ("tier", Tier.ONE),
+            (Name("name"), Name('sub"class')),
+            ("pair", Pair(1.5, -2)),
+            ("bools", [True, False, None, 1, 0]),
+            (7, "an int key"),
+            ("unicode", "\u03c1 \x7f"),
+            ("repeat", [{"id": "a", "x": 1.0}, {"id": "b", "x": -0.0}]),
+            # equal to a key met before, but written as its own str()
+            ("tagged", [{"a": 1}, {Tag("a"): 2}, {1: 3}, {True: 4}, {1.0: 5}]),
+        ]
+    )
+    for indent in (False, True):
+        assert _jsonfmt.dumps(doc, indent) == _dumps_reference(doc, indent)
+    for bad in (float("nan"), np.float64("inf"), complex(1, float("-inf"))):
+        with pytest.raises(ValueError, match="non-finite float in report"):
+            _jsonfmt.dumps({"records": [{"x": bad}]}, True)
+    for bad in (np.int64(3), {1, 2}, b"bytes"):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            _jsonfmt.dumps([bad])

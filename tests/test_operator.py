@@ -439,6 +439,42 @@ def test_step_plans_are_kept_per_process_and_keep_no_grid_alive():
     assert keys <= set(matrep._SHAPES._items)
 
 
+@pytest.mark.parametrize("kind", ["basis", "stacked", "product"])
+def test_cold_row_stack_equals_the_warm_one_bitwise(monkeypatch, kind):
+    # on an empty memo a stack's rows are made together, one `locate` pass on
+    # a basis; from rows made one step at a time the stack is the same
+    from qlorentz import matrep
+
+    label = RepLabel(HalfInt(1), 2.7j, Deformation(1.3))
+    make = {
+        "basis": lambda: build_basis(label, HalfInt(4)),
+        "stacked": lambda: StackedBasis(build_basis(label, HalfInt(4)), 3),
+        "product": lambda: build_basis(label, HalfInt(2)).product(build_basis(label, HalfInt(3))),
+    }[kind]
+    calls = []
+    locate = matrep.Basis.locate
+
+    def counting(self, tj2, tm2):
+        calls.append(tj2.shape)
+        return locate(self, tj2, tm2)
+
+    monkeypatch.setattr(matrep.Basis, "locate", counting)
+    n = len(make().zero_step)
+    steps = tuple(tuple(d if i == 0 else 0 for i in range(n)) for d in (1, 0, -1))
+    steps += tuple(tuple(d if i == 1 else 0 for i in range(n)) for d in (1, -1))
+    matrep._SHAPES.clear()
+    cold = make()._row_stack(steps)
+    if kind == "basis":
+        assert calls == [(len(steps), cold.shape[1])]
+    matrep._SHAPES.clear()
+    grid = make()
+    rows = [grid.rows(s) for s in steps]
+    warm = grid._row_stack(steps)
+    assert cold.dtype == warm.dtype == np.int64
+    assert cold.tobytes() == warm.tobytes() == np.stack(rows).tobytes()
+    assert not cold.flags.writeable and (cold >= 0).any()
+
+
 # ---------------------------------------------------------------- ranked products
 
 
