@@ -41,7 +41,6 @@ import math
 import os
 import re
 import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -98,13 +97,13 @@ class _Grid:
     and copy count) is kept once per process in `_SHAPES`: a basis's `j2`,
     `m2` and `starts`, the rows each step reaches (a product's or stack's
     from its factors' or base's), row stacks, the rows products gather at on
-    a stack and the builders' term plans.  Each grid also keeps in its
-    `_cache` the values it has read, so a value too large for the memo lives
-    as long as the grid, and its per-(basis, q) tables, each thread's scratch
-    array for large products (`_work`) and its product bases (weakly).  What
-    a sum or product plan takes from the two step tuples alone is kept once
-    per process too (`_step_plan`).  The module-level state is three bounded
-    memos: these two and the parser `cli._build_parser` builds once.
+    a stack and the builders' term plans.  Each grid keeps in its `_cache`
+    the values it has read, so a value too large for the memo lives as long
+    as the grid, and a basis also its per-(basis, q) tables; a grid keeps
+    nothing else.  What a sum or product plan takes from the two step tuples
+    alone is kept once per process too (`_step_plan`).  The module-level
+    state is three bounded memos: these two and the parser
+    `cli._build_parser` builds once.
     A grid is `copies` independent copies of one basis side by side (1 but
     for a `StackedBasis`).
     """
@@ -133,37 +132,15 @@ class _Grid:
         return self._shared(("stack", steps), lambda: np.stack(self._rows(steps)))
 
     def _rows(self, steps: tuple) -> list[np.ndarray]:
-        """`rows` of each step; those neither this grid nor the memo holds
-        are made together by `_targets` (one pass on a `Basis`)."""
-        missing = [
-            s
-            for s in dict.fromkeys(steps)
-            if ("rows", s) not in self._cache and not _SHAPES.holds((self._shape, "rows", s))
-        ]
-        made = dict(zip(missing, self._targets(missing))) if missing else {}
-        return [self._shared(("rows", s), lambda s=s: made[s] if s in made else self._target(s)) for s in steps]
-
-    def _targets(self, steps: list) -> list[np.ndarray]:
-        return [self._target(s) for s in steps]
-
-    def product(self, other: "_Grid") -> "ProductBasis":
-        """The tensor product basis self x other, one instance per pair while in
-        use.  Held weakly: it refers back to self, and a strong entry would be
-        a cycle keeping both bases and their plans until the cyclic gc runs."""
-        ref = self._cache.get(("x", id(other)))
-        prod = ref() if ref is not None else None
-        if prod is None:
-            prod = ProductBasis(self, other)
-            self._cache[("x", id(other))] = weakref.ref(prod)
-        return prod
+        return [self.rows(s) for s in steps]
 
     def _product_plan(self, sa: tuple, sb: tuple) -> "_ProductPlan":
         """Index plan of a product A @ B on this grid: the step part of
         `_step_plan(sa, sb)`, the rows at which A is read for each step of B
         (kept per shape), and the `_RankSum` if the pair array has
-        `_RANKED_MIN` entries or more: such a product runs in the grid's work
-        buffer, and smaller ones, which the extra numpy calls would slow, keep
-        the plain path."""
+        `_RANKED_MIN` entries or more: such a product multiplies in place and
+        sums rank-major, and smaller ones, which the extra numpy calls would
+        slow, keep the plain path."""
         plan = _step_plan(sa, sb)
         steps, order, starts = plan.product
         # B's values are 0 where its rows are -1; A is read in the first row
@@ -175,17 +152,6 @@ class _Grid:
             gather = self._shared(("gather", sb), lambda: np.maximum(self._row_stack(sb), self._copy_starts))
         ranked = plan.ranked if len(order) * self.dim >= _RANKED_MIN else None
         return _ProductPlan(steps, order, starts, gather, ranked)
-
-    def _work(self, size: int) -> np.ndarray:
-        """The calling thread's complex scratch array on this grid, at least
-        `size` entries long: kept in `_cache`, so it grows to the largest
-        request and dies with the grid.  Products write their pair arrays into
-        it; no result may alias it."""
-        key = ("work", threading.get_ident())
-        work = self._cache.get(key)
-        if work is None or work.size < size:
-            work = self._cache[key] = np.empty(size, dtype=np.complex128)
-        return work
 
 
 class _ShapeMemo:
@@ -225,10 +191,6 @@ class _ShapeMemo:
                     self.nbytes -= self._items.pop(next(iter(self._items)))[1]
         return val
 
-    def holds(self, key) -> bool:
-        with self._lock:
-            return key in self._items
-
     def clear(self) -> None:
         with self._lock:
             self._items.clear()
@@ -254,7 +216,8 @@ _SHAPE_BYTES = 16 << 20
 _SHAPES = _ShapeMemo(_SHAPE_BYTES)
 
 
-# Pair-array entries (128 KB) from which a product runs in the work buffer.
+# Pair-array entries (128 KB) from which a product multiplies its pair array
+# in place and sums it with its `_RankSum`.
 _RANKED_MIN = 8192
 
 
@@ -293,16 +256,16 @@ class _RankSum:
         self.order, self.starts = order, starts
         for arr in (*self.ranks, self.small, self.large, self.large_terms, self.large_starts, self.first):
             arr.setflags(write=False)  # shared by every product of the step pair
-        # rows of scratch the sum needs past the pair array
+        # rows of scratch a sum needs, one array for both of its parts
         self.rows = max(2 * len(small), len(self.large_terms) + len(large))
 
-    def __call__(self, terms: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """The group sums of `terms` as a new array; `work` holds at least
-        `rows` rows of scratch (not overlapping `terms`)."""
+    def __call__(self, terms: np.ndarray) -> np.ndarray:
+        """The group sums of `terms` as a new array."""
         dim = terms.shape[1]
         out = terms.take(self.first, axis=0)
         if len(self.first) == len(self.order):
             return out
+        work = np.empty(self.rows * dim, dtype=np.complex128)
         with np.errstate(all="ignore"):
             n = len(self.small)
             if n:
@@ -455,10 +418,6 @@ class Basis(_Grid):
 
     def _target(self, step: tuple) -> np.ndarray:
         return self.locate(self.j2 + 2 * step[0], self.m2 + 2 * step[1])[1]
-
-    def _targets(self, steps: list) -> list[np.ndarray]:
-        shift = 2 * np.array(steps)
-        return list(self.locate(self.j2 + shift[:, :1], self.m2 + shift[:, 1:])[1])
 
     def step_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """(n, 2) steps leading from cols to rows."""
@@ -735,8 +694,8 @@ class OperatorMatrix:
 
         A small product makes its pair array, reorders it by step and sums it
         with `np.add.reduceat`.  A large one (its plan has a `_RankSum`)
-        gathers and multiplies in place in the basis's work buffer, and its
-        `_RankSum` allocates only the result; both give the same bits."""
+        multiplies its gathered pair array in place and sums it rank-major
+        with no reordered copy; both give the same bits."""
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
         basis = self._basis_with(other)
@@ -747,12 +706,9 @@ class OperatorMatrix:
             if len(plan.starts) < n:
                 terms = np.add.reduceat(terms, plan.starts, axis=0)
             return OperatorMatrix._result(basis, plan.steps, terms)
-        work = basis._work((n + plan.ranked.rows) * dim)
-        pairs = work[: n * dim].reshape(len(self.steps), len(other.steps), dim)
-        self.data.take(plan.gather, axis=1, out=pairs, mode="clip")
+        pairs = self.data.take(plan.gather, axis=1, mode="clip")
         np.multiply(pairs, other.data, out=pairs)
-        terms = plan.ranked(pairs.reshape(n, dim), work[n * dim :])
-        return OperatorMatrix._result(basis, plan.steps, terms)
+        return OperatorMatrix._result(basis, plan.steps, plan.ranked(pairs.reshape(n, dim)))
 
 
 def pattern_violation(op: OperatorMatrix, pattern: frozenset, basis: Basis) -> float:
@@ -1291,7 +1247,7 @@ def tensor_embed(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     (sa, sb) holds a[sa, ca] * b[sb, cb] in column ca * b.dim + cb.  Only the
     pairs that reach a row are kept: both steps must reach a row of their
     factor, else the pair holds only zeros."""
-    basis = a.basis.product(b.basis)
+    basis = ProductBasis(a.basis, b.basis)
     ia, ib = (np.flatnonzero((op.basis._row_stack(op.steps) >= 0).any(axis=1)) for op in (a, b))
     steps = tuple(a.steps[i] + b.steps[j] for i in ia.tolist() for j in ib.tolist())
     vals = a.data[ia, None, :, None] * b.data[None, ib, None, :]

@@ -574,8 +574,7 @@ class ClassicalGeneratorSet:
     """Classical (undeformed) generators built from the closed-form matrix
     elements with every bracket [x] replaced by x and every q-power by 1.
     Independent of the deformed formulas, but stored by step on the basis
-    the deformed build has.  The invariant is formed on first read (three
-    step products), which the limit comparison never does."""
+    the deformed build has."""
 
     basis: Basis
     m_plus: OperatorMatrix
@@ -585,14 +584,6 @@ class ClassicalGeneratorSet:
     n_minus: OperatorMatrix
     n3: OperatorMatrix
     n3_tilde: OperatorMatrix
-
-    @functools.cached_property
-    def casimir(self) -> OperatorMatrix:
-        # quadratic invariant, normalized to the deformed one: brute-force
-        # evaluation shows the plain rotation-boost contraction M.N is scalar
-        # with eigenvalue i l0 l1 / 2 in this coefficient normalization, so the
-        # counterpart of the deformed invariant (eigenvalue i l0 l1) is -2 M.N
-        return -1.0 * (2.0 * self.m3 @ self.n3 + self.m_plus @ self.n_minus + self.m_minus @ self.n_plus)
 
 
 def classical_oracle(basis: Basis, l0: HalfInt, l1: complex) -> ClassicalGeneratorSet:
@@ -882,12 +873,9 @@ def resolve_conventions(
     from .chiral import _spinor_chiral_sets, check_chiral_relations, coproduct
 
     cs_tau, cs_taut = _spinor_chiral_sets(d)
-    # both alive at once, so they share one weakly held ProductBasis and its index plans
-    products = [
-        coproduct(cs_tau, cs_taut, ConventionId(cop_r_grouplike=rg)) for rg in options["cop_r_grouplike"]
-    ]
     scored = []
-    for dc in products:
+    for rg in options["cop_r_grouplike"]:
+        dc = coproduct(cs_tau, cs_taut, ConventionId(cop_r_grouplike=rg))
         rep = check_chiral_relations(dc)
         scored.append((sum(r.residual / r.scale for r in rep.residuals), dc.convention))
     pick("cop_r_grouplike", scored, ("cop_r_grouplike",))

@@ -23,6 +23,7 @@ from qlorentz.matrep import (  # noqa: E402
     GENERATOR_PATTERNS,
     Basis,
     OperatorMatrix,
+    ProductBasis,
     StackedBasis,
     build_basis,
     build_generator_set,
@@ -55,7 +56,7 @@ def bases(draw):
     if kind == "product":
         a = _basis(draw(st.sampled_from(("finite", "single"))), draw(st.integers(0, 2)), draw(st.integers(1, 2)))
         b = _basis(draw(st.sampled_from(("finite", "single"))), draw(st.integers(0, 2)), draw(st.integers(1, 2)))
-        return a.product(b)
+        return ProductBasis(a, b)
     return _basis(kind, draw(st.integers(0, 3)), draw(st.integers(1, 4)))
 
 
@@ -358,19 +359,30 @@ def test_public_constructor_checks_and_every_result_is_read_only_complex128():
 
 
 def test_product_basis_is_shared_and_freed_without_the_cycle_collector():
-    # krons on one pair of bases share a product basis (and its plans) while
-    # one is alive, and it is freed by reference counting once unused: a
-    # cycle through the factor's cache would keep it, both bases and their
-    # plans until the cyclic collector happens to run
+    # krons on one pair of bases make equal product bases, which share their
+    # rows through the shape memo: sums and products across two of them give
+    # the bits of the same algebra on one of them.  A product basis is freed
+    # by reference counting once unused: a cycle through the factor's cache
+    # would keep it, both bases and their plans until the cyclic collector
+    # happens to run
     gc.collect()
     gc.disable()
     try:
-        b = _basis("truncated", 2, 3)
-        op = OperatorMatrix.diagonal(b, 1.0)
-        first = tensor_embed(op, op)
-        assert tensor_embed(op, op).basis is first.basis
+        g = build_generator_set(RepLabel(HalfInt(1), 2.7j, Deformation(1.3)), HalfInt(3))
+        first, second = tensor_embed(g.m_plus, g.n3), tensor_embed(g.n_minus, g.m_plus)
+        assert first.basis is not second.basis and first.basis == second.basis
+        step = first.steps[0]
+        assert first.basis.rows(step) is second.basis.rows(step)
+        alone = OperatorMatrix(first.basis, second.steps, second.data)
+        for got, want in (
+            (first + second, first + alone),
+            (first - second, first - alone),
+            (first @ second, first @ alone),
+            (second @ first, alone @ first),
+        ):
+            assert got.steps == want.steps and got.data.tobytes() == want.data.tobytes()
         ref = weakref.ref(first.basis)
-        del b, op, first
+        del g, first, second, alone, got, want
         assert ref() is None
     finally:
         gc.enable()
@@ -429,7 +441,7 @@ def test_step_plans_are_kept_per_process_and_keep_no_grid_alive():
     again, other = build_basis(label, HalfInt(3)), build_basis(label, HalfInt(3))
     assert again is not other
     terms = (matrep._Term(0, 1, None, ((1, -1, 0), (1, 1, 1)), None),)
-    for make in (lambda g: g, lambda g: StackedBasis(g, 2), lambda g: g.product(g)):
+    for make in (lambda g: g, lambda g: StackedBasis(g, 2), lambda g: ProductBasis(g, g)):
         grid, twin = make(again), make(other)
         steps = (grid.zero_step, tuple(1 for _ in grid.zero_step))
         assert grid.rows(steps[1]) is twin.rows(steps[1])
@@ -440,32 +452,22 @@ def test_step_plans_are_kept_per_process_and_keep_no_grid_alive():
 
 
 @pytest.mark.parametrize("kind", ["basis", "stacked", "product"])
-def test_cold_row_stack_equals_the_warm_one_bitwise(monkeypatch, kind):
-    # on an empty memo a stack's rows are made together, one `locate` pass on
-    # a basis; from rows made one step at a time the stack is the same
+def test_cold_row_stack_equals_the_warm_one_bitwise(kind):
+    # a stack made on an empty memo is the stack of rows made one step at a
+    # time before it
     from qlorentz import matrep
 
     label = RepLabel(HalfInt(1), 2.7j, Deformation(1.3))
     make = {
         "basis": lambda: build_basis(label, HalfInt(4)),
         "stacked": lambda: StackedBasis(build_basis(label, HalfInt(4)), 3),
-        "product": lambda: build_basis(label, HalfInt(2)).product(build_basis(label, HalfInt(3))),
+        "product": lambda: ProductBasis(build_basis(label, HalfInt(2)), build_basis(label, HalfInt(3))),
     }[kind]
-    calls = []
-    locate = matrep.Basis.locate
-
-    def counting(self, tj2, tm2):
-        calls.append(tj2.shape)
-        return locate(self, tj2, tm2)
-
-    monkeypatch.setattr(matrep.Basis, "locate", counting)
     n = len(make().zero_step)
     steps = tuple(tuple(d if i == 0 else 0 for i in range(n)) for d in (1, 0, -1))
     steps += tuple(tuple(d if i == 1 else 0 for i in range(n)) for d in (1, -1))
     matrep._SHAPES.clear()
     cold = make()._row_stack(steps)
-    if kind == "basis":
-        assert calls == [(len(steps), cold.shape[1])]
     matrep._SHAPES.clear()
     grid = make()
     rows = [grid.rows(s) for s in steps]
@@ -520,10 +522,9 @@ def test_rank_sum_equals_reduceat_bitwise(seed, special):
         warnings.simplefilter("always")
         expected = np.add.reduceat(terms[order], starts, axis=0)
     plan = _RankSum(order, starts)
-    work = np.empty(plan.rows * terms.shape[1], dtype=np.complex128)
     with warnings.catch_warnings(record=True) as got:
         warnings.simplefilter("always")
-        result = plan(terms if special else terms.view(_NoReorder), work)
+        result = plan(terms if special else terms.view(_NoReorder))
     assert np.asarray(result).tobytes() == expected.tobytes()
     assert [str(w.message) for w in got] == [str(w.message) for w in want]
     assert bool(want) == special
@@ -579,20 +580,18 @@ def test_ranked_and_direct_products_agree_bitwise(monkeypatch, make):
 def test_ranked_products_own_their_read_only_results(make):
     ops = make()
     results = _ranked_pairs(ops)
-    work = ops[0].basis._work(0)
-    for op, is_ranked in results.values():
-        assert not np.shares_memory(op.data, work)
+    for op, _ in results.values():
         assert op.data.dtype == np.complex128 and op.data.flags.c_contiguous
         assert not op.data.flags.writeable
-    # a later product reuses the buffer and leaves every earlier result as it was
+    # a later product leaves every earlier result as it was
     again = _ranked_pairs(ops)
     assert all(again[k][0].data.tobytes() == results[k][0].data.tobytes() for k in results)
 
 
 def test_ranked_products_from_several_threads_equal_serial_ones():
-    # each thread has its own work buffer on a shared basis; the threads
-    # start on a fresh basis and empty plan and shape memos, so they also
-    # race to make the same plans and index arrays, and to count their bytes
+    # the threads share one fresh basis and start on empty plan and shape
+    # memos, so they race to make the same plans and index arrays, and to
+    # count their bytes
     from concurrent.futures import ThreadPoolExecutor
 
     from qlorentz import matrep

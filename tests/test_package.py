@@ -1,6 +1,8 @@
 """The package namespace: every public name, loaded with its module on first use."""
 
 import importlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +106,24 @@ def test_a_name_reads_its_modules_current_binding(monkeypatch):
     assert qlorentz.build_basis is patched
     monkeypatch.undo()
     assert qlorentz.build_basis is real
+
+
+# a benchmark metric's layer prefix that is not its module's name, and the
+# functions whose calls a per-function metric sums when it names none of them
+_METRIC_MODULES = {"jsonfmt": "_jsonfmt"}
+_METRIC_FUNCTIONS = {("repcore", "coeff"): ("coeff_a", "coeff_c")}
+
+
+def test_every_per_function_benchmark_metric_names_a_public_function():
+    # the benchmark tracer wraps the functions in each module's __all__, so a
+    # metric `layer.function.*` whose function is not there reads nothing and
+    # its layer drops out of the benchmark without an error
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["per_layer"] if m["name"].count(".") == 2]
+    assert names
+    missing = []
+    for name in names:
+        layer, function, _ = name.split(".")
+        module = importlib.import_module(f"qlorentz.{_METRIC_MODULES.get(layer, layer)}")
+        missing += [(name, f) for f in _METRIC_FUNCTIONS.get((layer, function), (function,)) if f not in module.__all__]
+    assert not missing

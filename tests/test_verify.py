@@ -352,14 +352,6 @@ def test_oracle_principal_diagonal_boost_is_hermitian():
     np.testing.assert_allclose(n3, n3.conj().T, atol=1e-12)
 
 
-def test_oracle_casimir_is_scalar():
-    o = _oracle(HalfInt(1), 2.5j, HalfInt.parse("7"))
-    mask = o.basis.interior_columns(2)
-    expect = 1j * 1.0 * 2.5j
-    diff = o.casimir.toarray() - expect * np.eye(o.basis.dim)
-    assert float(np.max(np.abs(diff[:, mask]))) < 1e-10
-
-
 def test_oracle_spinor_is_classical_su2():
     # basis order (m = -1/2, +1/2): raising hits the (2,1) entry
     o = _oracle(HalfInt(1), 1.5, HalfInt(1))
@@ -431,14 +423,6 @@ def test_oracle_equals_per_entry_reference_bitwise(l0, l1):
         for name, mat in ref.items():
             assert getattr(o, name).toarray().tobytes() == mat.tobytes(), (l0, l1, offset, name)
         assert o.n3_tilde is o.n3
-
-
-def test_oracle_casimir_is_formed_on_first_read_only():
-    o = _oracle(HalfInt(2), 2.5j, HalfInt(6))
-    assert "casimir" not in vars(o)
-    expected = -1.0 * (2.0 * o.m3 @ o.n3 + o.m_plus @ o.n_minus + o.m_minus @ o.n_plus)
-    assert o.casimir.toarray().tobytes() == expected.toarray().tobytes()
-    assert o.casimir is o.casimir
 
 
 # ---------------------------------------------------------------- limit compare
