@@ -46,8 +46,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .qarith import Deformation, HalfInt, QNumbers, half_range, q_number
-from .repcore import RepLabel, casimir_eigenvalue, classify, coeff_a, coeff_c, spin_limit
+from .qarith import Deformation, HalfInt, half_range, q_number
+from .repcore import RepLabel, casimir_eigenvalue, classify, coeff_window, spin_limit
 
 __all__ = [
     "Basis",
@@ -96,19 +96,20 @@ class _Grid:
     basis's spins and j_max, a product's factor shapes, a stack's base shape
     and copy count) is kept once per process in `_SHAPES`: a basis's `j2`,
     `m2` and `starts`, the rows each step reaches (a product's or stack's
-    from its factors' or base's), row stacks, the rows products gather at on
-    a stack and the builders' term plans.  Each grid keeps in its `_cache`
-    the values it has read, so a value too large for the memo lives as long
-    as the grid, and a basis also its per-(basis, q) tables; a grid keeps
-    nothing else.  What a sum or product plan takes from the two step tuples
-    alone is kept once per process too (`_step_plan`).  The module-level
-    state is three bounded memos: these two and the parser
-    `cli._build_parser` builds once.
+    from its factors' or base's), the rows products gather at and the
+    builders' term plans.  What a sum or product plan takes from the two
+    step tuples alone is kept there too, under keys with no shape, so every
+    grid shares it.  Each grid keeps in its `_cache` the values it has read
+    (a product's whole `_ProductPlan` too), so a value too large for the
+    memo lives as long as the grid, and a basis also its per-(basis, q)
+    tables; a grid keeps nothing else.  The module-level state is two
+    bounded memos: `_SHAPES` and the parser `cli._build_parser` builds once.
     A grid is `copies` independent copies of one basis side by side (1 but
     for a `StackedBasis`).
     """
 
     copies = 1
+    _copy_starts = 0  # first row of each column's copy
 
     def _cached(self, key, make):
         val = self._cache.get(key)
@@ -116,12 +117,12 @@ class _Grid:
             val = self._cache[key] = make()
         return val
 
-    def _shared(self, key, make):
-        """`_cached` for a value that depends on the grid's shape alone: made
-        once per process and shared with every grid of the same shape."""
+    def _shared(self, key, make, shaped=True):
+        """`_cached` for a value made once per process: shared with every grid
+        of the same shape, or with every grid if it is not `shaped`."""
         val = self._cache.get(key)
         if val is None:
-            val = self._cache[key] = _SHAPES.get((self._shape, *key), make)
+            val = self._cache[key] = _SHAPES.get((self._shape, *key) if shaped else key, make)
         return val
 
     def rows(self, step: tuple) -> np.ndarray:
@@ -129,39 +130,44 @@ class _Grid:
         return self._shared(("rows", step), lambda: self._target(step))
 
     def _row_stack(self, steps: tuple) -> np.ndarray:
-        return self._shared(("stack", steps), lambda: np.stack(self._rows(steps)))
+        return np.stack(self._rows(steps))
 
     def _rows(self, steps: tuple) -> list[np.ndarray]:
         return [self.rows(s) for s in steps]
 
+    def _sum_plan(self, sa: tuple, sb: tuple) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+        return self._shared(("sum", sa, sb), lambda: _plan_sum(sa, sb), shaped=False)
+
     def _product_plan(self, sa: tuple, sb: tuple) -> "_ProductPlan":
-        """Index plan of a product A @ B on this grid: the step part of
-        `_step_plan(sa, sb)`, the rows at which A is read for each step of B
-        (kept per shape), and the `_RankSum` if the pair array has
-        `_RANKED_MIN` entries or more: such a product multiplies in place and
-        sums rank-major, and smaller ones, which the extra numpy calls would
-        slow, keep the plain path."""
-        plan = _step_plan(sa, sb)
-        steps, order, starts = plan.product
-        # B's values are 0 where its rows are -1; A is read in the first row
-        # of the column's copy there, as on the copy alone: on one copy that
-        # is row 0, where take(mode="clip") reads at -1
-        if self.copies == 1:
-            gather = self._row_stack(sb)
-        else:
+        """Index plan of a product A @ B on this grid: the steps, pair order
+        and group starts of `_plan_product(sa, sb)` (made once per process for
+        every grid), the rows at which A is read for each step of B (once per
+        shape), and its `_RankSum` if the pair array has `_RANKED_MIN`
+        entries or more: such a product multiplies in place and sums
+        rank-major, and smaller ones, which the extra numpy calls would slow,
+        keep the plain path."""
+
+        def make():
+            steps, ranked = _SHAPES.get(("product", sa, sb), lambda: _plan_product(sa, sb))
+            # B's values are 0 where its rows are -1; A is read in the first
+            # row of the column's copy there, as take(mode="clip") reads at -1
             gather = self._shared(("gather", sb), lambda: np.maximum(self._row_stack(sb), self._copy_starts))
-        ranked = plan.ranked if len(order) * self.dim >= _RANKED_MIN else None
-        return _ProductPlan(steps, order, starts, gather, ranked)
+            large = len(ranked.order) * self.dim >= _RANKED_MIN
+            return _ProductPlan(steps, ranked.order, ranked.starts, gather, ranked if large else None)
+
+        return self._cached(("product", sa, sb), make)
 
 
 class _ShapeMemo:
-    """Values that depend on a grid's shape alone, kept once per process.
+    """Index arrays that depend on a grid's shape or on step tuples alone,
+    kept once per process.
 
-    Keys hold shapes, step tuples and term tables, values only read-only
-    index arrays (in tuples), so no grid, label, q or operator is kept
-    alive.  The memo keeps at most `budget` bytes of array data, the least
-    recently used value out first; a value larger than the budget is handed
-    back but not kept (the grid that asked for it keeps it in its own cache).
+    Keys hold shapes, step tuples and term tables, values only step tuples
+    and read-only index arrays (in tuples, a `_RankSum` among them), so no
+    grid, label, q or operator is kept alive.  The memo keeps at most
+    `budget` bytes of array data, the least recently used value out first;
+    a value larger than the budget is handed back but not kept (the grid
+    that asked for it keeps it in its own cache).
     """
 
     def __init__(self, budget: int):
@@ -206,13 +212,13 @@ def _arrays(val):
             yield from _arrays(v)
 
 
-# Bytes of index arrays the shape memo keeps.  Each workload of the benchmark
-# fills at most 1.8 MB (small_sweep, 51 shapes; deep_verify, 5 shapes up to
-# dim 1089), all three together 4.4 MB; the boost term plan of
-# `verify --j-max 480` alone is larger, so it is not kept.
+# Bytes of index arrays the shape memo keeps.  10 small_sweep batches of the
+# benchmark fill 1.1 MB (51 shapes), 3 deep_verify batches 1.2 MB (5 shapes up
+# to dim 1089), those and 20 resolve_chiral batches together 2.7 MB; the boost
+# term plan of `verify --j-max 480` alone is larger, so it is not kept.
 _SHAPE_BYTES = 16 << 20
 
-# The index arrays of each grid shape, made once per process.
+# The index arrays of each grid shape and step pair, made once per process.
 _SHAPES = _ShapeMemo(_SHAPE_BYTES)
 
 
@@ -221,7 +227,7 @@ _SHAPES = _ShapeMemo(_SHAPE_BYTES)
 _RANKED_MIN = 8192
 
 
-class _RankSum:
+class _RankSum(NamedTuple):
     """Sums the rows of a pair array by group, bitwise as
     `np.add.reduceat(terms[order], starts, axis=0)` does.
 
@@ -235,29 +241,36 @@ class _RankSum:
     depend on how they are batched.  A NaN's sign does (numpy's SIMD and
     scalar loops keep different operands), and so does the text of an
     overflow warning, so a result that is not finite is made again, with
-    its warnings, by `reduceat` over the whole pair array.
+    its warnings, by `reduceat` over the whole pair array.  Its arrays are
+    fields, so the shape memo freezes and counts them.
     """
 
-    def __init__(self, order: np.ndarray, starts: np.ndarray):
+    order: np.ndarray
+    starts: np.ndarray
+    first: np.ndarray
+    ranks: tuple  # rank k = 1, 2, 3 of the groups that have it
+    small: np.ndarray
+    large: np.ndarray
+    large_terms: np.ndarray
+    large_starts: np.ndarray
+    rows: int  # rows of scratch a sum needs, one array for both of its parts
+
+    @staticmethod
+    def of(order: np.ndarray, starts: np.ndarray) -> "_RankSum":
         pairs, bounds = order.tolist(), starts.tolist() + [len(order)]
         groups = [pairs[i:j] for i, j in zip(bounds, bounds[1:])]
         small = [i for i, g in enumerate(groups) if 1 < len(g) < 5]
         small.sort(key=lambda i: len(groups[i]), reverse=True)  # stable
         # rank k of the groups that have it: a prefix of the longest-first layout
-        self.ranks = tuple(
-            np.array([groups[i][k] for i in small if len(groups[i]) > k], dtype=np.intp) for k in (1, 2, 3)
-        )
-        self.small = np.array(small, dtype=np.intp)
+        ranks = tuple(np.array([groups[i][k] for i in small if len(groups[i]) > k], dtype=np.intp) for k in (1, 2, 3))
         large = [i for i, g in enumerate(groups) if len(g) > 4]
-        self.large = np.array(large, dtype=np.intp)
-        self.large_terms = np.array([p for i in large for p in groups[i]], dtype=np.intp)
-        self.large_starts = np.cumsum([0] + [len(groups[i]) for i in large[:-1]])
-        self.first = np.array([g[0] for g in groups])
-        self.order, self.starts = order, starts
-        for arr in (*self.ranks, self.small, self.large, self.large_terms, self.large_starts, self.first):
-            arr.setflags(write=False)  # shared by every product of the step pair
-        # rows of scratch a sum needs, one array for both of its parts
-        self.rows = max(2 * len(small), len(self.large_terms) + len(large))
+        large_terms = [p for i in large for p in groups[i]]
+        large_starts = np.cumsum([0] + [len(groups[i]) for i in large[:-1]])
+        rows = max(2 * len(small), len(large_terms) + len(large))
+        first, small, large, large_terms = (
+            np.array(x, dtype=np.intp) for x in ([g[0] for g in groups], small, large, large_terms)
+        )
+        return _RankSum(order, starts, first, ranks, small, large, large_terms, large_starts, rows)
 
     def __call__(self, terms: np.ndarray) -> np.ndarray:
         """The group sums of `terms` as a new array."""
@@ -291,62 +304,30 @@ class _RankSum:
         return out
 
 
-class _StepPlan:
-    """What the sum and the product of two operators take from their step
-    tuples alone, each part made on first use.
-
-    `sum`: the steps of A + B (those of `sa`, then the new ones of `sb`), the
-    rows of A (ascending) and of B at the steps both have, and the rows of B
-    at its new steps.  `product`: pair p = ia * len(sb) + ib
-    of A @ B lands on step sa[ia] + sb[ib]; the product's steps, `order`,
-    which sorts the pairs by that step (stably), and `starts`, which marks
-    each step's first pair, as `reduceat` reads them.  `ranked`: the
-    `_RankSum` of that order.  Every array is read-only.
-    """
-
-    def __init__(self, sa: tuple, sb: tuple):
-        self.sa, self.sb = sa, sb
-
-    @functools.cached_property
-    def sum(self) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
-        pos = {s: i for i, s in enumerate(self.sb)}
-        ia = [i for i, s in enumerate(self.sa) if s in pos]
-        ib = [pos[self.sa[i]] for i in ia]
-        new = [i for i, s in enumerate(self.sb) if s not in self.sa]
-        steps = self.sa + tuple(self.sb[i] for i in new)
-        return steps, *(_frozen(np.array(x, dtype=np.intp)) for x in (ia, ib, new))
-
-    @functools.cached_property
-    def product(self) -> tuple[tuple, np.ndarray, np.ndarray]:
-        sa, sb = self.sa, self.sb
-        sums = (np.array(sa)[:, None] + np.array(sb)).reshape(len(sa) * len(sb), -1).tolist()
-        order = sorted(range(len(sums)), key=sums.__getitem__)  # stable
-        steps, starts = [], []
-        for i, p in enumerate(order):
-            if not steps or sums[p] != steps[-1]:
-                steps.append(sums[p])
-                starts.append(i)
-        return tuple(map(tuple, steps)), _frozen(np.array(order)), _frozen(np.array(starts))
-
-    @functools.cached_property
-    def ranked(self) -> "_RankSum":
-        return _RankSum(*self.product[1:])
+def _plan_sum(sa: tuple, sb: tuple) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The steps of A + B (those of `sa`, then the new ones of `sb`), the rows
+    of A (ascending) and of B at the steps both have, and the rows of B at
+    its new steps."""
+    pos = {s: i for i, s in enumerate(sb)}
+    ia = [i for i, s in enumerate(sa) if s in pos]
+    ib = [pos[sa[i]] for i in ia]
+    new = [i for i, s in enumerate(sb) if s not in sa]
+    return sa + tuple(sb[i] for i in new), *(np.array(x, dtype=np.intp) for x in (ia, ib, new))
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-# Step pairs whose plans a process keeps.  A plan holds only step tuples and
-# index arrays (about 10 KB for 144 pairs), no grid, label, q or operator
-# data.  The step tuples the builders make are few: a resolve_chiral batch of
-# the benchmark plans 98 pairs, and a grid of all seven commands 236.
-_STEP_PLANS = 512
-
-# The plans of a step pair, made once per process: a pure function of two
-# immutable step tuples, so every grid, label and q shares them.
-_step_plan = functools.lru_cache(maxsize=_STEP_PLANS)(_StepPlan)
+def _plan_product(sa: tuple, sb: tuple) -> tuple[tuple, _RankSum]:
+    """Pair p = ia * len(sb) + ib of A @ B lands on step sa[ia] + sb[ib]: the
+    product's steps and the `_RankSum` of `order`, which sorts the pairs by
+    that step (stably), and `starts`, which marks each step's first pair, as
+    `reduceat` reads them."""
+    sums = (np.array(sa)[:, None] + np.array(sb)).reshape(len(sa) * len(sb), -1).tolist()
+    order = sorted(range(len(sums)), key=sums.__getitem__)  # stable
+    steps, starts = [], []
+    for i, p in enumerate(order):
+        if not steps or sums[p] != steps[-1]:
+            steps.append(sums[p])
+            starts.append(i)
+    return tuple(map(tuple, steps)), _RankSum.of(np.array(order), np.array(starts))
 
 
 class _ProductPlan(NamedTuple):
@@ -489,7 +470,6 @@ class StackedBasis(_Grid):
 
     @property
     def _copy_starts(self) -> np.ndarray:
-        """First row of each column's copy."""
         return np.repeat(self.base.dim * np.arange(self.copies), self.base.dim)
 
     def _target(self, step: tuple) -> np.ndarray:
@@ -652,7 +632,7 @@ class OperatorMatrix:
         basis = self._basis_with(other)
         if self.steps == other.steps:
             return OperatorMatrix._result(basis, self.steps, ufunc(self.data, other.data))
-        steps, ia, ib, new = _step_plan(self.steps, other.steps).sum
+        steps, ia, ib, new = basis._sum_plan(self.steps, other.steps)
         # an entry missing from one operand is its exact zero, as in a dense
         # sum: ufunc(a, 0.0) and ufunc(0.0, b) keep the bits of -0.0 and NaN
         n = len(self.steps)
@@ -982,13 +962,10 @@ def build_N(
 
 
 def _boost_coeffs(basis: Basis, label: RepLabel) -> dict[str, np.ndarray]:
-    """a_j, c_j and c_{j+1} per block of `basis`, keyed as `_Term.coef` names
-    them; the brackets they read are kept per (basis, q), so every set built
-    on the basis at that q (a conjugate partner too) evaluates each once."""
-    qn = basis._cached(("[x]", label.d), lambda: QNumbers(label.d))
-    a = np.array([coeff_a(j, label, qn) for j in basis.spins])
-    c = np.array([coeff_c(j, label, qn) for j in basis.spins + (basis.spins[-1] + 1,)])
-    return {"a": a, "c": c[:-1], "c1": c[1:]}
+    """a_j, c_j and c_{j+1} per block of `basis` (the label's: its spins
+    start at l0), keyed as `_Term.coef` names them, from one window."""
+    a, c, _, _ = coeff_window(label, basis.spins[-1] + 1)
+    return {"a": np.array(a[:-1]), "c": np.array(c[:-1]), "c1": np.array(c[1:])}
 
 
 def build_N3_tilde(n3: OperatorMatrix, basis: Basis, d: Deformation) -> OperatorMatrix:

@@ -17,7 +17,6 @@ __all__ = [
     "HalfInt",
     "Deformation",
     "q_number",
-    "QNumbers",
     "sqrt_principal",
     "half_range",
 ]
@@ -182,19 +181,6 @@ def q_number(a, d: Deformation):
     if isinstance(a, complex):
         return cmath.sinh(a * half_log_q) / den
     return math.sinh(a * half_log_q) / den
-
-
-class QNumbers(dict):
-    """qn[x] = [x] at one deformation for a HalfInt or complex x (the two never
-    compare equal), each evaluated by `q_number` once and kept."""
-
-    def __init__(self, d: Deformation):
-        super().__init__()
-        self.d = d
-
-    def __missing__(self, x):
-        val = self[x] = q_number(x, self.d)
-        return val
 
 
 def sqrt_principal(z) -> complex:

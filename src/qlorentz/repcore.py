@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .qarith import Deformation, HalfInt, QNumbers, half_range, q_number, sqrt_principal
+from .qarith import Deformation, HalfInt, half_range, q_number, sqrt_principal
 
 __all__ = [
     "RepLabel",
@@ -37,6 +37,7 @@ __all__ = [
     "classify",
     "coeff_a",
     "coeff_c",
+    "coeff_window",
     "check_recurrences",
     "casimir_eigenvalue",
     "conjugate_partner",
@@ -204,28 +205,20 @@ def classify(label: RepLabel) -> Classification:
     return Classification(kind="infinite", unitary=unitary, rho=rho, degenerate=degenerate)
 
 
-def _brackets(label: RepLabel, qn: Optional[QNumbers]) -> QNumbers:
-    if qn is None:
-        return QNumbers(label.d)
-    if qn.d != label.d:
-        raise ValueError(f"q-numbers at {qn.d}, label at {label.d}")
-    return qn
-
-
-def coeff_a(j: HalfInt, label: RepLabel, qn: Optional[QNumbers] = None) -> complex:
+def coeff_a(j: HalfInt, label: RepLabel) -> complex:
     """Diagonal coupling a_j = i [l0][l1] / ([j][j+1]).
 
     At j = 0 (reachable only for l0 = 0) the closed form is 0/0; the value is
     fixed to 0, which is unobservable because every matrix element carrying
-    a_0 also carries [m] = 0.  Callers that need many coefficients at one q
-    pass one `QNumbers`, so each bracket is evaluated once.
+    a_0 also carries [m] = 0.  Callers that need many coefficients read them
+    from `coeff_window`, which evaluates each bracket once.
     """
     if j.twice == 0:
         if label.l0.twice == 0:
             return 0j
         raise SingularCoefficientError(f"a_0 undefined for l0 = {label.l0} > 0")
-    qn = _brackets(label, qn)
-    return _a_value(qn[label.l0], qn[label.l1], qn[j], qn[j + 1])
+    d = label.d
+    return _a_value(q_number(label.l0, d), q_number(label.l1, d), q_number(j, d), q_number(j + 1, d))
 
 
 def _a_value(l0b, l1b, jb, j1b) -> complex:
@@ -233,14 +226,14 @@ def _a_value(l0b, l1b, jb, j1b) -> complex:
     return 1j * l0b * l1b / (jb * j1b)
 
 
-def coeff_c(j: HalfInt, label: RepLabel, qn: Optional[QNumbers] = None) -> complex:
+def coeff_c(j: HalfInt, label: RepLabel) -> complex:
     """Off-diagonal coupling c_j, with the principal branch on the full radicand.
 
     c_{l0} = 0 exactly (the [j]^2 - [l0]^2 factor vanishes), and for finite
     labels c_{|l1|} = 0 exactly, which is what terminates the spin ladder.
     j = 1/2 with l0 = 0 would divide by [2j-1] = 0 with a non-vanishing
     numerator and raises `SingularCoefficientError`; it labels no state of
-    an l0 = 0 representation (integer spins only).  qn as for `coeff_a`.
+    an l0 = 0 representation (integer spins only).
     """
     if j == label.l0:
         return 0j
@@ -248,8 +241,9 @@ def coeff_c(j: HalfInt, label: RepLabel, qn: Optional[QNumbers] = None) -> compl
         raise SingularCoefficientError(
             f"c_{{1/2}} singular for l0 = {label.l0}: [2j-1] = 0 with nonzero numerator"
         )
-    qn = _brackets(label, qn)
-    return _c_value(qn[j], qn[j + j - 1], qn[j + j + 1], qn[label.l0] ** 2, qn[label.l1] ** 2)
+    d = label.d
+    sq_l0, sq_l1 = q_number(label.l0, d) ** 2, q_number(label.l1, d) ** 2
+    return _c_value(q_number(j, d), q_number(j + j - 1, d), q_number(j + j + 1, d), sq_l0, sq_l1)
 
 
 def _c_value(jb, lo, hi, sq_l0, sq_l1) -> complex:
@@ -257,6 +251,26 @@ def _c_value(jb, lo, hi, sq_l0, sq_l1) -> complex:
     sq_j = jb * jb
     radicand = (sq_j - sq_l0) * (sq_j - sq_l1) / (lo * hi)
     return 1j / jb * sqrt_principal(radicand)
+
+
+def coeff_window(label: RepLabel, top: HalfInt) -> tuple[list[complex], list[complex], dict[int, float], complex]:
+    """a_j and c_j for j = l0 .. top, bitwise as `coeff_a`/`coeff_c` give
+    them (a_0 = 0, c_l0 = 0), the brackets [x] they read, keyed by 2x, and
+    [l1]: each bracket is evaluated by `q_number` once for the whole window."""
+    d, t0 = label.d, label.l0.twice
+    brackets: dict[int, float] = {}
+
+    def br(k: int) -> float:
+        if k not in brackets:
+            brackets[k] = q_number(HalfInt(k), d)
+        return brackets[k]
+
+    twice = range(t0, top.twice + 1, 2)
+    l0b, l1b = br(t0), q_number(label.l1, d)
+    sq_l0, sq_l1 = l0b**2, l1b**2
+    a = [0j if t == 0 else _a_value(l0b, l1b, br(t), br(t + 2)) for t in twice]
+    c = [0j if t == t0 else _c_value(br(t), br(2 * t - 2), br(2 * t + 2), sq_l0, sq_l1) for t in twice]
+    return a, c, brackets, l1b
 
 
 def check_recurrences(label: RepLabel, j_max: HalfInt) -> list[dict]:
@@ -267,34 +281,24 @@ def check_recurrences(label: RepLabel, j_max: HalfInt) -> list[dict]:
     This is a direct oracle for the closed-form coefficients: both residuals
     vanish identically in exact arithmetic, for every label.
 
-    Each coefficient of the window is derived once, by the arithmetic of
-    `coeff_a`/`coeff_c`, from brackets keyed by twice their argument (one
-    `q_number` call each).  At j = l0 = 0, a_0 is its closed-form limit
-    i[l1]: the builders never observe a_0, but the second equation at j = 0
-    does, and [l0]/[j] -> 1 as both tend to [0].
+    The coefficients and brackets come from one `coeff_window` up to
+    j_max + 1.  At j = l0 = 0, a_0 is its closed-form limit i[l1]: the
+    builders never observe a_0, but the second equation at j = 0 does, and
+    [l0]/[j] -> 1 as both tend to [0].
     """
     if j_max < label.l0:
         raise ValueError(f"j_max = {j_max} below l0 = {label.l0}")
-    d = label.d
-    brackets: dict[int, float] = {}
-
-    def br(k: int) -> float:
-        if k not in brackets:
-            brackets[k] = q_number(HalfInt(k), d)
-        return brackets[k]
-
-    t0 = label.l0.twice
-    twice = range(t0, j_max.twice + 3, 2)  # j = l0 .. j_max + 1
-    l0b, l1b = br(t0), q_number(label.l1, d)
-    sq_l0, sq_l1 = l0b**2, l1b**2
-    a = [1j * l1b if t0 == 0 else _a_value(l0b, l1b, br(t0), br(t0 + 2))]
-    a += [_a_value(l0b, l1b, br(t), br(t + 2)) for t in twice[1:]]
-    c = [0j] + [_c_value(br(t), br(2 * t - 2), br(2 * t + 2), sq_l0, sq_l1) for t in twice[1:]]
+    d, t0 = label.d, label.l0.twice
+    a, c, br, l1b = coeff_window(label, j_max + 1)
+    if t0 == 0:
+        a[0] = 1j * l1b
+    if 2 * t0 - 2 not in br:  # [2 l0 - 1], read times c_l0 = 0 only
+        br[2 * t0 - 2] = q_number(HalfInt(2 * t0 - 2), d)
     out = []
-    for k, t in enumerate(twice[:-1]):
+    for k, t in enumerate(range(t0, j_max.twice + 1, 2)):
         a_j, a_next, c_j, c_next = a[k], a[k + 1], c[k], c[k + 1]
-        lhs1 = (a_next * br(t + 4) - a_j * br(t)) * c_next
-        lhs2 = c_j * c_j * br(2 * t - 2) - a_j * a_j - c_next * c_next * br(2 * t + 6)
+        lhs1 = (a_next * br[t + 4] - a_j * br[t]) * c_next
+        lhs2 = c_j * c_j * br[2 * t - 2] - a_j * a_j - c_next * c_next * br[2 * t + 6]
         out.append(
             {
                 "j": str(HalfInt(t)),

@@ -33,14 +33,13 @@ from typing import Optional
 import numpy as np
 
 from . import _jsonfmt
-from .qarith import Deformation, HalfInt, QNumbers, half_range, q_number, sqrt_principal
+from .qarith import Deformation, HalfInt, half_range, q_number, sqrt_principal
 from .repcore import (
     RepLabel,
     classify,
     casimir_eigenvalue,
     check_recurrences,
-    coeff_a,
-    coeff_c,
+    coeff_window,
 )
 from .matrep import (
     Basis,
@@ -506,10 +505,7 @@ def check_unitary_coeffs(
         environment={"q": label.d.q, "j_max": str(j_max), "tier1_tol": tols.tier1},
     )
     any_fail = informative = False
-    qn = QNumbers(label.d)
-    for j in half_range(label.l0, j_max):
-        a = coeff_a(j, label, qn)
-        c = coeff_c(j, label, qn)
+    for j, a, c in zip(half_range(label.l0, j_max), *coeff_window(label, j_max)[:2]):
         ra = RelationResidual(
             f"unit.a_real.j={j}",
             abs(a.imag),

@@ -409,14 +409,22 @@ def test_step_plans_are_kept_per_process_and_keep_no_grid_alive():
     dc = coproduct(cs, cs)
     a, b = dc.I_plus_L, dc.I3_L_tilde
     pairs = [(a.steps, b.steps), (b.steps, a.steps)]
-    a @ b, b @ a, a + b
-    plans = [matrep._step_plan(*pair) for pair in pairs]
-    assert not [key for key in a.basis._cache if key[0] in ("@", "+")]
+    a @ b, b @ a, a + b, b + a
+    # the plans sit in the shape memo under keys with no shape, and a grid of
+    # another shape reads the same ones
+    plan_keys = [(kind, *pair) for kind in ("sum", "product") for pair in pairs]
+    plans = [matrep._SHAPES._items[key][0] for key in plan_keys]
+    other = ProductBasis(build_basis(label, HalfInt(5)), cs.basis)
+    assert other._shape != a.basis._shape
+    for grid in (a.basis, other):
+        for pair, sum_plan, (steps, ranked) in zip(pairs, plans[:2], plans[2:]):
+            assert grid._sum_plan(*pair) is sum_plan
+            plan = grid._product_plan(*pair)
+            assert grid._product_plan(*pair) is plan  # kept whole in the grid's cache
+            assert plan.steps is steps and plan.order is ranked.order and plan.starts is ranked.starts
     # every caller shares these values, so none of them can be written
-    for plan in plans:
-        r = plan.ranked
-        arrays = (*plan.sum[1:], *plan.product[1:], *r.ranks, r.small, r.large, r.large_terms, r.large_starts, r.first)
-        assert not any(arr.flags.writeable for arr in arrays)
+    arrays = [x for plan in plans for x in _memo_leaves(plan) if isinstance(x, np.ndarray)]
+    assert len(arrays) == 2 * 3 + 2 * 10 and not any(arr.flags.writeable for arr in arrays)
     # the shape memo holds read-only index arrays under keys of ints and
     # strings: no grid, label, q table or operator
     q_tables = [arr for key, val in cs.basis._cache.items() if key[0] == "q" for arr in val]
@@ -424,19 +432,17 @@ def test_step_plans_are_kept_per_process_and_keep_no_grid_alive():
     for key, (val, size) in matrep._SHAPES._items.items():
         assert all(type(x) in (str, int, bool, type(None)) for x in _memo_leaves(key)), key
         leaves = list(_memo_leaves(val))
-        assert all(type(x) in (np.ndarray, bool) for x in leaves), key
+        assert all(type(x) in (np.ndarray, bool, int) for x in leaves), key
         arrays = [x for x in leaves if isinstance(x, np.ndarray)]
         assert size == sum(x.nbytes for x in arrays)
         for arr in arrays:
             assert not arr.flags.writeable and not any(np.shares_memory(arr, t) for t in q_tables)
     keys = set(matrep._SHAPES._items)
     refs = [weakref.ref(x) for x in (a.basis, cs.basis, cs.I_plus_L)]
-    del cs, dc, a, b
+    del cs, dc, a, b, other, grid
     gc.collect()
     assert [ref() for ref in refs] == [None] * 3
-    misses = matrep._step_plan.cache_info().misses
-    assert [matrep._step_plan(*pair) for pair in pairs] == plans
-    assert matrep._step_plan.cache_info().misses == misses
+    assert all(matrep._SHAPES._items[key][0] is plan for key, plan in zip(plan_keys, plans))
     # a new basis of the same shape reads the same arrays and makes none
     again, other = build_basis(label, HalfInt(3)), build_basis(label, HalfInt(3))
     assert again is not other
@@ -445,7 +451,6 @@ def test_step_plans_are_kept_per_process_and_keep_no_grid_alive():
         grid, twin = make(again), make(other)
         steps = (grid.zero_step, tuple(1 for _ in grid.zero_step))
         assert grid.rows(steps[1]) is twin.rows(steps[1])
-        assert grid._row_stack(steps) is twin._row_stack(steps)
         assert grid._product_plan(steps, steps).gather is twin._product_plan(steps, steps).gather
     assert matrep._term_plan(again, terms)[0] is matrep._term_plan(other, terms)[0]
     assert keys <= set(matrep._SHAPES._items)
@@ -467,14 +472,21 @@ def test_cold_row_stack_equals_the_warm_one_bitwise(kind):
     steps = tuple(tuple(d if i == 0 else 0 for i in range(n)) for d in (1, 0, -1))
     steps += tuple(tuple(d if i == 1 else 0 for i in range(n)) for d in (1, -1))
     matrep._SHAPES.clear()
+    cold_gather = make()._product_plan(steps, steps).gather
+    matrep._SHAPES.clear()
     cold = make()._row_stack(steps)
     matrep._SHAPES.clear()
     grid = make()
     rows = [grid.rows(s) for s in steps]
     warm = grid._row_stack(steps)
-    assert cold.dtype == warm.dtype == np.int64
+    gather = grid._product_plan(steps, steps).gather
+    assert cold.dtype == warm.dtype == cold_gather.dtype == gather.dtype == np.int64
     assert cold.tobytes() == warm.tobytes() == np.stack(rows).tobytes()
-    assert not cold.flags.writeable and (cold >= 0).any()
+    assert (cold >= 0).any() and (cold < 0).any()
+    # products read A in the first row of the column's copy where B's row is
+    # -1 (row 0 on one copy)
+    assert cold_gather.tobytes() == gather.tobytes() == np.maximum(warm, grid._copy_starts).tobytes()
+    assert not cold_gather.flags.writeable
 
 
 # ---------------------------------------------------------------- ranked products
@@ -521,7 +533,7 @@ def test_rank_sum_equals_reduceat_bitwise(seed, special):
     with warnings.catch_warnings(record=True) as want:
         warnings.simplefilter("always")
         expected = np.add.reduceat(terms[order], starts, axis=0)
-    plan = _RankSum(order, starts)
+    plan = _RankSum.of(order, starts)
     with warnings.catch_warnings(record=True) as got:
         warnings.simplefilter("always")
         result = plan(terms if special else terms.view(_NoReorder))
@@ -589,16 +601,15 @@ def test_ranked_products_own_their_read_only_results(make):
 
 
 def test_ranked_products_from_several_threads_equal_serial_ones():
-    # the threads share one fresh basis and start on empty plan and shape
-    # memos, so they race to make the same plans and index arrays, and to
-    # count their bytes
+    # the threads share one fresh basis and start on an empty shape memo, so
+    # they race to make the same plans and index arrays, and to count their
+    # bytes
     from concurrent.futures import ThreadPoolExecutor
 
     from qlorentz import matrep
 
     serial = {k: op.data.tobytes() for k, (op, _) in _ranked_pairs(_coproduct_ops()).items()}
     ops = _coproduct_ops()
-    matrep._step_plan.cache_clear()
     matrep._SHAPES.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -127,3 +127,20 @@ def test_every_per_function_benchmark_metric_names_a_public_function():
         module = importlib.import_module(f"qlorentz.{_METRIC_MODULES.get(layer, layer)}")
         missing += [(name, f) for f in _METRIC_FUNCTIONS.get((layer, function), (function,)) if f not in module.__all__]
     assert not missing
+
+
+def test_the_only_module_level_memos_are_the_parser_and_the_shape_memo():
+    # the design aim of no module-level mutable state: a process keeps only
+    # the parser it builds once and the bounded memo of index arrays
+    import functools
+    import pkgutil
+
+    from qlorentz import cli, matrep
+
+    memos = {}  # id -> the first module-qualified name bound to it
+    for info in pkgutil.iter_modules(qlorentz.__path__):
+        module = importlib.import_module(f"qlorentz.{info.name}")
+        for name, val in vars(module).items():
+            if isinstance(val, (functools._lru_cache_wrapper, matrep._ShapeMemo)):
+                memos.setdefault(id(val), f"{info.name}.{name}")
+    assert set(memos) == {id(cli._build_parser), id(matrep._SHAPES)}, sorted(memos.values())

@@ -1,6 +1,6 @@
 import pytest
 
-from qlorentz.qarith import Deformation, HalfInt, QNumbers, half_range, q_number
+from qlorentz.qarith import Deformation, HalfInt, half_range, q_number
 from qlorentz.repcore import (
     RepLabel,
     SingularCoefficientError,
@@ -9,6 +9,7 @@ from qlorentz.repcore import (
     classify,
     coeff_a,
     coeff_c,
+    coeff_window,
     conjugate_partner,
 )
 
@@ -251,28 +252,49 @@ def test_recurrences_equal_per_row_reference_bitwise(q, l0, l1):
     assert check_recurrences(label, label.l0 + 12) == _reference_recurrences(label, label.l0 + 12)
 
 
-def test_coefficients_from_shared_brackets_equal_fresh_calls_bitwise(monkeypatch):
-    import qlorentz.qarith as qarith
+@pytest.mark.parametrize("q", [0.1, 1.3, 10.0])
+def test_coefficient_window_equals_per_j_coefficients_bitwise(monkeypatch, q):
+    # the window's a_j, c_j are coeff_a's and coeff_c's (repr: bits and the
+    # sign of zero), a_0 = 0 and a finite label's top coupling c_|l1| = 0
+    # included, from one q_number call per distinct bracket
+    import qlorentz.repcore as repcore
 
-    calls = []
+    labels = [
+        lab("0", 3, q),
+        lab("0", 0.5, q),
+        lab("0", 2.7j, q),
+        lab("1/2", 2.5, q),
+        lab("1/2", 1.3 + 0.4j, q),
+        lab("1", 2.7j, q),
+        lab("1", 1 - 0.5j, q),
+        lab("3/2", 3.5, q),
+        lab("3/2", 0.3j, q),
+    ]
+    classes = set()
+    for label in labels:
+        cls = classify(label)
+        classes.add(cls.kind if cls.kind == "finite" else cls.unitary)
+        top = cls.top + 1 if cls.kind == "finite" else label.l0 + 6
+        spins = half_range(label.l0, top)
+        calls = []
 
-    def counting(x, d):
-        calls.append(x)
-        return q_number(x, d)
+        def counting(x, d):
+            calls.append(x)
+            return q_number(x, d)
 
-    for label in (lab("0", 2.7j, 0.5), lab("3/2", 2.5, 1.3), lab("1", 1 - 0.5j, 7.0)):
-        spins = half_range(label.l0, label.l0 + 6)
-        fresh = [(coeff_a(j, label), coeff_c(j, label)) for j in spins]
-        qn = QNumbers(label.d)
-        calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(qarith, "q_number", counting)
-            shared = [(coeff_a(j, label, qn), coeff_c(j, label, qn)) for j in spins]
-        assert repr(shared) == repr(fresh)
-        # one evaluation per distinct bracket: [l0], [l1], and [j], [2j +- 1]
-        assert len(calls) == len(set(calls)) == len(qn)
-    with pytest.raises(ValueError):
-        coeff_a(HalfInt(2), lab("1", 2.7j, 1.3), QNumbers(Deformation(0.5)))
+            m.setattr(repcore, "q_number", counting)
+            a, c, brackets, l1b = coeff_window(label, top)
+        assert repr((a, c)) == repr(([coeff_a(j, label) for j in spins], [coeff_c(j, label) for j in spins]))
+        assert len(calls) == len(set(calls)) == len(brackets) + 1  # [l1] and each [x], keyed by 2x
+        assert set(brackets) == {x.twice for x in calls if isinstance(x, HalfInt)}
+        assert all(brackets[x.twice] == q_number(x, label.d) for x in calls if isinstance(x, HalfInt))
+        assert l1b == q_number(label.l1, label.d)
+        if label.l0.twice == 0:
+            assert repr(a[0]) == "0j"
+        if cls.kind == "finite":
+            assert repr(c[-1]) == "0j"
+    assert classes == {"finite", "principal", "complementary", "non_unitary"}
 
 
 def test_recurrences_reject_bad_jmax():
