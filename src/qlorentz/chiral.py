@@ -20,7 +20,7 @@ generators are exact on every generator-built set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -60,35 +60,84 @@ _SPINOR_ANNIHILATION_TOL = 1e-12
 _WITNESS_THRESHOLD = 1e-3
 
 
+class _Made:
+    """A `ChiralSet` field that a set built from generators makes on first
+    read (`ChiralSet._make`); a field given to the constructor is kept."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, cs, owner=None):
+        if cs is None:
+            return None  # the dataclass default: made on first read
+        val = cs.__dict__[self.name]
+        if val is None:
+            val = cs.__dict__[self.name] = cs._make(self.name)
+        return val
+
+    def __set__(self, cs, val):
+        cs.__dict__[self.name] = val
+
+
+# each chiral generator's rotation part (a generator, or the sign of the
+# diagonal [m] q^(sign m/2)) and boost: I^L = rot + i*boost, I^R = rot - i*boost
+_PARTS = {"I_plus": ("m_plus", "n_plus"), "I_minus": ("m_minus", "n_minus"), "I3": (-1, "n3"), "I3_tilde": (1, "n3_tilde")}
+
+
 @dataclass(frozen=True)
 class ChiralSet:
     """The twelve chiral matrices plus bookkeeping.
 
-    basis is None for tensor-product sets: their matrices live on the
-    `ProductBasis` of the factors, which has no truncation mask.  tier1 marks
-    sets on which the chiral algebra is analytically exact (single-block
-    sources and their identical-factor products).  convention is the reading
-    the source set was built with; on a coproduct set, the coproduct's.
+    A field not given (`build_chiral` gives none, a coproduct all twelve) is
+    made from the generator set `_gens` on first read.  basis is None for
+    tensor-product sets: their matrices live on the `ProductBasis` of the
+    factors, which has no truncation mask.  tier1 marks sets on which the
+    chiral algebra is analytically exact (single-block sources and their
+    identical-factor products).  convention is the reading the source set
+    was built with; on a coproduct set, the coproduct's.
     """
 
     d: Deformation
-    I_plus_L: OperatorMatrix
-    I_minus_L: OperatorMatrix
-    I3_L: OperatorMatrix
-    I3_L_tilde: OperatorMatrix
-    I_plus_R: OperatorMatrix
-    I_minus_R: OperatorMatrix
-    I3_R: OperatorMatrix
-    I3_R_tilde: OperatorMatrix
-    T3_L: OperatorMatrix
-    T3_L_tilde: OperatorMatrix
-    T3_R: OperatorMatrix
-    T3_R_tilde: OperatorMatrix
+    I_plus_L: OperatorMatrix = _Made()
+    I_minus_L: OperatorMatrix = _Made()
+    I3_L: OperatorMatrix = _Made()
+    I3_L_tilde: OperatorMatrix = _Made()
+    I_plus_R: OperatorMatrix = _Made()
+    I_minus_R: OperatorMatrix = _Made()
+    I3_R: OperatorMatrix = _Made()
+    I3_R_tilde: OperatorMatrix = _Made()
+    T3_L: OperatorMatrix = _Made()
+    T3_L_tilde: OperatorMatrix = _Made()
+    T3_R: OperatorMatrix = _Made()
+    T3_R_tilde: OperatorMatrix = _Made()
     tag: str = "chiral"
     convention: ConventionId = DEFAULT_CONVENTION
     basis: Optional[Basis] = None
     tier1: bool = False
     factors: Optional[tuple["ChiralSet", "ChiralSet"]] = None
+    _gens: Optional[GeneratorSet] = field(default=None, repr=False, compare=False)
+    _parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._gens is None and None in (self.__dict__[f.name] for f in fields(self)[1:13]):
+            raise TypeError("a ChiralSet needs all twelve chiral generators or the generator set to make them")
+
+    def _make(self, name: str) -> OperatorMatrix:
+        """One chiral generator from the generator set: T3 = 2 - delta I3 and
+        T3~ = 2 + delta I3~, and I^L/R = rot +- i*boost, where each i*boost
+        is made once for both sides and the [m] q^(-+m/2) diagonals once per
+        (basis, q) (`_weight_diagonal`)."""
+        if name.startswith("T3"):
+            shift = self.d.delta * getattr(self, "I" + name[1:])
+            two = OperatorMatrix.diagonal(self.basis, 2.0)
+            return two + shift if name.endswith("tilde") else two - shift
+        side = "L" if "_L" in name else "R"
+        rot, boost = _PARTS[name.replace("_" + side, "")]
+        gens, parts = self._gens, self._parts
+        if boost not in parts:
+            parts[boost] = 1j * getattr(gens, boost)
+        rot = getattr(gens, rot) if isinstance(rot, str) else _weight_diagonal(gens.basis, self.d, rot)
+        return rot + parts[boost] if side == "L" else rot - parts[boost]
 
     @property
     def dim(self) -> int:
@@ -96,8 +145,8 @@ class ChiralSet:
 
     def triple(self, side: str) -> dict[str, OperatorMatrix]:
         """The four generators of one chirality ("L" or "R")."""
-        fields = {"I_plus": f"I_plus_{side}", "I_minus": f"I_minus_{side}", "I3": f"I3_{side}"}
-        return {key: getattr(self, name) for key, name in {**fields, "I3_tilde": f"I3_{side}_tilde"}.items()}
+        names = {"I_plus": f"I_plus_{side}", "I_minus": f"I_minus_{side}", "I3": f"I3_{side}"}
+        return {key: getattr(self, name) for key, name in {**names, "I3_tilde": f"I3_{side}_tilde"}.items()}
 
     def _mask(self, order: int) -> np.ndarray:
         if self.basis is None:
@@ -110,39 +159,19 @@ class ChiralSet:
         return "all columns"
 
 
+def _weight_diagonal(b: Basis, d: Deformation, sign: int) -> OperatorMatrix:
+    """The diagonal [m] q^(sign m/2) on b, its values kept in the basis's cache
+    once per (basis, q): a label and its same-q partner share them."""
+    key = ("weight", d, sign)
+    vals = b._cached(key, lambda: diag_from_m(b, lambda m: q_number(m, d) * math.pow(d.q, sign * float(m) / 2)).data)
+    return OperatorMatrix._result(b, (b.zero_step,), vals)
+
+
 def build_chiral(gens: GeneratorSet) -> ChiralSet:
-    """Chiral generators from a built generator set; diagonals spectrally."""
-    d = gens.d
+    """The chiral set of a built generator set; each chiral generator is made
+    on first read (`ChiralSet._make`), diagonals spectrally."""
     b = gens.basis
-    mdn = diag_from_m(b, lambda m: q_number(m, d) * math.pow(d.q, -float(m) / 2))
-    mup = diag_from_m(b, lambda m: q_number(m, d) * math.pow(d.q, float(m) / 2))
-    two = OperatorMatrix.diagonal(b, 2.0)
-    delta = d.delta
-
-    i3l = mdn + 1j * gens.n3
-    i3r = mdn - 1j * gens.n3
-    i3tl = mup + 1j * gens.n3_tilde
-    i3tr = mup - 1j * gens.n3_tilde
-
-    return ChiralSet(
-        d=d,
-        I_plus_L=gens.m_plus + 1j * gens.n_plus,
-        I_minus_L=gens.m_minus + 1j * gens.n_minus,
-        I3_L=i3l,
-        I3_L_tilde=i3tl,
-        I_plus_R=gens.m_plus - 1j * gens.n_plus,
-        I_minus_R=gens.m_minus - 1j * gens.n_minus,
-        I3_R=i3r,
-        I3_R_tilde=i3tr,
-        T3_L=two - delta * i3l,
-        T3_L_tilde=two + delta * i3tl,
-        T3_R=two - delta * i3r,
-        T3_R_tilde=two + delta * i3tr,
-        tag=gens.tag,
-        convention=gens.convention,
-        basis=b,
-        tier1=len(b.spins) == 1,
-    )
+    return ChiralSet(d=gens.d, tag=gens.tag, convention=gens.convention, basis=b, tier1=len(b.spins) == 1, _gens=gens)
 
 
 def check_chiral_relations(

@@ -202,7 +202,6 @@ def _chiral(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tup
     reports = [
         chiral.check_chiral_relations(cs, tols),
         chiral.check_reduction_identities(cs, tols),
-        chiral.check_spinor_annihilation(gens.d),
     ]
     if ns.spin is None:
         reports.append(chiral.check_chiral_adjoint(gens, tols, cs))
@@ -210,7 +209,7 @@ def _chiral(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tup
 
 
 def _coproduct(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tuple[dict, bool]:
-    """Coproduct homomorphism checks (default: spinor x spinor)."""
+    """Coproduct homomorphism checks (default: spinor x spinor) and the spinor annihilation."""
     from . import chiral, matrep
 
     d = Deformation(ns.q)
@@ -222,7 +221,7 @@ def _coproduct(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> 
     return _bundle(
         "coproduct",
         {"factor_a": la.to_record(), "factor_b": lb.to_record(), "convention": conv.to_list()},
-        [chiral.check_coproduct_homomorphism(dc, tols)],
+        [chiral.check_coproduct_homomorphism(dc, tols), chiral.check_spinor_annihilation(d)],
     )
 
 

@@ -102,7 +102,7 @@ class _Grid:
     grid shares it.  Each grid keeps in its `_cache` the values it has read
     (a product's whole `_ProductPlan` too), so a value too large for the
     memo lives as long as the grid, and a basis also its per-(basis, q)
-    tables; a grid keeps nothing else.  The module-level state is two
+    tables and chiral diagonals; nothing else.  The module-level state is two
     bounded memos: `_SHAPES` and the parser `cli._build_parser` builds once.
     A grid is `copies` independent copies of one basis side by side (1 but
     for a `StackedBasis`).

@@ -1,9 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qlorentz.qarith import Deformation, HalfInt
+from qlorentz.qarith import Deformation, HalfInt, q_number
 from qlorentz.repcore import RepLabel
 from qlorentz.matrep import (
     ConventionId,
@@ -11,9 +12,11 @@ from qlorentz.matrep import (
     RESOLVED_CONVENTION,
     build_from_suq2,
     build_generator_set,
+    diag_from_m,
     tensor_embed,
 )
 from qlorentz.chiral import (
+    ChiralSet,
     build_chiral,
     check_chiral_adjoint,
     check_chiral_relations,
@@ -446,3 +449,112 @@ def test_degenerate_identity_only_set_is_trivial():
     rep = check_coproduct_homomorphism(dc)
     hom = [r for r in rep.residuals if r.relation_id.startswith("eq32.hom")]
     assert all(r.passed for r in hom)
+
+
+# ---------------------------------------------------------------- fields made on first read
+
+
+def eager_chiral(gens):
+    """Every chiral generator by the closed formulas, all given to the
+    constructor: the reference for the fields a built set makes on first read."""
+    d, b = gens.d, gens.basis
+    mdn = diag_from_m(b, lambda m: q_number(m, d) * math.pow(d.q, -float(m) / 2))
+    mup = diag_from_m(b, lambda m: q_number(m, d) * math.pow(d.q, float(m) / 2))
+    two = OperatorMatrix.diagonal(b, 2.0)
+    i3l, i3r = mdn + 1j * gens.n3, mdn - 1j * gens.n3
+    i3tl, i3tr = mup + 1j * gens.n3_tilde, mup - 1j * gens.n3_tilde
+    return ChiralSet(
+        d=d,
+        I_plus_L=gens.m_plus + 1j * gens.n_plus, I_minus_L=gens.m_minus + 1j * gens.n_minus,
+        I3_L=i3l, I3_L_tilde=i3tl,
+        I_plus_R=gens.m_plus - 1j * gens.n_plus, I_minus_R=gens.m_minus - 1j * gens.n_minus,
+        I3_R=i3r, I3_R_tilde=i3tr,
+        T3_L=two - d.delta * i3l, T3_L_tilde=two + d.delta * i3tl,
+        T3_R=two - d.delta * i3r, T3_R_tilde=two + d.delta * i3tr,
+        tag=gens.tag, convention=gens.convention, basis=b, tier1=len(b.spins) == 1,
+    )
+
+
+def assert_same_bits(a, b):
+    # uint64 views: the same steps and every value bit, signed zeros included
+    for name in CHIRAL_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.steps == y.steps, name
+        assert np.array_equal(x.data.view(np.uint64), y.data.view(np.uint64)), name
+
+
+# one label of each class and the spin-1 realization
+MADE_SOURCES = [("0", 2.7j), ("0", 0.5), ("1", 1 - 0.5j), ("1/2", 3.5), "spin 2"]
+
+
+@pytest.mark.parametrize("q", [0.1, 1.3, 10.0])
+@pytest.mark.parametrize("source", MADE_SOURCES, ids=str)
+def test_fields_made_on_first_read_equal_the_eager_formulas_bitwise(source, q):
+    if source == "spin 2":
+        gens = build_from_suq2(2, Deformation(q))
+    else:
+        label = lab(*source, q)
+        gens = build_generator_set(label, label.l0 + 3, RESOLVED_CONVENTION)
+    made = build_chiral(gens)
+    # read the T3 fields first: each makes its I3 field on the way
+    for name in CHIRAL_FIELDS[::-1]:
+        getattr(made, name)
+    assert_same_bits(made, eager_chiral(gens))
+    assert made.dim == gens.basis.dim and made.tier1 == (len(gens.basis.spins) == 1)
+    if source != "spin 2":  # the 1/q sibling on the same basis reads its own diagonals
+        inv = build_generator_set(RepLabel(label.l0, label.l1, label.d.inverse()), label.l0 + 3, gens.convention, gens.basis)
+        assert_same_bits(build_chiral(inv), eager_chiral(inv))
+
+
+@pytest.mark.parametrize("q", [0.1, 1.3, 10.0])
+@pytest.mark.parametrize("pair", ["(1, 2.7i) twice", "spinors"])
+def test_coproduct_of_made_sets_equals_that_of_eager_sets_bitwise(pair, q):
+    labels = [lab("1", 2.7j, q)] * 2 if pair != "spinors" else list(spinor_labels(Deformation(q)))
+    gens = [build_generator_set(x, x.l0 + 2, RESOLVED_CONVENTION) for x in labels]
+    made = coproduct(*(build_chiral(g) for g in gens), RESOLVED_CONVENTION)
+    assert_same_bits(made, coproduct(*(eager_chiral(g) for g in gens), RESOLVED_CONVENTION))
+
+
+def test_a_chiral_set_needs_its_generators_or_all_twelve_fields():
+    tau = build_generator_set(spinor_labels(Deformation(1.3))[0])
+    given = {name: getattr(build_chiral(tau), name) for name in CHIRAL_FIELDS}
+    assert ChiralSet(d=tau.d, **given).I3_L is given["I3_L"]
+    with pytest.raises(TypeError):
+        ChiralSet(d=tau.d, **{**given, "T3_R": None})
+
+
+def test_a_label_chiral_op_makes_only_what_its_records_read(monkeypatch, tmp_path):
+    # the label's set makes its eight I fields and no T3; the 1/q partner only
+    # the raising/lowering fields eq29 compares, the same-q partner only the
+    # diagonal ones, whose [m] q^(-+m/2) values it takes from the label's basis
+    import qlorentz.chiral as chiral
+    from qlorentz.cli import main
+
+    sets, made, diagonals = [], [], []
+    real_build, real_make, real_diag = chiral.build_chiral, chiral.ChiralSet._make, chiral.diag_from_m
+
+    def build(gens):
+        sets.append(real_build(gens))
+        return sets[-1]
+
+    def make(cs, name):
+        made.append((next(i for i, x in enumerate(sets) if x is cs), name))
+        return real_make(cs, name)
+
+    def diag(*a):
+        diagonals.append(a)
+        return real_diag(*a)
+
+    monkeypatch.setattr(chiral, "build_chiral", build)
+    monkeypatch.setattr(chiral.ChiralSet, "_make", make)
+    monkeypatch.setattr(chiral, "diag_from_m", diag)
+    assert main(["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3", "--output", str(tmp_path / "c.json")]) == 0
+    assert len(made) == len(set(made))  # each field made once
+    by_set = [{name for k, name in made if k == i} for i in range(len(sets))]
+    raising = {"I_plus_L", "I_minus_L", "I_plus_R", "I_minus_R"}
+    diagonal = {"I3_L", "I3_L_tilde", "I3_R", "I3_R_tilde"}
+    assert by_set == [raising | diagonal, raising, diagonal]
+    assert [set(cs._parts) for cs in sets] == [
+        {"n_plus", "n_minus", "n3", "n3_tilde"}, {"n_plus", "n_minus"}, {"n3", "n3_tilde"}
+    ]
+    assert len(diagonals) == 2

@@ -331,6 +331,49 @@ _EVERY_COMMAND = [
 ]
 
 
+# the suites each subcommand reports, in order (None: a report without suites),
+# so a suite that moves between commands shows here
+_SUITES = {
+    "classify": None,
+    "build": None,
+    "verify": ["lorentz_relations", "casimir", "recurrences", "unitary_coeffs", "q_adjoint"],
+    "chiral": ["chiral_relations", "reduction_identities", "chiral_adjoint"],
+    "coproduct": ["coproduct_homomorphism", "spinor_annihilation"],
+    "limit": ["classical_limit"],
+    "conventions": None,
+}
+
+
+@pytest.mark.parametrize("args", _EVERY_COMMAND + [["chiral", "--spin", "2", "--q", "1.3"]], ids=" ".join)
+def test_each_command_reports_its_suites(tmp_path, args):
+    code, raw = run_cli(args, tmp_path)
+    assert code == 0
+    reports = json.loads(raw).get("reports")
+    suites = None if reports is None else [rep["suite"] for rep in reports]
+    expected = _SUITES[args[0]]
+    if "--spin" in args:  # a realization has no conjugate partner
+        expected = expected[:-1]
+    assert suites == expected
+
+
+@pytest.mark.parametrize(
+    "args", [["--q", "1.3"], ["--q", "0.4", "--conv", "printed"], ["--l0", "1", "--l1", "2.7i", "--q", "7"]]
+)
+def test_coproduct_reports_the_spinor_annihilation_suite(tmp_path, args):
+    # the record is the suite's own, byte for byte, at the command's q, and
+    # names the printed convention its spinors are built with
+    from qlorentz import _jsonfmt
+    from qlorentz.chiral import check_spinor_annihilation
+    from qlorentz.qarith import Deformation
+
+    code, raw = run_cli(["coproduct", *args], tmp_path)
+    assert code == 0
+    rec = json.loads(raw)["reports"][-1]
+    expected = check_spinor_annihilation(Deformation(float(args[args.index("--q") + 1]))).to_record()
+    assert _jsonfmt.dumps(rec) == _jsonfmt.dumps(expected)
+    assert rec["convention"] == [0, 0, 0, 0, 1, 0, 0] and rec["verdict"]["all_pass"]
+
+
 @pytest.mark.parametrize("args", _EVERY_COMMAND, ids=lambda args: args[0])
 def test_reports_do_not_depend_on_the_step_plan_cache(tmp_path, args):
     # the same bytes from an empty shape memo (step plans included), from a
@@ -506,7 +549,9 @@ def test_chiral_and_coproduct_suites_report_the_built_convention(tmp_path, conv,
     _, raw = run_cli(["coproduct", "--q", "1.3", "--conv", conv], tmp_path, "c.json")
     doc = json.loads(raw)
     assert doc["config"]["convention"] == expected
-    assert [rep["convention"] for rep in doc["reports"]] == [expected]
+    # the spinor annihilation suite builds its spinors with the printed readings
+    by_suite = {rep["suite"]: rep["convention"] for rep in doc["reports"]}
+    assert by_suite == {"coproduct_homomorphism": expected, "spinor_annihilation": [0, 0, 0, 0, 1, 0, 0]}
     # chiral's config names no convention; its label suites and the adjoint
     # suite all report the one the label was built with
     args = ["chiral", "--l0", "1", "--l1", "2.7i", "--q", "1.3", "--conv", conv]
@@ -668,18 +713,18 @@ def _calls(monkeypatch, tmp_path, args, *names):
     "args, n_builds",
     [
         (["verify", "--l0", "1", "--l1", "2.7i", "--q", "1.3"], 2),
-        (["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3"], 5),
+        (["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3"], 3),
         (["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"], 2),
-        (["coproduct", "--q", "1.3"], 1),
+        (["coproduct", "--q", "1.3"], 3),
     ],
 )
 def test_build_counts(monkeypatch, tmp_path, args, n_builds):
     # the adjoint checks reuse the set the command built, and the resolver
-    # and coproduct build each spinor once; the resolver builds no set of the
-    # label it resolves
+    # builds each spinor once and no set of the label it resolves; coproduct
+    # builds its factor, then the two spinors of the annihilation suite
     calls = _calls(monkeypatch, tmp_path, args, "build_generator_set")["build_generator_set"]
     assert len(calls) == n_builds
-    if args[0] in ("chiral", "conventions"):
+    if args[0] in ("chiral", "conventions", "coproduct"):
         assert len(set(calls)) == n_builds
 
 
@@ -687,7 +732,7 @@ def test_build_counts(monkeypatch, tmp_path, args, n_builds):
     "args, n_casimirs",
     [
         (["build", "--l0", "1", "--l1", "2.7i", "--q", "1.3"], 1),
-        (["verify", "--l0", "1", "--l1", "2.7i", "--q", "1.3"], 2),
+        (["verify", "--l0", "1", "--l1", "2.7i", "--q", "1.3"], 1),
         (["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3"], 0),
         (["chiral", "--spin", "2", "--q", "1.3"], 0),
         (["limit", "--l0", "1", "--l1", "2.7i", "--eps", "1e-6", "--j-max", "4"], 0),
@@ -696,15 +741,15 @@ def test_build_counts(monkeypatch, tmp_path, args, n_builds):
     ],
 )
 def test_casimir_built_only_where_a_report_reads_it(monkeypatch, tmp_path, args, n_casimirs):
-    # build reports its max norm; verify checks it on the set and (struct
-    # record) on the 1/q set; no other command reads the invariant
+    # build reports its max norm and verify checks it on the set; the 1/q
+    # set's suite reads only its seven generators; no other command reads it
     calls = _calls(monkeypatch, tmp_path, args, "build_casimir_matrix")["build_casimir_matrix"]
     assert len(calls) == n_casimirs
 
 
 def test_chiral_builds_one_chiral_set_per_generator_set(monkeypatch, tmp_path):
     # the label's set feeds both the chiral suites and the adjoint check, plus
-    # its two conjugate partners and the two spinors: 5 sets, 5 chiral sets
+    # its two conjugate partners: 3 sets, 3 chiral sets
     import sys
 
     import qlorentz.chiral as chiral
@@ -720,7 +765,7 @@ def test_chiral_builds_one_chiral_set_per_generator_set(monkeypatch, tmp_path):
         if mod_name.split(".")[0] == "qlorentz" and getattr(mod, "build_chiral", None) is real:
             monkeypatch.setattr(mod, "build_chiral", recording)
     assert run_cli(["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3"], tmp_path)[0] == 0
-    assert len(built) == len({id(g) for g in built}) == 5
+    assert len(built) == len({id(g) for g in built}) == 3
 
 
 @pytest.mark.parametrize("eps", ["5e-12", "1e-12", "0", "2e-3", "nan"])
@@ -742,15 +787,14 @@ def test_limit_eps_outside_its_range_exits_2_before_any_build(tmp_path, capsys, 
     "args, n_sets, n_bases",
     [
         (["verify", "--l0", "1", "--l1", "2.7i", "--q", "1.3"], 2, 1),
-        (["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3"], 5, 2),
+        (["chiral", "--l0", "1", "--l1", "0.3+1.2i", "--q", "1.3"], 3, 1),
         (["limit", "--l0", "1", "--l1", "2.7i", "--eps", "1e-6", "--j-max", "4"], 2, 1),
         (["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"], 2, 1),
     ],
 )
 def test_each_op_builds_its_sibling_sets_on_one_basis(monkeypatch, tmp_path, args, n_sets, n_bases):
     # verify: the set and its 1/q sibling; chiral: the label with its two
-    # conjugate partners, and the two spinors; limit: the two eps; conventions:
-    # the two spinors
+    # conjugate partners; limit: the two eps; conventions: the two spinors
     import sys
 
     import qlorentz.matrep as matrep

@@ -13,6 +13,7 @@ from qlorentz.matrep import (
     ConventionId,
     DEFAULT_CONVENTION,
     OperatorMatrix,
+    RESOLVED_CONVENTION,
     build_basis,
     build_from_suq2,
     build_generator_set,
@@ -582,3 +583,23 @@ def test_resolver_matches_per_reading_reference(q):
         chosen = {**boosts[key][1], **others[two_j][1]}
         j_max = None if offset is None else jm
         assert resolve_conventions(label, two_j, d, j_max) == (ConventionId(**chosen), table)
+
+
+@pytest.mark.parametrize("q", [0.1, 1.3, 10.0])
+@pytest.mark.parametrize(
+    "conv", [DEFAULT_CONVENTION, RESOLVED_CONVENTION, ConventionId(line45_swap=1)], ids=["printed", "resolved", "swap"]
+)
+@pytest.mark.parametrize("l0,l1", [("0", 2.7j), ("0", 0.5), ("1", 1 - 0.5j), ("1/2", 3.5)])
+def test_every_struct_record_of_a_built_set_is_exactly_zero(l0, l1, conv, q):
+    # the selection rules hold exactly, so q_adjoint's eq6.suite_at_inverse_q,
+    # read off the eq4 lines of the 1/q set alone, is the worst ratio of that
+    # set's whole relation suite, to the bit (the CLI's two conventions and
+    # the swapped line 04/05 pairing)
+    label = lab(l0, l1, q)
+    gens = build_generator_set(label, label.l0 + 3, conv)
+    struct = [r for r in check_lorentz_relations(gens).residuals if r.relation_id.startswith("struct.")]
+    assert len(struct) == 8 and all(r.residual == 0.0 for r in struct)
+    gi = build_generator_set(RepLabel(label.l0, label.l1, label.d.inverse()), label.l0 + 3, conv)
+    worst = max(r.residual / r.scale for r in check_lorentz_relations(gi).residuals)
+    record = next(r for r in check_q_adjoint(gens).residuals if r.relation_id == "eq6.suite_at_inverse_q")
+    assert record.residual.hex() == worst.hex()

@@ -1,0 +1,127 @@
+"""Interleaved in-process A/B of two qlorentz source trees on benchmark ops.
+
+    python3 tools/ab_inprocess.py PARENT/src src --workload resolve_chiral --seed 0 --batches 2 --reps 5
+
+Both trees are imported into one process.  Each tree's `qlorentz` modules
+are loaded once (every submodule, so a handler's lazy import finds its own
+tree's module) and set aside; before each op the tree's modules are put
+back into `sys.modules`, so `qlorentz.cli.main(argv)` and every import it
+makes run that tree's code.  The ops come from `perfbench/workloads.py`
+(the batches `perfbench/run.py` draws for the same workload and seed), and
+each op runs on both trees back to back, the order alternating from op to
+op and from rep to rep, so a drift of the host's speed falls on both sides
+alike.  BLAS is pinned to one thread before numpy loads, as in `run.py`.
+
+For each command it prints the op count, the sum over its ops of each op's
+best time (of `--reps`) on A and on B, their ratio, the median over its ops
+of each op's best time, and how many ops gave a different exit code or
+report on the two trees (reports are compared on the first rep, with each
+tree's scratch directory written as one path).
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib  # noqa: E402
+import pkgutil  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from collections import defaultdict  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _drop_qlorentz() -> None:
+    for name in [n for n in sys.modules if n == "qlorentz" or n.startswith("qlorentz.")]:
+        del sys.modules[name]
+
+
+def load_tree(src: str) -> dict:
+    """Every `qlorentz` module of the source tree `src`, imported afresh."""
+    _drop_qlorentz()
+    sys.path.insert(0, os.path.abspath(src))
+    try:
+        pkg = importlib.import_module("qlorentz")
+        if Path(pkg.__file__).resolve().parent != (Path(src) / "qlorentz").resolve():
+            raise SystemExit(f"error: no qlorentz package under {src}")
+        for info in pkgutil.iter_modules(pkg.__path__):
+            importlib.import_module(f"qlorentz.{info.name}")
+    finally:
+        sys.path.pop(0)
+    return {n: m for n, m in sys.modules.items() if n == "qlorentz" or n.startswith("qlorentz.")}
+
+
+def run_op(tree: dict, argv: list[str], out: str) -> tuple[float, int]:
+    """(wall seconds, exit code) of one op on a tree, its report written to `out`."""
+    _drop_qlorentz()
+    sys.modules.update(tree)
+    main = tree["qlorentz.cli"].main
+    t0 = time.perf_counter()
+    code = main(argv + ["--output", out])
+    return time.perf_counter() - t0, code
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("a", help="source tree A (the directory holding qlorentz/)")
+    ap.add_argument("b", help="source tree B")
+    ap.add_argument("--workload", default="resolve_chiral")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--batches", type=int, default=1)
+    ap.add_argument("--reps", type=int, default=5)
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    trees = [load_tree(args.a), load_tree(args.b)]
+    with tempfile.TemporaryDirectory() as tmp:
+        base = os.path.join(tmp, "ops")
+        dirs = [os.path.join(tmp, side) for side in "ab"]
+        for d in (base, *dirs):
+            os.makedirs(d)
+        next_batch = workloads.batches(args.workload, args.seed, base)
+        ops = [op for _ in range(args.batches) for op in next_batch()]
+        best = [[float("inf")] * len(ops) for _ in trees]
+        differ = defaultdict(int)
+        for rep in range(args.reps):
+            for i, op in enumerate(ops):
+                results = [None, None]
+                for k in ((0, 1) if (i + rep) % 2 == 0 else (1, 0)):
+                    out = os.path.join(dirs[k], "report.json")
+                    if os.path.exists(out):
+                        os.remove(out)
+                    wall, code = run_op(trees[k], [a.replace(base, dirs[k]) for a in op.argv], out)
+                    best[k][i] = min(best[k][i], wall)
+                    if rep == 0:
+                        raw = Path(out).read_bytes() if os.path.exists(out) else b""
+                        results[k] = (code, raw.replace(dirs[k].encode(), b"<tmp>"))
+                if rep == 0 and results[0] != results[1]:
+                    differ[op.command] += 1
+    _drop_qlorentz()
+
+    print(f"{'command':<12} {'ops':>4} {'A sum-of-best':>14} {'B sum-of-best':>14} {'B/A':>6} "
+          f"{'A median':>9} {'B median':>9} {'differ':>6}")
+    by_cmd = defaultdict(list)
+    for i, op in enumerate(ops):
+        by_cmd[op.command].append(i)
+    rows = sorted(by_cmd.items()) + [("all", list(range(len(ops))))]
+    for cmd, idx in rows:
+        sa, sb = (sum(best[k][i] for i in idx) * 1e3 for k in (0, 1))
+        ma, mb = (statistics.median(best[k][i] for i in idx) * 1e3 for k in (0, 1))
+        n_diff = sum(differ.values()) if cmd == "all" else differ[cmd]
+        print(f"{cmd:<12} {len(idx):>4} {sa:>11.2f} ms {sb:>11.2f} ms {sb / sa:>6.3f} "
+              f"{ma:>6.2f} ms {mb:>6.2f} ms {n_diff:>6}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
