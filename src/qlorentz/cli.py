@@ -174,7 +174,7 @@ def _verify(ns: argparse.Namespace, tols: Tolerances, conv: ConventionId) -> tup
     reports = [
         verify.check_lorentz_relations(gens, tols=tols),
         verify.check_casimir(gens, tols=tols),
-        verify.check_recurrence_suite(label, label.l0 + 20, tols),
+        verify.check_recurrence_suite(label, gens.basis.spins[-1], tols),
         verify.check_unitary_coeffs(label, gens.basis.spins[-1], tols),
     ]
     for rep in reports[2:]:  # the coefficient suites read no set; name the one verified

@@ -37,10 +37,12 @@ readings under which every defining relation closes to machine precision.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import re
 import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -1235,6 +1237,7 @@ def tensor_embed(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 # coordinate-format export / import
 
 _HEADER_RE = re.compile(r"^# dim=(\d+) label=(\S+) convention=(\S+)$")
+_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("re", np.float64), ("im", np.float64)])
 
 
 def _label_token(label: RepLabel) -> str:
@@ -1259,17 +1262,16 @@ def _parse_label_token(tok: str) -> RepLabel:
 def export_matrix(op: OperatorMatrix, label: RepLabel, conv: ConventionId, path) -> None:
     """Coordinate text format: header then one "row col re im" line per
     nonzero entry (0-based indices, %.17g, row-major order)."""
-    lines = [f"# dim={op.dim} label={_label_token(label)} convention={conv}"]
-    for r, c, z in zip(*(x.tolist() for x in op.entries())):
-        lines.append("%d %d %.17g %.17g" % (r, c, z.real, z.imag))
+    rows, cols, vals = op.entries()
+    cells = zip(rows.tolist(), cols.tolist(), vals.real.tolist(), vals.imag.tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# dim={op.dim} label={_label_token(label)} convention={conv}\n")
+        fh.write(("%d %d %.17g %.17g\n" * len(vals)) % tuple(itertools.chain.from_iterable(cells)))
 
 
 def _read_matrix(path) -> tuple[int, RepLabel, ConventionId, tuple]:
     """Header fields and (rows, cols, vals) of one coordinate-format file;
     malformed content raises ValueError."""
-    rows, cols, vals = [], [], []
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         m = _HEADER_RE.match(header)
@@ -1278,20 +1280,17 @@ def _read_matrix(path) -> tuple[int, RepLabel, ConventionId, tuple]:
         dim = int(m.group(1))
         label = _parse_label_token(m.group(2))
         conv = ConventionId.parse(m.group(3))
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            r, c, re_, im_ = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(complex(float(re_), float(im_)))
-    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+        with warnings.catch_warnings():  # a header-only file is an all-zero matrix
+            warnings.simplefilter("ignore", UserWarning)
+            body = np.loadtxt(fh, dtype=_ENTRY, ndmin=1)
+    rows, cols = body["row"], body["col"]
     bad = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))
     if bad.size:
         r, c = rows[bad[0]], cols[bad[0]]
         raise ValueError(f"entry ({r}, {c}) outside the {dim}x{dim} matrix in {path}")
-    return dim, label, conv, (rows, cols, np.array(vals, dtype=np.complex128))
+    vals = np.empty(len(body), dtype=np.complex128)
+    vals.real, vals.imag = body["re"], body["im"]  # re + 1j * im would turn an imaginary -0.0 into +0.0
+    return dim, label, conv, (rows, cols, vals)
 
 
 def _import_basis(label: RepLabel, dim: int) -> Basis:

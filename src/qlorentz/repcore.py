@@ -279,7 +279,10 @@ def check_recurrences(label: RepLabel, j_max: HalfInt) -> list[dict]:
     Returns one record per j with the absolute residuals of
     (a_{j+1}[j+2] - a_j[j]) c_{j+1}  and  c_j^2[2j-1] - a_j^2 - c_{j+1}^2[2j+3] - 1.
     This is a direct oracle for the closed-form coefficients: both residuals
-    vanish identically in exact arithmetic, for every label.
+    vanish identically in exact arithmetic, for every label.  Each record
+    also carries the scale its rounding error grows with, the sum of its
+    terms' magnitudes: (|a_{j+1}[j+2]| + |a_j[j]|) |c_{j+1}|  and
+    |c_j^2[2j-1]| + |a_j^2| + |c_{j+1}^2[2j+3]| + 1.
 
     The coefficients and brackets come from one `coeff_window` up to
     j_max + 1.  At j = l0 = 0, a_0 is its closed-form limit i[l1]: the
@@ -297,13 +300,15 @@ def check_recurrences(label: RepLabel, j_max: HalfInt) -> list[dict]:
     out = []
     for k, t in enumerate(range(t0, j_max.twice + 1, 2)):
         a_j, a_next, c_j, c_next = a[k], a[k + 1], c[k], c[k + 1]
-        lhs1 = (a_next * br[t + 4] - a_j * br[t]) * c_next
-        lhs2 = c_j * c_j * br[2 * t - 2] - a_j * a_j - c_next * c_next * br[2 * t + 6]
+        up, down = a_next * br[t + 4], a_j * br[t]
+        inner, aa, outer = c_j * c_j * br[2 * t - 2], a_j * a_j, c_next * c_next * br[2 * t + 6]
         out.append(
             {
                 "j": str(HalfInt(t)),
-                "residual_ladder": abs(lhs1),
-                "residual_norm": abs(lhs2 - 1.0),
+                "residual_ladder": abs((up - down) * c_next),
+                "residual_norm": abs(inner - aa - outer - 1.0),
+                "scale_ladder": (abs(up) + abs(down)) * abs(c_next),
+                "scale_norm": abs(inner) + abs(aa) + abs(outer) + 1.0,
             }
         )
     return out

@@ -80,7 +80,6 @@ __all__ = [
     "check_q_adjoint",
     "check_unitary_coeffs",
     "check_recurrence_suite",
-    "ClassicalGeneratorSet",
     "classical_oracle",
     "classical_limit_compare",
     "resolve_conventions",
@@ -547,7 +546,8 @@ def check_unitary_coeffs(
 def check_recurrence_suite(
     label: RepLabel, j_max: HalfInt, tols: Tolerances = Tolerances()
 ) -> VerificationReport:
-    """Difference-equation residuals as a report (the coefficient oracle)."""
+    """Difference-equation residuals as a report (the coefficient oracle),
+    each scaled by the magnitudes of its terms."""
     rep = VerificationReport(
         suite="recurrences",
         subject={"label": label.to_record()},
@@ -556,8 +556,8 @@ def check_recurrence_suite(
     )
     for row in check_recurrences(label, j_max):
         for kind in ("ladder", "norm"):
-            residual = row[f"residual_{kind}"]
-            rep.add(RelationResidual(f"rec.{kind}.j={row['j']}", residual, 1.0, tols.tier1, 1, "coefficient"))
+            residual, scale = row[f"residual_{kind}"], row[f"scale_{kind}"]
+            rep.add(RelationResidual(f"rec.{kind}.j={row['j']}", residual, scale, tols.tier1, 1, "coefficient"))
     return rep
 
 
@@ -565,27 +565,14 @@ def check_recurrence_suite(
 # classical oracle and limit comparison
 
 
-@dataclass(frozen=True)
-class ClassicalGeneratorSet:
-    """Classical (undeformed) generators built from the closed-form matrix
-    elements with every bracket [x] replaced by x and every q-power by 1.
-    Independent of the deformed formulas, but stored by step on the basis
-    the deformed build has."""
-
-    basis: Basis
-    m_plus: OperatorMatrix
-    m_minus: OperatorMatrix
-    m3: OperatorMatrix
-    n_plus: OperatorMatrix
-    n_minus: OperatorMatrix
-    n3: OperatorMatrix
-    n3_tilde: OperatorMatrix
-
-
-def classical_oracle(basis: Basis, l0: HalfInt, l1: complex) -> ClassicalGeneratorSet:
-    """Classical generators on `basis`: a_j = i l0 l1 / (j(j+1)), c_j from the
-    classical square root, rotation elements sqrt((j-+m)(j+-m+1)).  The spin
-    content is the basis's, so it is `classify`'s (through `build_basis`).
+def classical_oracle(basis: Basis, l0: HalfInt, l1: complex) -> dict[str, OperatorMatrix]:
+    """The seven classical (undeformed) generators on `basis`, keyed by their
+    `GENERATOR_PATTERNS` names (the invariant left out): the closed-form
+    elements with every bracket [x] replaced by x and every q-power by 1, so
+    a_j = i l0 l1 / (j(j+1)), c_j from the classical square root, rotation
+    elements sqrt((j-+m)(j+-m+1)).  Independent of the deformed formulas, but
+    stored by step on the basis the deformed build has, so the spin content
+    is `classify`'s (through `build_basis`).
 
     a_j, c_j and c_{j+1} are scalars per spin; each term of a generator is
     then filled for every column (j, m) at once from the basis's j and m
@@ -639,7 +626,8 @@ def classical_oracle(basis: Basis, l0: HalfInt, l1: complex) -> ClassicalGenerat
         # dense fill does
         data = [np.where(basis.rows(step) >= 0, vals, 0) + 0.0 for step, vals in mine]
         ops[name] = OperatorMatrix(basis, tuple(step for step, _vals in mine), np.stack(data))
-    return ClassicalGeneratorSet(basis=basis, n3_tilde=ops["n3"], **ops)
+    ops["n3_tilde"] = ops["n3"]
+    return ops
 
 
 def classical_limit_compare(
@@ -673,7 +661,7 @@ def classical_limit_compare(
     def deviations(g: GeneratorSet) -> dict[str, float]:
         # entries off the steps are exact zeros on both sides, so this is the
         # max over all dim x dim entries
-        out = {name: (getattr(g, name) - getattr(oracle, name)).max_norm for name in names}
+        out = {name: (getattr(g, name) - oracle[name]).max_norm for name in names}
         out["casimir_scalar"] = abs(
             casimir_eigenvalue(g.label) - 1j * float(label_l0) * complex(label_l1)
         )

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from qlorentz.cli import main, parse_l1
+from qlorentz.qarith import HalfInt
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -259,7 +261,12 @@ def _bad_import(tmp_path, case):
             f.write_text(bump)
     elif case == "missing file":
         (exp / "n_minus.txt").unlink()
+    elif case in _BAD_LINES:
+        (exp / "m_plus.txt").write_text((exp / "m_plus.txt").read_text() + _BAD_LINES[case])
     return exp
+
+
+_BAD_LINES = {"non-integer index": "1.5 0 1 0\n", "three columns": "1 0 1\n", "non-numeric value": "1 0 x 0\n"}
 
 
 @pytest.mark.parametrize(
@@ -273,6 +280,7 @@ def _bad_import(tmp_path, case):
         "finite dim off the basis",
         "infinite dim off the basis",
         "missing file",
+        *_BAD_LINES,
     ],
 )
 def test_bad_import_exits_2_with_message(tmp_path, capsys, case):
@@ -284,6 +292,69 @@ def test_bad_import_exits_2_with_message(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(["verify", "--import", str(exp), "--output", str(tmp_path / "v.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_import_skips_comment_and_blank_lines_in_the_body(tmp_path):
+    from qlorentz.matrep import import_generator_set
+
+    exp = export_build(tmp_path, "exp", PRINCIPAL + ["--j-max", "2"])
+    code, want = run_cli(["verify", "--import", str(exp)], tmp_path, "want.json")
+    before = {n: (op.steps, op.data.tobytes()) for n, op in import_generator_set(exp).matrices().items()}
+    lines = (exp / "n_plus.txt").read_text().splitlines(keepends=True)
+    (exp / "n_plus.txt").write_text("".join(lines[:3] + ["# a note\n", "\n", "   \n"] + lines[3:]))
+    after = {n: (op.steps, op.data.tobytes()) for n, op in import_generator_set(exp).matrices().items()}
+    assert after == before
+    assert run_cli(["verify", "--import", str(exp)], tmp_path, "got.json") == (code, want)
+
+
+def test_header_only_files_round_trip_byte_for_byte(tmp_path, recwarn):
+    # every generator of the 1-dimensional (0, 1) is zero: its files are a
+    # header alone, and they read back as no entries without a warning
+    from qlorentz.matrep import export_generator_set, import_generator_set
+
+    exp = export_build(tmp_path, "exp", ["--l0", "0", "--l1", "1", "--q", "1.3"])
+    assert all(len(f.read_text().splitlines()) == 1 for f in exp.iterdir())
+    export_generator_set(import_generator_set(exp), tmp_path / "again")
+    for f in exp.iterdir():
+        assert (tmp_path / "again" / f.name).read_bytes() == f.read_bytes()
+    assert not recwarn.list
+    assert run_cli(["verify", "--import", str(exp)], tmp_path, "v.json")[0] == 0
+
+
+def test_negative_zero_imaginary_part_round_trips(tmp_path):
+    from qlorentz.matrep import export_generator_set, import_generator_set
+
+    exp = export_build(tmp_path, "exp", SPINOR)
+    lines = (exp / "m_plus.txt").read_text().splitlines(keepends=True)
+    row, col, re_, im_ = lines[1].split()
+    assert im_ == "0"
+    lines[1] = f"{row} {col} {re_} -0\n"
+    (exp / "m_plus.txt").write_text("".join(lines))
+    g = import_generator_set(exp)
+    assert math.copysign(1.0, g.m_plus.entries()[2][0].imag) == -1.0
+    export_generator_set(g, tmp_path / "again")
+    assert (tmp_path / "again" / "m_plus.txt").read_bytes() == (exp / "m_plus.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, top",
+    [
+        (["--l0", "0", "--l1", "10.2", "--q", "10", "--j-max", "8"], "8"),
+        (["--l0", "1", "--l1", "50+50i", "--q", "1.3"], "9"),
+        (["--l0", "0", "--l1", "2.7i", "--q", "1.3", "--j-max", "30"], "30"),
+        (SPINOR, "1/2"),
+        (["--import", PRINCIPAL + ["--j-max", "3"]], "3"),
+    ],
+)
+def test_verify_checks_the_recurrences_up_to_the_top_spin(tmp_path, args, top):
+    # the first two exited 1 on rec.norm records while each record had scale 1
+    if args[0] == "--import":
+        args = ["--import", str(export_build(tmp_path, "exp", args[1]))]
+    code, raw = run_cli(["verify", *args], tmp_path)
+    assert code == 0
+    rec = next(rep for rep in json.loads(raw)["reports"] if rep["suite"] == "recurrences")
+    assert rec["environment"]["j_max"] == top
+    assert max(HalfInt.parse(r["id"].split("j=")[1]) for r in rec["relations"]) == HalfInt.parse(top)
 
 
 def test_verify_fails_on_perturbed_import(tmp_path):

@@ -237,9 +237,17 @@ def _reference_recurrences(label, j_max):
     for j in half_range(label.l0, j_max):
         a_j = 1j * q_number(label.l1, d) if j.twice == 0 and label.l0.twice == 0 else coeff_a(j, label)
         a_next, c_j, c_next = coeff_a(j + 1, label), coeff_c(j, label), coeff_c(j + 1, label)
-        lhs1 = (a_next * q_number(j + 2, d) - a_j * q_number(j, d)) * c_next
-        lhs2 = c_j * c_j * q_number(j + j - 1, d) - a_j * a_j - c_next * c_next * q_number(j + j + 3, d)
-        out.append({"j": str(j), "residual_ladder": abs(lhs1), "residual_norm": abs(lhs2 - 1.0)})
+        up, down = a_next * q_number(j + 2, d), a_j * q_number(j, d)
+        inner, outer = c_j * c_j * q_number(j + j - 1, d), c_next * c_next * q_number(j + j + 3, d)
+        out.append(
+            {
+                "j": str(j),
+                "residual_ladder": abs((up - down) * c_next),
+                "residual_norm": abs(inner - a_j * a_j - outer - 1.0),
+                "scale_ladder": (abs(up) + abs(down)) * abs(c_next),
+                "scale_norm": abs(inner) + abs(a_j * a_j) + abs(outer) + 1.0,
+            }
+        )
     return out
 
 

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from qlorentz.qarith import Deformation, HalfInt, half_range, q_number, sqrt_principal
-from qlorentz.repcore import RepLabel
+from qlorentz.repcore import RepLabel, check_recurrences
 from qlorentz.chiral import build_chiral, check_chiral_relations, coproduct, spinor_labels
 from qlorentz.matrep import (
     ConstructionInconsistencyError,
     ConventionId,
     DEFAULT_CONVENTION,
+    GENERATOR_PATTERNS,
     OperatorMatrix,
     RESOLVED_CONVENTION,
     build_basis,
@@ -311,9 +312,36 @@ def test_unitary_coeffs_real_l1_without_l0_fails_reality():
 
 
 def test_recurrence_suite_report():
-    rep = check_recurrence_suite(lab("1/2", 1.5, 2.0), HalfInt.parse("5/2"))
+    label = lab("1/2", 1.5, 2.0)
+    rep = check_recurrence_suite(label, HalfInt.parse("5/2"))
     assert rep.tier1_pass
     assert len(rep.residuals) == 2 * 3
+    rows = {row["j"]: row for row in check_recurrences(label, HalfInt.parse("5/2"))}
+    for r in rep.residuals:
+        kind, j = r.relation_id.split(".")[1], r.relation_id.split("j=")[1]
+        assert (r.residual, r.scale) == (rows[j][f"residual_{kind}"], rows[j][f"scale_{kind}"])
+
+
+@pytest.mark.parametrize("q", [0.1, 1.3, 10.0])
+def test_recurrence_suite_catches_a_planted_relative_error(monkeypatch, q):
+    # the records are scaled by their terms' magnitudes, yet a relative error
+    # of 1e-8 in one a_j or c_j still fails a tier-1 record at every q
+    import qlorentz.repcore as repcore
+
+    window = repcore.coeff_window
+    for l0, l1 in (("1/2", 1.5), ("1", 2.7j), ("2", 1.3 + 0.4j), ("1", 50 + 50j), ("0", 10.2)):
+        label = lab(l0, l1, q)
+        assert check_recurrence_suite(label, label.l0 + 8).tier1_pass
+        for which in ("c",) if l0 == "0" else ("a", "c"):  # every a_j of l0 = 0 is zero
+
+            def planted(label, top):
+                a, c, brackets, l1b = window(label, top)
+                (a if which == "a" else c)[3] *= 1 + 1e-8
+                return a, c, brackets, l1b
+
+            with monkeypatch.context() as m:
+                m.setattr(repcore, "coeff_window", planted)
+                assert not check_recurrence_suite(label, label.l0 + 8).tier1_pass, (l0, l1, which)
 
 
 # ---------------------------------------------------------------- classical oracle
@@ -330,9 +358,9 @@ def test_oracle_satisfies_classical_lorentz_relations():
     # classical structure constants
     for l0s, l1, jm in [("0", 2.7j, "6"), ("1/2", 1.5, "1/2"), ("1", 2.5j, "8")]:
         o = _oracle(HalfInt.parse(l0s), l1, HalfInt.parse(jm))
-        mp, mm, m3 = (op.toarray() for op in (o.m_plus, o.m_minus, o.m3))
-        npl, nm, n3 = (op.toarray() for op in (o.n_plus, o.n_minus, o.n3))
-        mask = o.basis.interior_columns(2)
+        names = ("m_plus", "m_minus", "m3", "n_plus", "n_minus", "n3")
+        mp, mm, m3, npl, nm, n3 = (o[name].toarray() for name in names)
+        mask = o["m3"].basis.interior_columns(2)
 
         def res(x):
             sub = x[:, mask]
@@ -349,16 +377,16 @@ def test_oracle_satisfies_classical_lorentz_relations():
 
 
 def test_oracle_principal_diagonal_boost_is_hermitian():
-    n3 = _oracle(HalfInt(0), 2.7j, HalfInt.parse("5")).n3.toarray()
+    n3 = _oracle(HalfInt(0), 2.7j, HalfInt.parse("5"))["n3"].toarray()
     np.testing.assert_allclose(n3, n3.conj().T, atol=1e-12)
 
 
 def test_oracle_spinor_is_classical_su2():
     # basis order (m = -1/2, +1/2): raising hits the (2,1) entry
     o = _oracle(HalfInt(1), 1.5, HalfInt(1))
-    assert o.basis.dim == 2
-    np.testing.assert_allclose(o.m_plus.toarray(), [[0, 0], [1, 0]], atol=1e-14)
-    np.testing.assert_allclose(o.n_plus.toarray(), -1j * o.m_plus.toarray(), atol=1e-14)
+    assert o["m3"].dim == 2
+    np.testing.assert_allclose(o["m_plus"].toarray(), [[0, 0], [1, 0]], atol=1e-14)
+    np.testing.assert_allclose(o["n_plus"].toarray(), -1j * o["m_plus"].toarray(), atol=1e-14)
 
 
 def _reference_oracle(l0, l1, j_max):
@@ -422,8 +450,9 @@ def test_oracle_equals_per_entry_reference_bitwise(l0, l1):
         o = _oracle(l0h, l1, l0h + offset)
         ref = _reference_oracle(l0h, l1, l0h + offset)
         for name, mat in ref.items():
-            assert getattr(o, name).toarray().tobytes() == mat.tobytes(), (l0, l1, offset, name)
-        assert o.n3_tilde is o.n3
+            assert o[name].toarray().tobytes() == mat.tobytes(), (l0, l1, offset, name)
+        assert o["n3_tilde"] is o["n3"]
+        assert list(o) == [name for name in GENERATOR_PATTERNS if name != "casimir"]
 
 
 # ---------------------------------------------------------------- limit compare

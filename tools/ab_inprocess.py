@@ -12,11 +12,12 @@ each op runs on both trees back to back, the order alternating from op to
 op and from rep to rep, so a drift of the host's speed falls on both sides
 alike.  BLAS is pinned to one thread before numpy loads, as in `run.py`.
 
-For each command it prints the op count, the sum over its ops of each op's
-best time (of `--reps`) on A and on B, their ratio, the median over its ops
-of each op's best time, and how many ops gave a different exit code or
-report on the two trees (reports are compared on the first rep, with each
-tree's scratch directory written as one path).
+For each command (`build --export` and `verify --import` ops apart) it
+prints the op count, the sum over its ops of each op's best time (of
+`--reps`) on A and on B, their ratio, the median over its ops of each op's
+best time, and how many ops gave a different exit code or report on the two
+trees (reports are compared on the first rep, with each tree's scratch
+directory written as one path).
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ def run_op(tree: dict, argv: list[str], out: str) -> tuple[float, int]:
     return time.perf_counter() - t0, code
 
 
+def _kind(op) -> str:
+    """The op's command, with `--import` or `--export` when it reads or writes matrix files."""
+    return " ".join([op.command, *(a for a in op.argv if a in ("--import", "--export"))])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", help="source tree A (the directory holding qlorentz/)")
@@ -105,20 +111,20 @@ def main(argv=None) -> int:
                         raw = Path(out).read_bytes() if os.path.exists(out) else b""
                         results[k] = (code, raw.replace(dirs[k].encode(), b"<tmp>"))
                 if rep == 0 and results[0] != results[1]:
-                    differ[op.command] += 1
+                    differ[_kind(op)] += 1
     _drop_qlorentz()
 
-    print(f"{'command':<12} {'ops':>4} {'A sum-of-best':>14} {'B sum-of-best':>14} {'B/A':>6} "
+    print(f"{'command':<18} {'ops':>4} {'A sum-of-best':>14} {'B sum-of-best':>14} {'B/A':>6} "
           f"{'A median':>9} {'B median':>9} {'differ':>6}")
     by_cmd = defaultdict(list)
     for i, op in enumerate(ops):
-        by_cmd[op.command].append(i)
+        by_cmd[_kind(op)].append(i)
     rows = sorted(by_cmd.items()) + [("all", list(range(len(ops))))]
     for cmd, idx in rows:
         sa, sb = (sum(best[k][i] for i in idx) * 1e3 for k in (0, 1))
         ma, mb = (statistics.median(best[k][i] for i in idx) * 1e3 for k in (0, 1))
         n_diff = sum(differ.values()) if cmd == "all" else differ[cmd]
-        print(f"{cmd:<12} {len(idx):>4} {sa:>11.2f} ms {sb:>11.2f} ms {sb / sa:>6.3f} "
+        print(f"{cmd:<18} {len(idx):>4} {sa:>11.2f} ms {sb:>11.2f} ms {sb / sa:>6.3f} "
               f"{ma:>6.2f} ms {mb:>6.2f} ms {n_diff:>6}")
     return 0
 
