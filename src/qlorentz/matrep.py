@@ -582,13 +582,6 @@ class OperatorMatrix:
         """Largest |entry|, kept on the instance (its data is read-only)."""
         return float(np.abs(self.data).max())
 
-    def masked_max(self, mask: np.ndarray) -> float:
-        """Largest |entry| in the columns where `mask` is true."""
-        if mask.all():
-            return self.max_norm
-        sub = self.data[:, mask]
-        return float(np.max(np.abs(sub))) if sub.size else 0.0
-
     def block_max(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Largest |entry| of each copy of the grid (one value unless it is a
         `StackedBasis`), over the columns where `mask` is true (0 if none)."""
@@ -870,8 +863,8 @@ def _term_plan(basis: Basis, terms: tuple[_Term, ...]):
     target lies in the basis: the mask of those entries in the (term, column)
     value rows, each entry's two bracket keys (a one-bracket term reads its
     bracket twice), whether it has one bracket, its coefficient's place in
-    the flat (`_COEF_ROWS`, block) table and its q-power key; and per term,
-    whether its step reaches any row.  Made once per basis shape."""
+    the flat (`_COEF_ROWS`, block) table and its q-power key.  Made once per
+    basis shape."""
 
     def make():
         reach, stride = _reach(basis)
@@ -889,7 +882,7 @@ def _term_plan(basis: Basis, terms: tuple[_Term, ...]):
         power = (p[6] * j2 + p[7] * m2 + p[8])[valid]
         single = np.broadcast_to(p[9] == 1, valid.shape)[valid]
         coef = (p[10] * len(basis.spins) + (j2 - j2[0]) // 2)[valid]
-        return valid, (keys + reach) // stride, single, coef, power + reach, tuple(valid.any(axis=1).tolist())
+        return valid, (keys + reach) // stride, single, coef, power + reach
 
     return basis._shared(("terms", terms), make)
 
@@ -908,7 +901,7 @@ def _ladder(
     batched.  The sum into zeros turns -0.0 into +0.0, as the per-entry
     reference does.  coeffs maps "a", "c", "c1" to per-block values.
     """
-    valid, keys, single, coef, power, _ = _term_plan(basis, terms)
+    valid, keys, single, coef, power = _term_plan(basis, terms)
     brackets, powers = _q_tables(basis, d)
     x = brackets[keys]
     val = np.where(single, x[:, 0], np.sqrt(x[:, 0] * x[:, 1]))
@@ -924,22 +917,31 @@ def _ladder(
 def _ladders(
     basis: Basis, tables: tuple[tuple[_Term, ...], ...], d: Deformation, coeffs: Optional[dict] = None
 ) -> list[OperatorMatrix]:
-    """One operator per term table, all tables evaluated in one `_ladder` pass.
-    A term whose step reaches no row of the basis (the j+-1 terms on a single
+    """One operator per term table, all tables evaluated in one `_ladder` pass
+    that evaluates each distinct term once (tables may share terms).  A term
+    whose step reaches no row of the basis (the j+-1 terms on a single
     block) holds only zeros and is left out; a table left with no term is
-    the zero operator."""
-    terms = sum(tables, ())
-    rows = _ladder(basis, terms, d, coeffs)
-    live = _term_plan(basis, terms)[-1]
-    ops, start = [], 0
-    for table in tables:
-        span = range(start, start + len(table))
-        keep = [k for k in span if live[k]]
-        steps = tuple((terms[k].dj, terms[k].dm) for k in keep)
-        data = rows[start : span.stop] if len(keep) == len(span) else rows[keep]
-        ops.append(OperatorMatrix._result(basis, steps, data) if keep else OperatorMatrix(basis, (), rows[:0]))
-        start = span.stop
-    return ops
+    the zero operator.  Where each table's rows lie is planned once per
+    basis shape."""
+    terms = tuple(dict.fromkeys(sum(tables, ())))
+
+    def layout():
+        # per table, the steps it keeps and the span of their rows once
+        # `order` has gathered them from the rows of the distinct terms
+        live = _term_plan(basis, terms)[0].any(axis=1)
+        order, spans = [], []
+        for table in tables:
+            keep = [k for k in map(terms.index, table) if live[k]]
+            spans.append((tuple((terms[k].dj, terms[k].dm) for k in keep), len(order), len(order) + len(keep)))
+            order += keep
+        return np.array(order, dtype=np.intp), tuple(spans)
+
+    order, spans = basis._shared(("tables", tables), layout)
+    rows = _ladder(basis, terms, d, coeffs)[order]
+    return [
+        OperatorMatrix._result(basis, steps, rows[i:k]) if steps else OperatorMatrix(basis, (), rows[:0])
+        for steps, i, k in spans
+    ]
 
 
 def build_M(basis: Basis, d: Deformation) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
@@ -1013,7 +1015,7 @@ class GeneratorSet:
     """The seven generator matrices, frozen after build, plus the invariant
     `casimir`: few checks read it, so it is assembled on first read (an
     imported set passes its file's matrix as `_casimir`).  `matrices()` reads
-    it too; a check that needs only the generators reads them by name."""
+    it too; a check that needs only the generators reads `generators()`."""
 
     basis: Basis
     label: RepLabel
@@ -1035,8 +1037,12 @@ class GeneratorSet:
             object.__setattr__(self, "_casimir", build_casimir_matrix(*ops, self.d))
         return self._casimir
 
+    def generators(self) -> dict[str, OperatorMatrix]:
+        """The seven generators by name, without the invariant."""
+        return {name: getattr(self, name) for name in GENERATOR_PATTERNS if name != "casimir"}
+
     def matrices(self) -> dict[str, OperatorMatrix]:
-        return {name: getattr(self, name) for name in GENERATOR_PATTERNS}
+        return {**self.generators(), "casimir": self.casimir}
 
     @property
     def d(self) -> Deformation:
@@ -1282,7 +1288,10 @@ def _read_matrix(path) -> tuple[int, RepLabel, ConventionId, tuple]:
         conv = ConventionId.parse(m.group(3))
         with warnings.catch_warnings():  # a header-only file is an all-zero matrix
             warnings.simplefilter("ignore", UserWarning)
-            body = np.loadtxt(fh, dtype=_ENTRY, ndmin=1)
+            try:
+                body = np.loadtxt(fh, dtype=_ENTRY, ndmin=1)
+            except ValueError as exc:  # numpy counts body rows its own way
+                raise ValueError(_bad_line(path) or f"{path}: {exc}") from None
     rows, cols = body["row"], body["col"]
     bad = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))
     if bad.size:
@@ -1291,6 +1300,22 @@ def _read_matrix(path) -> tuple[int, RepLabel, ConventionId, tuple]:
     vals = np.empty(len(body), dtype=np.complex128)
     vals.real, vals.imag = body["re"], body["im"]  # re + 1j * im would turn an imaginary -0.0 into +0.0
     return dim, label, conv, (rows, cols, vals)
+
+
+def _bad_line(path) -> Optional[str]:
+    """The first body line of a matrix file that is not "row col re im",
+    named by its 1-based number in the file (None if every line is)."""
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            fields = line.split("#")[0].split()
+            if number == 1 or not fields:  # the header, a comment or a blank line
+                continue
+            try:
+                for parse, text in zip((int, int, float, float), fields, strict=True):
+                    parse(text)
+            except ValueError:
+                return f"line {number} of {path} is not 'row col re im': {line.strip()!r}"
+    return None
 
 
 def _import_basis(label: RepLabel, dim: int) -> Basis:

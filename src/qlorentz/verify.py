@@ -55,9 +55,8 @@ from .matrep import (
     _boost_coeffs,
     _boost_terms,
     _check_boost_steps,
-    _ladder,
+    _ladders,
     _st_readings,
-    _term_plan,
     build_basis,
     build_generator_set,
     build_M,
@@ -325,20 +324,18 @@ def check_casimir(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> Verifi
     rep.add(
         RelationResidual(
             "eq5.scalar",
-            (cas - OperatorMatrix.diagonal(basis, c_scalar)).masked_max(quad),
+            float((cas - OperatorMatrix.diagonal(basis, c_scalar)).block_max(quad)[0]),
             max(1.0, cas.max_norm),
             tols.of(tier),
             tier,
             col_quad,
         )
     )
-    for name, op in gens.matrices().items():
-        if name == "casimir":
-            continue
+    for name, op in gens.generators().items():
         rep.add(
             RelationResidual(
                 f"eq5.central.{name}",
-                (cas @ op - op @ cas).masked_max(cubic),
+                float((cas @ op - op @ cas).block_max(cubic)[0]),
                 _pair_scale(cas, op),
                 tols.of(tier),
                 tier,
@@ -464,8 +461,7 @@ def check_q_adjoint(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> Veri
 
     # the worst residual/scale of `check_lorentz_relations(gi)`, whose struct.*
     # records are exactly 0 and would build the Casimir: its eq4 lines in order
-    seven = {name: getattr(gi, name) for name in GENERATOR_PATTERNS if name != "casimir"}
-    lines = _eq4_lines(seven, gi.d, gi.c_scalar, gi.convention.line45_swap).values()
+    lines = _eq4_lines(gi.generators(), gi.d, gi.c_scalar, gi.convention.line45_swap).values()
     rep.add(
         RelationResidual(
             "eq6.suite_at_inverse_q",
@@ -648,12 +644,11 @@ def classical_limit_compare(
         raise ValueError(f"eps must be in [{LIMIT_EPS[0]:g}, {LIMIT_EPS[1]:g}], got {eps}")
     d1, d2 = Deformation(1.0 + eps), Deformation(1.0 + eps / 10.0)
 
-    # Entrywise comparison covers the seven generators, read by name: the
+    # Entrywise comparison covers the seven generators (`generators()`): the
     # invariant matrix is left out (and so never built).  Its assembly divides
     # by q^(1/2) - q^(-1/2), which amplifies roundoff as 1/eps near the
     # classical point; its limit is checked through the well-conditioned
     # scalar i[l0][l1] instead.
-    names = [name for name in GENERATOR_PATTERNS if name != "casimir"]
 
     def build(d: Deformation, basis: Optional[Basis] = None) -> GeneratorSet:
         return build_generator_set(RepLabel(label_l0, label_l1, d), j_max, conv, basis)
@@ -661,7 +656,7 @@ def classical_limit_compare(
     def deviations(g: GeneratorSet) -> dict[str, float]:
         # entries off the steps are exact zeros on both sides, so this is the
         # max over all dim x dim entries
-        out = {name: (getattr(g, name) - oracle[name]).max_norm for name in names}
+        out = {name: (op - oracle[name]).max_norm for name, op in g.generators().items()}
         out["casimir_scalar"] = abs(
             casimir_eigenvalue(g.label) - 1j * float(label_l0) * complex(label_l1)
         )
@@ -725,28 +720,18 @@ def _boost_scores(
     """Summed relative residual of the defining lines for each exponent
     reading, under the printed and the swapped line-04/05 pairing.
 
-    Each N+/N- term depends on one exponent axis, so N3 and the distinct
-    N+/N- terms of all readings are evaluated in one `_ladder` pass and the
-    readings share their rows; N3, N3~ and the rotations read no exponent.
+    Each N+/N- term depends on one exponent axis, so N3 and the N+/N-
+    tables of all readings come from one `_ladders` pass, which evaluates
+    each distinct term once; N3, N3~ and the rotations read no exponent.
     Lines 03-10 run on stacks of readings side by side, with the same
     arithmetic per column as on one reading, so the scores are bitwise those
     of one set per reading.
     """
     d, c_scalar = label.d, casimir_eigenvalue(label)
-    n3_terms = _boost_terms(readings[0])[2]
-    distinct = tuple(dict.fromkeys(n3_terms + sum((sum(_boost_terms(r)[:2], ()) for r in readings), ())))
-    rows = dict(zip(distinct, _ladder(basis, distinct, d, _boost_coeffs(basis, label))))
-    # as in `_ladders`, a term whose step reaches no row (the j+-1 terms on a
-    # single block) holds only zeros and is left out
-    live = {t for t, reaches in zip(distinct, _term_plan(basis, distinct)[-1]) if reaches}
-
-    def reaching(terms):
-        return [t for t in terms if t in live]
-
+    tables = _boost_terms(readings[0])[2:] + sum((_boost_terms(r)[:2] for r in readings), ())
+    n3, *boosts = _ladders(basis, tables, d, _boost_coeffs(basis, label))
     ops = dict(zip(("m_plus", "m_minus", "m3"), build_M(basis, d)))
-    n3_terms = reaching(n3_terms)
-    ops["n3"] = OperatorMatrix(basis, tuple((t.dj, t.dm) for t in n3_terms), [rows[t] for t in n3_terms])
-    ops["n3_tilde"] = build_N3_tilde(ops["n3"], basis, d)
+    ops["n3"], ops["n3_tilde"] = n3, build_N3_tilde(n3, basis, d)
     shared = _eq4_lines(ops, d, c_scalar, lines=("line01", "line02", "other1", "other2", "other3"))
 
     per_stack = max(1, _STACK_COLUMNS // basis.dim)
@@ -758,9 +743,9 @@ def _boost_scores(
             name: OperatorMatrix(grid, op.steps, np.tile(op.data, len(group))) for name, op in ops.items()
         }
         for name, k in (("n_plus", 0), ("n_minus", 1)):
-            terms = [reaching(_boost_terms(r)[k]) for r in group]
-            data = np.hstack([[rows[t] for t in ts] for ts in terms])
-            stacked[name] = OperatorMatrix(grid, tuple((t.dj, t.dm) for t in terms[0]), data)
+            # the consistent readings share their N+/N- steps
+            mine = boosts[2 * start + k : 2 * (start + len(group)) : 2]
+            stacked[name] = OperatorMatrix(grid, mine[0].steps, np.hstack([op.data for op in mine]))
         lines = {**shared, **_eq4_lines(stacked, d, c_scalar, lines=_EQ4_LINES[2:10])}
         swapped = {**lines, **_eq4_lines(stacked, d, c_scalar, 1, ("line04", "line05"))}
         # summed in the suite's record order, so each float sum is the suite's

@@ -8,8 +8,10 @@ from qlorentz.qarith import Deformation, HalfInt, q_number
 from qlorentz.repcore import RepLabel
 from qlorentz.matrep import (
     ConventionId,
+    DEFAULT_CONVENTION,
     OperatorMatrix,
     RESOLVED_CONVENTION,
+    build_basis,
     build_from_suq2,
     build_generator_set,
     diag_from_m,
@@ -401,6 +403,57 @@ def test_coproduct_noncocommutative_witness():
                 p[j * n + i, i * n + j] = 1.0
         img = dc.I_plus_L.toarray()
         assert f"witness {float(np.max(np.abs(img - p @ img @ p))):.6g}," in rec.note
+
+
+def _entry_list_witness(x: OperatorMatrix, n: int) -> float:
+    # the former computation: each sorted nonzero entry against its partner
+    # under the factor swap, looked up by searchsorted (0 if it has none)
+    rows, cols, vals = x.entries()
+    keys = rows * x.dim + cols
+    swapped = ((rows % n) * n + rows // n) * x.dim + (cols % n) * n + cols // n
+    pos = np.minimum(np.searchsorted(keys, swapped), len(keys) - 1)
+    partner = np.where(keys[pos] == swapped, vals[pos], 0)
+    return float(np.max(np.abs(vals - partner), initial=0.0))
+
+
+def test_swap_witness_equals_the_entry_list_reference_bitwise():
+    # same factors, mixed factors on one grid, factors whose grids differ only
+    # in truncation or in their spins (stored again by entry), and at q < 1
+    from qlorentz.chiral import _swap_witness
+
+    def chiral(l0, l1, q):
+        label = lab(l0, l1, q)
+        return build_chiral(build_generator_set(label, label.l0 + 2, RESOLVED_CONVENTION))
+
+    tau, tau_t = tau_chiral(1.3)
+    pairs = [
+        (tau, tau),
+        (tau, tau_t),
+        (chiral("1", 2.7j, 1.3),) * 2,
+        (chiral("1", 2.7j, 0.7), chiral("1", 1 - 0.5j, 0.7)),
+        (chiral("1/2", 1.5, 1.3), chiral("1/2", -1.5, 1.3)),
+        (chiral("0", 3, 1.3), chiral("0", 2.7j, 1.3)),
+        (chiral("4", 5, 1.3), chiral("0", 2.7j, 1.3)),
+    ]
+    for a, b in pairs:
+        for conv in (DEFAULT_CONVENTION, RESOLVED_CONVENTION):
+            x = coproduct(a, b, conv).I_plus_L
+            want = _entry_list_witness(x, a.dim)
+            assert want > 0 and _swap_witness(x).hex() == want.hex()
+
+
+def test_swap_witness_of_a_swap_symmetric_operator_is_zero():
+    # A x 1 + 1 x A is its own factor swap: the step-storage witness and the
+    # reference both read 0, with both factors on one grid and with the
+    # second on a grid of the same spins that only its truncation tells apart
+    from qlorentz.chiral import _swap_witness
+
+    a = chiral_for("0", 3, 1.3).I_plus_L  # spins 0..2, no truncation
+    for grid in (a.basis, build_basis(lab("0", 2.7j, 1.3), HalfInt(4))):
+        b = OperatorMatrix(grid, a.steps, a.data)
+        one_a, one_b = (OperatorMatrix.diagonal(g, 1.0) for g in (a.basis, grid))
+        x = tensor_embed(a, one_b) + tensor_embed(one_a, b)
+        assert x.max_norm > 0 and _entry_list_witness(x, a.dim) == _swap_witness(x) == 0.0
 
 
 @pytest.mark.parametrize("l1", [1.0, -1.0])

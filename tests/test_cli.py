@@ -294,6 +294,24 @@ def test_bad_import_exits_2_with_message(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "appended, line",
+    [("1.5 0 1 0\n", 3), ("# a note\n1.5 0 1 0\n", 4), ("1 0 1\n", 3)],
+    ids=["non-integer index", "after a comment", "three columns"],
+)
+def test_bad_import_names_the_file_and_line(tmp_path, capsys, appended, line):
+    # the spinor's m_plus.txt is its header and one entry: the appended bad
+    # line is named by its 1-based number in the file, comments counted
+    exp = export_build(tmp_path, "exp", SPINOR)
+    target = exp / "m_plus.txt"
+    assert len(target.read_text().splitlines()) == 2
+    target.write_text(target.read_text() + appended)
+    capsys.readouterr()
+    assert main(["verify", "--import", str(exp), "--output", str(tmp_path / "v.json")]) == 2
+    bad = appended.splitlines()[-1]
+    assert capsys.readouterr().err == f"error: line {line} of {target} is not 'row col re im': {bad!r}\n"
+
+
 def test_import_skips_comment_and_blank_lines_in_the_body(tmp_path):
     from qlorentz.matrep import import_generator_set
 
@@ -894,9 +912,9 @@ def test_conventions_builds_one_label_basis_and_each_consistent_reading_once(mon
     # per boost, each evaluated once, and no build_N.  N3 and N3~ read no
     # exponent and are built once (the two spinor sets of the coproduct axis
     # make the other bases and boosts).  On the label's basis `_ladder` runs
-    # twice: once for M+ and M-, once for N3 and every distinct N+/N- term
+    # twice, each time through `_ladders`: once for M+ and M-, once for N3
+    # and every distinct N+/N- term
     import qlorentz.matrep as matrep
-    import qlorentz.verify as verify
 
     ladders = []
     real_ladder = matrep._ladder
@@ -905,8 +923,7 @@ def test_conventions_builds_one_label_basis_and_each_consistent_reading_once(mon
         ladders.append((basis, terms))
         return real_ladder(basis, terms, *rest)
 
-    for mod in (matrep, verify):
-        monkeypatch.setattr(mod, "_ladder", recording)
+    monkeypatch.setattr(matrep, "_ladder", recording)
     args = ["conventions", "--l0", "1", "--l1", "0.5", "--q", "1.3"]
     names = ("build_basis", "build_N", "build_N3_tilde", "coeff_window")
     calls = _calls(monkeypatch, tmp_path, args, *names)

@@ -151,6 +151,17 @@ def test_selection_rules_exact():
         assert pattern_violation(op, GENERATOR_PATTERNS[name], g.basis) == 0.0, name
 
 
+def test_generators_are_the_seven_by_name_without_the_invariant():
+    # generators() reads no invariant; matrices() is it plus the invariant,
+    # both in GENERATOR_PATTERNS order
+    g = build_generator_set(lab("1", 2.7j, 1.3), HalfInt.parse("3"))
+    seven = g.generators()
+    assert list(seven) == [name for name in GENERATOR_PATTERNS if name != "casimir"]
+    assert all(op is getattr(g, name) for name, op in seven.items())
+    assert g._casimir is None
+    assert g.matrices() == {**seven, "casimir": g.casimir} and list(g.matrices()) == list(GENERATOR_PATTERNS)
+
+
 @pytest.mark.parametrize("l0,l1,jm", [("1", 2.7j, "4"), ("1/2", 3.5, "1/2")])
 def test_selection_rule_edges(l0, l1, jm):
     # one planted entry at every off-pattern neighbour of the |m| = j columns

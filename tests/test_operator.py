@@ -92,7 +92,7 @@ def test_algebra_matches_dense(pair, z):
     assert a.max_norm == float(np.max(np.abs(da)))
     mask = np.arange(a.dim) % 3 != 1
     sub = (da - db)[:, mask]
-    assert (a - b).masked_max(mask) == (float(np.max(np.abs(sub))) if sub.size else 0.0)
+    assert (a - b).block_max(mask).tolist() == [float(np.max(np.abs(sub))) if sub.size else 0.0]
     assert np.count_nonzero(a.data) == np.count_nonzero(da)
     rows, cols, vals = a.entries()
     nz = np.nonzero(da)
@@ -141,7 +141,8 @@ def test_stacked_algebra_matches_each_copy_bitwise(pair, z):
     _assert_blocks(a / z, [x / z for x in a_copies])
     _assert_blocks(a.dagger(), [x.dagger() for x in a_copies])
     mask = a.basis.base.interior_columns(2)
-    assert a.block_max(np.tile(mask, len(a_copies))).tolist() == [x.masked_max(mask) for x in a_copies]
+    sub = [np.abs(x.data[:, mask]) for x in a_copies]
+    assert a.block_max(np.tile(mask, len(a_copies))).tolist() == [float(np.max(v)) if v.size else 0.0 for v in sub]
     assert a.block_max().tolist() == [x.max_norm for x in a_copies]
 
 

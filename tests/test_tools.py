@@ -1,4 +1,6 @@
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +20,35 @@ def test_ab_inprocess_runs_a_tree_against_itself():
     rows = {line.split()[0]: line.split() for line in out.stdout.splitlines()[1:]}
     assert set(rows) == {"chiral", "conventions", "coproduct", "limit", "all"}
     assert rows["all"][1] == "10" and all(row[-1] == "0" for row in rows.values())
+
+
+def test_argv_file_mode_checks_report_identity(tmp_path):
+    # a tree against itself: every argv identical, exports and imports
+    # included; against a copy whose witness note reads differently: exit 1,
+    # and only the coproduct argv is listed
+    argvs = [
+        ["classify", "--l0", "1/2", "--l1", "1.5", "--q", "1.3"],
+        ["coproduct", "--q", "1.3"],
+        ["build", "--l0", "1/2", "--l1", "1.5", "--q", "1.3", "--export", "{tmp}/exp"],
+        ["verify", "--import", "{tmp}/exp"],
+        ["verify", "--import", "{tmp}/missing"],
+    ]
+    argv_file = tmp_path / "argv.json"
+    argv_file.write_text(json.dumps(argvs))
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "qlorentz", copy / "qlorentz", ignore=shutil.ignore_patterns("__pycache__"))
+    chiral = copy / "qlorentz" / "chiral.py"
+    chiral.write_text(chiral.read_text().replace("cocommutator witness", "swap witness"))
+
+    def run(b):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), "src", str(b), "--argv-file", str(argv_file)],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH=""), capture_output=True, text=True, timeout=120,
+        )
+
+    same = run("src")
+    assert same.returncode == 0, same.stderr
+    assert same.stdout.splitlines() == ["5 of 5 argv identical"]
+    other = run(copy)
+    assert other.returncode == 1, other.stderr
+    assert other.stdout.splitlines() == ["differs: coproduct --q 1.3", "4 of 5 argv identical"]

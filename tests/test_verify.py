@@ -16,11 +16,13 @@ from qlorentz.matrep import (
     OperatorMatrix,
     RESOLVED_CONVENTION,
     build_basis,
+    build_N,
     build_from_suq2,
     build_generator_set,
     build_ST_vectors,
     diag_from_m,
     suq2_matrices,
+    _check_boost_steps,
 )
 from qlorentz.verify import (
     check_casimir,
@@ -612,6 +614,44 @@ def test_resolver_matches_per_reading_reference(q):
         chosen = {**boosts[key][1], **others[two_j][1]}
         j_max = None if offset is None else jm
         assert resolve_conventions(label, two_j, d, j_max) == (ConventionId(**chosen), table)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.3, 3.0])
+@pytest.mark.parametrize(
+    "l0,l1", [("1", 2.1j), ("0", 0.5), ("2", 1.5 - 0.7j), ("1", 3), ("1/2", 1.5)]
+)  # the four label classes, and a single block whose j+-1 terms reach no row
+def test_stacked_boost_readings_equal_build_N_bitwise(monkeypatch, l0, l1, q):
+    # the stacked N+, N- and N3 copies the resolver scores are, reading by
+    # reading, the steps and value rows `build_N` makes for that reading
+    import qlorentz.verify as verify
+
+    label = lab(l0, l1, q)
+    basis = build_basis(label, label.l0 + 4)
+    readings = []
+    for values in itertools.product((0, 1), (0, 1), (0, 1, 2), (0, 1, 2)):
+        try:
+            _check_boost_steps(ConventionId(*values))
+        except ConstructionInconsistencyError:
+            continue
+        readings.append(ConventionId(*values))
+    stacks = []
+    real = verify._eq4_lines
+
+    def recording(ops, *args, **kwargs):
+        if "n_plus" in ops:
+            stacks.append([ops[name] for name in ("n_plus", "n_minus", "n3")])
+        return real(ops, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_STACK_COLUMNS", 4 * basis.dim)  # 4 readings per stack
+    monkeypatch.setattr(verify, "_eq4_lines", recording)
+    verify._boost_scores(label, basis, readings)
+    got = []
+    for stack in stacks[::2]:  # each stack's printed pairing; the swapped pairing reads the same stack
+        blocks = [np.hsplit(op.data, op.basis.copies) for op in stack]
+        for i in range(stack[0].basis.copies):
+            got.append(tuple((op.steps, block[i].tobytes()) for op, block in zip(stack, blocks)))
+    want = [tuple((op.steps, op.data.tobytes()) for op in build_N(basis, label, conv)) for conv in readings]
+    assert len(readings) == 18 and len(stacks) == 10 and got == want
 
 
 @pytest.mark.parametrize("q", [0.1, 1.3, 10.0])

@@ -18,6 +18,14 @@ prints the op count, the sum over its ops of each op's best time (of
 best time, and how many ops gave a different exit code or report on the two
 trees (reports are compared on the first rep, with each tree's scratch
 directory written as one path).
+
+    python3 tools/ab_inprocess.py PARENT/src src --argv-file tools/identity_argv.json
+
+checks report identity instead: it runs each argv of a JSON list of argv
+once per tree, `{tmp}` standing for the tree's own scratch directory (so a
+`build --export {tmp}/x` and a later `verify --import {tmp}/x` pair up),
+compares the exit code, stderr, report bytes and every file under `{tmp}`,
+lists each argv that differs and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -28,7 +36,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECL
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import importlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
 import pkgutil  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -70,6 +81,37 @@ def run_op(tree: dict, argv: list[str], out: str) -> tuple[float, int]:
     return time.perf_counter() - t0, code
 
 
+def identity(trees: list, argv_file: str) -> int:
+    """Run each argv of the JSON list in `argv_file` once per tree and print
+    those whose exit code, stderr, report or files under `{tmp}` differ
+    (each tree's `{tmp}` written back as `{tmp}`); 1 if any does."""
+    with open(argv_file) as fh:
+        argvs = json.load(fh)
+    differ = []
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [(os.path.join(tmp, side, "files"), os.path.join(tmp, side, "report.json")) for side in "ab"]
+        for files, _out in sides:
+            os.makedirs(files)
+        for argv in argvs:
+            results = []
+            for tree, (files, out) in zip(trees, sides):
+                if os.path.exists(out):
+                    os.remove(out)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    _wall, code = run_op(tree, [a.replace("{tmp}", files) for a in argv], out)
+                raw = Path(out).read_bytes() if os.path.exists(out) else b""
+                written = {str(p.relative_to(files)): p.read_bytes() for p in Path(files).rglob("*") if p.is_file()}
+                stderr = err.getvalue().replace(files, "{tmp}")
+                results.append((code, stderr, raw.replace(files.encode(), b"{tmp}"), written))
+            if results[0] != results[1]:
+                differ.append(argv)
+                print("differs:", " ".join(argv))
+    _drop_qlorentz()
+    print(f"{len(argvs) - len(differ)} of {len(argvs)} argv identical")
+    return 1 if differ else 0
+
+
 def _kind(op) -> str:
     """The op's command, with `--import` or `--export` when it reads or writes matrix files."""
     return " ".join([op.command, *(a for a in op.argv if a in ("--import", "--export"))])
@@ -83,12 +125,15 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--batches", type=int, default=1)
     ap.add_argument("--reps", type=int, default=5)
+    ap.add_argument("--argv-file", help="check report identity on the argv of this JSON list instead of timing")
     args = ap.parse_args(argv)
 
+    trees = [load_tree(args.a), load_tree(args.b)]
+    if args.argv_file:
+        return identity(trees, args.argv_file)
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    trees = [load_tree(args.a), load_tree(args.b)]
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "ops")
         dirs = [os.path.join(tmp, side) for side in "ab"]
