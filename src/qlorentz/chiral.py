@@ -493,7 +493,7 @@ def _swap_witness(x: OperatorMatrix) -> float:
     k, n = len(ka.zero_step), ka.dim
     steps = tuple(s[k:] + s[:k] for s in x.steps)
     swapped = OperatorMatrix(ProductBasis(kb, ka), steps, x.data[:, (cols % n) * n + cols // n])
-    if swapped.basis != x.basis:  # factors on two grids: stored again by entry
+    if swapped.basis != x.basis:  # factors on two grids: stored again by entry (slower)
         swapped = OperatorMatrix.from_entries(x.basis, *swapped.entries())
     return (x - swapped).max_norm
 

@@ -15,9 +15,9 @@ alike.  BLAS is pinned to one thread before numpy loads, as in `run.py`.
 For each command (`build --export` and `verify --import` ops apart) it
 prints the op count, the sum over its ops of each op's best time (of
 `--reps`) on A and on B, their ratio, the median over its ops of each op's
-best time, and how many ops gave a different exit code or report on the two
-trees (reports are compared on the first rep, with each tree's scratch
-directory written as one path).
+best time, and how many ops gave a different outcome on the two trees (exit
+code, stderr, report or files, as in the identity mode below, compared on
+the first rep).
 
     python3 tools/ab_inprocess.py PARENT/src src --argv-file tools/identity_argv.json
 
@@ -71,40 +71,44 @@ def load_tree(src: str) -> dict:
     return {n: m for n, m in sys.modules.items() if n == "qlorentz" or n.startswith("qlorentz.")}
 
 
-def run_op(tree: dict, argv: list[str], out: str) -> tuple[float, int]:
-    """(wall seconds, exit code) of one op on a tree, its report written to `out`."""
+def run_op(tree: dict, argv: list[str], files: str, out: str) -> tuple[float, tuple]:
+    """(wall seconds, outcome) of one op on a tree, `{tmp}` in its argv standing
+    for `files` and its report written to `out`.  The outcome is the exit code,
+    stderr, report bytes and every file under `files`, with `files` written
+    back as `{tmp}`, so the outcomes of two trees compare equal when they agree."""
     _drop_qlorentz()
     sys.modules.update(tree)
     main = tree["qlorentz.cli"].main
-    t0 = time.perf_counter()
-    code = main(argv + ["--output", out])
-    return time.perf_counter() - t0, code
+    if os.path.exists(out):
+        os.remove(out)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        t0 = time.perf_counter()
+        code = main([a.replace("{tmp}", files) for a in argv] + ["--output", out])
+        wall = time.perf_counter() - t0
+    raw = Path(out).read_bytes() if os.path.exists(out) else b""
+    written = {str(p.relative_to(files)): p.read_bytes() for p in Path(files).rglob("*") if p.is_file()}
+    return wall, (code, err.getvalue().replace(files, "{tmp}"), raw.replace(files.encode(), b"{tmp}"), written)
+
+
+def _sides(tmp: str) -> list[tuple[str, str]]:
+    """(files directory, report path) of tree A and of tree B under `tmp`."""
+    sides = [(os.path.join(tmp, side, "files"), os.path.join(tmp, side, "report.json")) for side in "ab"]
+    for files, _out in sides:
+        os.makedirs(files)
+    return sides
 
 
 def identity(trees: list, argv_file: str) -> int:
     """Run each argv of the JSON list in `argv_file` once per tree and print
-    those whose exit code, stderr, report or files under `{tmp}` differ
-    (each tree's `{tmp}` written back as `{tmp}`); 1 if any does."""
+    those whose outcomes differ; 1 if any does."""
     with open(argv_file) as fh:
         argvs = json.load(fh)
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
-        sides = [(os.path.join(tmp, side, "files"), os.path.join(tmp, side, "report.json")) for side in "ab"]
-        for files, _out in sides:
-            os.makedirs(files)
+        sides = _sides(tmp)
         for argv in argvs:
-            results = []
-            for tree, (files, out) in zip(trees, sides):
-                if os.path.exists(out):
-                    os.remove(out)
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    _wall, code = run_op(tree, [a.replace("{tmp}", files) for a in argv], out)
-                raw = Path(out).read_bytes() if os.path.exists(out) else b""
-                written = {str(p.relative_to(files)): p.read_bytes() for p in Path(files).rglob("*") if p.is_file()}
-                stderr = err.getvalue().replace(files, "{tmp}")
-                results.append((code, stderr, raw.replace(files.encode(), b"{tmp}"), written))
-            if results[0] != results[1]:
+            if run_op(trees[0], argv, *sides[0])[1] != run_op(trees[1], argv, *sides[1])[1]:
                 differ.append(argv)
                 print("differs:", " ".join(argv))
     _drop_qlorentz()
@@ -136,26 +140,20 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "ops")
-        dirs = [os.path.join(tmp, side) for side in "ab"]
-        for d in (base, *dirs):
-            os.makedirs(d)
+        os.makedirs(base)
+        sides = _sides(tmp)
         next_batch = workloads.batches(args.workload, args.seed, base)
         ops = [op for _ in range(args.batches) for op in next_batch()]
         best = [[float("inf")] * len(ops) for _ in trees]
         differ = defaultdict(int)
         for rep in range(args.reps):
             for i, op in enumerate(ops):
-                results = [None, None]
+                argv = [a.replace(base, "{tmp}") for a in op.argv]
+                outcomes = [None, None]
                 for k in ((0, 1) if (i + rep) % 2 == 0 else (1, 0)):
-                    out = os.path.join(dirs[k], "report.json")
-                    if os.path.exists(out):
-                        os.remove(out)
-                    wall, code = run_op(trees[k], [a.replace(base, dirs[k]) for a in op.argv], out)
+                    wall, outcomes[k] = run_op(trees[k], argv, *sides[k])
                     best[k][i] = min(best[k][i], wall)
-                    if rep == 0:
-                        raw = Path(out).read_bytes() if os.path.exists(out) else b""
-                        results[k] = (code, raw.replace(dirs[k].encode(), b"<tmp>"))
-                if rep == 0 and results[0] != results[1]:
+                if rep == 0 and outcomes[0] != outcomes[1]:
                     differ[_kind(op)] += 1
     _drop_qlorentz()
 

@@ -82,20 +82,20 @@ def _argv(rng: random.Random) -> list[str]:
     return [cmd, *label, "--q", q, *([] if cmd == "classify" else j_max)]
 
 
-def draw(n: int, seed: int = SEED) -> list[list[str]]:
+def draw(n: int) -> list[list[str]]:
     """The first n argv of the census's random draw (a longer draw starts
     with the same argv)."""
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     return [_argv(rng) for _ in range(n)]
 
 
-def near_limit(n: int, seed: int = SEED) -> list[list[str]]:
+def near_limit(n: int) -> list[list[str]]:
     """n finite labels whose top spin is the last one in range at their q
     (even draws) or the first one past it (odd draws)."""
     from qlorentz.qarith import Deformation
     from qlorentz.repcore import spin_limit
 
-    rng = random.Random(f"{seed}:near_limit")
+    rng = random.Random(f"{SEED}:near_limit")
     out = []
     for k in range(n):
         t0, x = rng.randint(0, 6), math.exp(rng.uniform(math.log(0.1), math.log(0.15)))
@@ -107,10 +107,10 @@ def near_limit(n: int, seed: int = SEED) -> list[list[str]]:
     return out
 
 
-def partners(n: int, seed: int = SEED) -> list[list[str]]:
+def partners(n: int) -> list[list[str]]:
     """n drawn labels, each followed by its q-periodic partners, all under
     one drawn subcommand."""
-    rng = random.Random(f"{seed}:partners")
+    rng = random.Random(f"{SEED}:partners")
     out = []
     for _ in range(n):
         t0, l1 = _label(rng)
