@@ -19,6 +19,7 @@ generators are exact on every generator-built set.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -38,12 +39,7 @@ from .matrep import (
     diag_from_m,
     tensor_embed,
 )
-from .verify import (
-    RelationResidual,
-    Tolerances,
-    VerificationReport,
-    _pair_scale,
-)
+from .verify import RelationResidual, Tolerances, VerificationReport, _rows, _worst_ratio
 
 __all__ = [
     "ChiralSet",
@@ -175,13 +171,23 @@ def build_chiral(gens: GeneratorSet) -> ChiralSet:
     return ChiralSet(d=gens.d, tag=gens.tag, convention=gens.convention, basis=b, tier1=len(b.spins) == 1, _gens=gens)
 
 
+def _triple_rows(t: dict[str, OperatorMatrix], rq: float, prefix: str):
+    """The five relation rows (id, differences, operators) of the generators
+    of one chirality, ids `prefix` + 1..5, for `_rows`, made one at a time."""
+    ip, im, i3, i3t = t["I_plus"], t["I_minus"], t["I3"], t["I3_tilde"]
+    yield prefix + "1", (ip @ im - im @ ip - 2.0 * (i3 + i3t),), ip, im
+    yield prefix + "2", (i3 @ ip * rq - ip @ i3 / rq - 2.0 * ip,), i3, ip
+    yield prefix + "3", (i3t @ im * rq - im @ i3t / rq + 2.0 * im,), i3t, im
+    yield prefix + "4", (i3t @ ip / rq - rq * ip @ i3t - 2.0 * ip,), i3t, ip
+    yield prefix + "5", (i3 @ im / rq - rq * im @ i3 + 2.0 * im,), i3, im
+
+
 def check_chiral_relations(
     cs: ChiralSet, tols: Tolerances = Tolerances()
 ) -> VerificationReport:
     """The ten chiral relation lines plus the left-right commutativity block."""
     q = cs.d.q
     rq = math.sqrt(q)
-    mask = cs._mask(2)
     cols = cs._cols()
     tier = 1 if cs.tier1 else 2
     tol = tols.of(tier)
@@ -192,30 +198,14 @@ def check_chiral_relations(
         convention=cs.convention,
         environment={"q": q, "tier1_tol": tols.tier1, "tier2_tol": tols.tier2},
     )
-    for side in ("L", "R"):
-        t = cs.triple(side)
-        ip, im, i3, i3t = t["I_plus"], t["I_minus"], t["I3"], t["I3_tilde"]
-        rows = [
-            (f"eq27.{side}1", ip @ im - im @ ip - 2.0 * (i3 + i3t), t["I_plus"], t["I_minus"]),
-            (f"eq27.{side}2", i3 @ ip * rq - ip @ i3 / rq - 2.0 * ip, t["I3"], t["I_plus"]),
-            (f"eq27.{side}3", i3t @ im * rq - im @ i3t / rq + 2.0 * im, t["I3_tilde"], t["I_minus"]),
-            (f"eq27.{side}4", i3t @ ip / rq - rq * ip @ i3t - 2.0 * ip, t["I3_tilde"], t["I_plus"]),
-            (f"eq27.{side}5", i3 @ im / rq - rq * im @ i3 + 2.0 * im, t["I3"], t["I_minus"]),
-        ]
-        for rid, diff, a, b in rows:
-            rep.add(
-                RelationResidual(rid, float(diff.block_max(mask)[0]), _pair_scale(a, b), tol, tier, cols)
-            )
-
-    left = cs.triple("L")
-    right = cs.triple("R")
-    worst, wscale = 0.0, 1.0
-    for a in left.values():
-        for b in right.values():
-            r = float((a @ b - b @ a).block_max(mask)[0])
-            s = _pair_scale(a, b)
-            if r / s > worst / wscale:
-                worst, wscale = r, s
+    left, right = cs.triple("L"), cs.triple("R")
+    cross = (("cross", (a @ b - b @ a,), a, b) for a in left.values() for b in right.values())
+    rows = itertools.chain(_triple_rows(left, rq, "eq27.L"), _triple_rows(right, rq, "eq27.R"), cross)
+    ids, res, scales = _rows(rows, cs._mask(2))
+    records = list(zip(ids, res[:, 0].tolist(), scales[:, 0].tolist()))
+    for rid, residual, scale in records[:10]:
+        rep.add(RelationResidual(rid, residual, scale, tol, tier, cols))
+    worst, wscale = _worst_ratio((r, s) for _i, r, s in records[10:])
     rep.add(
         RelationResidual(
             "eq27.cross_LR", worst, wscale, tol, tier, cols, "worst pair of the 16"

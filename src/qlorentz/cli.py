@@ -39,20 +39,27 @@ _RE_IMAG = re.compile(rf"^(?P<sign>[+-]?)(?P<mag>{_NUM})?i$")
 _RE_FULL = re.compile(rf"^(?P<re>[+-]?{_NUM})(?P<sign>[+-])(?P<mag>{_NUM})?i$")
 
 
-def parse_l1(s: str) -> complex:
-    """Parse the second label constant: "a", "bi", "a+bi" or "a-bi" (decimal)."""
+def _l1_form(s: str) -> Optional[re.Match]:
+    """The match of s against the forms "a", "bi", "a+bi" and "a-bi", or None."""
     text = s.strip()
-    if _RE_REAL.match(text):
-        return complex(float(text), 0.0)
-    m = _RE_IMAG.match(text)
-    if m:
-        mag = float(m.group("mag")) if m.group("mag") else 1.0
-        return complex(0.0, -mag if m.group("sign") == "-" else mag)
-    m = _RE_FULL.match(text)
-    if m:
-        mag = float(m.group("mag")) if m.group("mag") else 1.0
-        return complex(float(m.group("re")), -mag if m.group("sign") == "-" else mag)
-    raise ValueError(f"cannot parse l1 value {s!r} (expected 'a', 'bi', 'a+bi' or 'a-bi')")
+    return _RE_REAL.match(text) or _RE_IMAG.match(text) or _RE_FULL.match(text)
+
+
+def parse_l1(s: str) -> complex:
+    """Parse the second label constant: "a", "bi", "a+bi" or "a-bi" (decimal),
+    each part finite in double precision."""
+    m = _l1_form(s)
+    if m is None:
+        raise ValueError(f"cannot parse l1 value {s!r} (expected 'a', 'bi', 'a+bi' or 'a-bi')")
+    parts = m.groupdict()
+    if parts:
+        mag = float(parts["mag"]) if parts["mag"] else 1.0
+        z = complex(float(parts.get("re") or 0.0), -mag if parts["sign"] == "-" else mag)
+    else:
+        z = complex(float(m.group()), 0.0)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"l1 value {s!r} overflows a double: each part must be finite")
+    return z
 
 
 def _render_text(doc: dict, out: list[str], depth: int = 0) -> None:
@@ -368,15 +375,10 @@ def _join_signed_l1(argv: list[str]) -> list[str]:
     negative imaginary, complex or exponent value must be joined to its flag."""
     out = []
     for arg in argv:
-        if out and out[-1] in ("--l1", "--l1-b") and arg.startswith("-"):
-            try:
-                parse_l1(arg)
-            except ValueError:
-                pass
-            else:
-                out[-1] += "=" + arg
-                continue
-        out.append(arg)
+        if out and out[-1] in ("--l1", "--l1-b") and arg.startswith("-") and _l1_form(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
     return out
 
 

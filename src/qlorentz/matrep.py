@@ -36,7 +36,6 @@ readings under which every defining relation closes to machine precision.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -577,18 +576,26 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.basis.dim
 
-    @functools.cached_property
+    @property
     def max_norm(self) -> float:
-        """Largest |entry|, kept on the instance (its data is read-only)."""
-        return float(np.abs(self.data).max())
+        """Largest |entry|: the largest of `block_max()` (read by `item()` on
+        one copy, which is cheaper than a numpy reduction)."""
+        vals = self.block_max()
+        return vals.item() if vals.size == 1 else float(vals.max())
 
     def block_max(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Largest |entry| of each copy of the grid (one value unless it is a
-        `StackedBasis`), over the columns where `mask` is true (0 if none)."""
-        vals = np.abs(self.data)
-        if mask is not None:
-            vals = np.where(mask, vals, 0.0)
-        return vals.reshape(len(self.steps), self.basis.copies, -1).max(axis=(0, 2))
+        `StackedBasis`), over the columns where `mask` is true (0 if none).
+        Unmasked, kept on the instance (its data is read-only) in __dict__:
+        a cached_property's lock costs more than a small operator's maximum."""
+        if mask is None and "_copy_max" in self.__dict__:
+            return self.__dict__["_copy_max"]
+        vals = np.abs(self.data) if mask is None else np.where(mask, np.abs(self.data), 0.0)
+        vals = vals.reshape(len(self.steps), self.basis.copies, -1).max(axis=(0, 2))
+        if mask is None:
+            vals.setflags(write=False)
+            self.__dict__["_copy_max"] = vals
+        return vals
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals) of the nonzero entries in row-major order."""

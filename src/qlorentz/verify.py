@@ -16,10 +16,10 @@ Each check produces `RelationResidual` records collected into deterministic
 
 Residual norm: max|entry| of (LHS - RHS) over interior columns; scale is the
 product of the max-norms of the operators on the commutator side, floored
-at 1.  A record passes iff residual <= tolerance * scale.  Both sides are
-evaluated with the step-operator algebra of `matrep`; the classical oracle
-fills its step rows from its own formulas, on the basis the deformed build
-has.
+at 1 (`_rows`, for every commutator record: eq1, eq4, eq5, eq27).  A record
+passes iff residual <= tolerance * scale.  Both sides are evaluated with the
+step-operator algebra of `matrep`; the classical oracle fills its step rows
+from its own formulas, on the basis the deformed build has.
 """
 
 from __future__ import annotations
@@ -194,8 +194,32 @@ def _subject(gens: GeneratorSet) -> dict:
     }
 
 
-def _pair_scale(a: OperatorMatrix, b: OperatorMatrix) -> float:
-    return max(1.0, a.max_norm * b.max_norm)
+def _rows(rows, mask: Optional[np.ndarray] = None) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Ids, residuals and scales of commutator-type rows (id, differences,
+    operators...), residuals and scales one row per record and one column
+    per copy of the grid: the residual is the largest |entry| of the
+    differences over the columns where `mask` is true, the scale max(1,
+    product of the operators' largest |entry|).  Rows are read one at a time
+    (a generator keeps one row's differences alive); scales are made at once."""
+    ids, res, maxima, starts = [], [], [], []
+    for rid, diffs, *ops in rows:
+        ids.append(rid)
+        res.append(functools.reduce(np.maximum, [x.block_max(mask) for x in diffs]))
+        starts.append(len(maxima))
+        maxima += [op.block_max() for op in ops]
+    with np.errstate(over="ignore"):  # an overflowing product is inf, as in float arithmetic
+        prods = np.multiply.reduceat(np.array(maxima), starts)
+    return ids, np.array(res), np.fmax(1.0, prods)  # fmax: max(1.0, nan) is 1.0
+
+
+def _worst_ratio(pairs) -> tuple[float, float]:
+    """The (residual, scale) pair of the worst ratio residual/scale: the first
+    strictly worse than every pair before it, from (0.0, 1.0)."""
+    worst, wscale = 0.0, 1.0
+    for r, s in pairs:
+        if r / s > worst / wscale:
+            worst, wscale = r, s
+    return worst, wscale
 
 
 def _env(gens: GeneratorSet, tols: Tolerances, **extra) -> dict:
@@ -231,9 +255,9 @@ def _eq4_lines(
     ops: dict[str, OperatorMatrix], d: Deformation, c_scalar: complex, swap: int = 0, lines=_EQ4_LINES
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(residual, scale) of each defining-relation line in `lines`, in that order,
-    from the generators in `ops` (only those the lines read); each is an array
-    with one value per copy of the operators' grid.  swap pairs lines 04/05
-    with N3~/N3 instead of N3/N3~; lines 02/06 take their worse sign."""
+    from the generators in `ops` (only those the lines read), by `_rows`.
+    swap pairs lines 04/05 with N3~/N3 instead of N3/N3~; lines 02/06 take
+    their worse sign."""
     mp, mm, m3 = ops["m_plus"], ops["m_minus"], ops["m3"]
     np_, nm, n3, n3t = (ops.get(name) for name in ("n_plus", "n_minus", "n3", "n3_tilde"))
     basis = mp.basis
@@ -259,13 +283,8 @@ def _eq4_lines(
         "other2": lambda: ((m3 @ n3 - n3 @ m3,), m3, n3),
         "other3": lambda: ((m3 @ n3t - n3t @ m3,), m3, n3t),
     }
-    quad = basis.interior_columns(2)
-    out = {}
-    for line in lines:
-        diffs, a, b = forms[line]()
-        residual = functools.reduce(np.maximum, (x.block_max(quad) for x in diffs))
-        out[line] = (residual, np.fmax(1.0, a.block_max() * b.block_max()))  # fmax: max(1.0, nan) is 1.0
-    return out
+    ids, res, scales = _rows(((line, *forms[line]()) for line in lines), basis.interior_columns(2))
+    return dict(zip(ids, zip(res, scales)))
 
 
 def check_lorentz_relations(
@@ -309,10 +328,6 @@ def check_casimir(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> Verifi
     c_scalar = gens.c_scalar
     basis = gens.basis
     cas = gens.casimir
-    quad = basis.interior_columns(2)
-    cubic = basis.interior_columns(3)
-    col_quad = "interior (quadratic)" if basis.truncated else "all columns"
-    col_cubic = "interior (cubic)" if basis.truncated else "all columns"
     tier = 1 if _is_realization(gens) else 2
 
     rep = VerificationReport(
@@ -321,27 +336,13 @@ def check_casimir(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> Verifi
         convention=gens.convention,
         environment=_env(gens, tols, c_scalar={"re": c_scalar.real, "im": c_scalar.imag}),
     )
-    rep.add(
-        RelationResidual(
-            "eq5.scalar",
-            float((cas - OperatorMatrix.diagonal(basis, c_scalar)).block_max(quad)[0]),
-            max(1.0, cas.max_norm),
-            tols.of(tier),
-            tier,
-            col_quad,
-        )
-    )
-    for name, op in gens.generators().items():
-        rep.add(
-            RelationResidual(
-                f"eq5.central.{name}",
-                float((cas @ op - op @ cas).block_max(cubic)[0]),
-                _pair_scale(cas, op),
-                tols.of(tier),
-                tier,
-                col_cubic,
-            )
-        )
+    scalar = [("eq5.scalar", (cas - OperatorMatrix.diagonal(basis, c_scalar),), cas)]
+    central = ((f"eq5.central.{name}", (cas @ op - op @ cas,), cas, op) for name, op in gens.generators().items())
+    for rows, order, kind in ((scalar, 2, "quadratic"), (central, 3, "cubic")):
+        cols = f"interior ({kind})" if basis.truncated else "all columns"
+        ids, res, scales = _rows(rows, basis.interior_columns(order))
+        for rid, residual, scale in zip(ids, res[:, 0].tolist(), scales[:, 0].tolist()):
+            rep.add(RelationResidual(rid, residual, scale, tols.of(tier), tier, cols))
     return rep
 
 
@@ -349,17 +350,16 @@ def check_casimir(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> Verifi
 # tensor-operator suite
 
 
-def _tensor_rows(tri: SuQ2Triple, tensor: TensorOperator, d: Deformation, sign: float) -> list[tuple]:
-    """(id, residual, scale) rows of the primary (sign +1) or alternative (-1)
-    tensor-operator relations, residual and scale one value per grid copy."""
+def _tensor_rows(tri: SuQ2Triple, tensor: TensorOperator, d: Deformation, sign: float):
+    """The relation rows (id, differences, operators) of the primary (sign +1)
+    or alternative (-1) tensor-operator relations, for `_rows`, made one at a
+    time."""
     rank = tensor.l.twice // 2
     mp, mm, m3 = tri.m_plus, tri.m_minus, tri.m3
     dress = diag_from_m(tri.basis, lambda m: math.pow(d.q, sign * float(m) / 2))
-    rows = []
     for mu in range(-rank, rank + 1):
         t_mu = tensor.component(mu)
-        res = (m3 @ t_mu - t_mu @ m3 - mu * t_mu).block_max()
-        rows.append((f"weight.m{mu:+d}", res, np.fmax(1.0, t_mu.block_max())))
+        yield f"weight.m{mu:+d}", (m3 @ t_mu - t_mu @ m3 - mu * t_mu,), t_mu
         for pm, mat, tagc in ((1, mp, "raise"), (-1, mm, "lower")):
             lhs = mat @ t_mu - math.pow(d.q, -sign * mu / 2.0) * (t_mu @ mat)
             tgt = mu + pm
@@ -369,9 +369,7 @@ def _tensor_rows(tri: SuQ2Triple, tensor: TensorOperator, d: Deformation, sign: 
                     * q_number(HalfInt.from_int(rank + pm * mu + 1), d)
                 )
                 lhs = lhs - amp * tensor.component(tgt) @ dress
-            scale = np.fmax(1.0, mat.block_max() * t_mu.block_max())
-            rows.append((f"{tagc}.m{mu:+d}", lhs.block_max(), scale))
-    return rows
+            yield f"{tagc}.m{mu:+d}", (lhs,), mat, t_mu
 
 
 def check_tensor_operator(
@@ -390,9 +388,8 @@ def check_tensor_operator(
     """
     if tensor.l.twice % 2 != 0 or tensor.l.twice < 0:
         raise ValueError("only integer-rank tensor operators are checked")
-    primary, alternative = (_tensor_rows(tri, tensor, d, sign) for sign in (1.0, -1.0))
-    tot_p = sum(r / s for _i, r, s in primary)
-    tot_a = sum(r / s for _i, r, s in alternative)
+    primary, alternative = (_rows(_tensor_rows(tri, tensor, d, sign)) for sign in (1.0, -1.0))
+    tot_p, tot_a = (sum(res / scales) for _ids, res, scales in (primary, alternative))
     satisfied = "primary" if tot_p[0] <= tot_a[0] else "alternative"
 
     rep = VerificationReport(
@@ -401,10 +398,10 @@ def check_tensor_operator(
         convention=DEFAULT_CONVENTION,
         environment={"q": d.q, "tier1_tol": tols.tier1, "tier2_tol": tols.tier2},
     )
-    for variant, rows in (("primary", primary), ("alternative", alternative)):
+    for variant, (ids, res, scales) in (("primary", primary), ("alternative", alternative)):
         tier = 1 if variant == satisfied else 2
-        for rid, res, scale in rows:
-            rep.add(RelationResidual(f"eq1.{variant}.{rid}", float(res[0]), float(scale[0]), tols.of(tier), tier))
+        for rid, residual, scale in zip(ids, res[:, 0].tolist(), scales[:, 0].tolist()):
+            rep.add(RelationResidual(f"eq1.{variant}.{rid}", residual, scale, tols.of(tier), tier))
     return rep
 
 
@@ -462,10 +459,11 @@ def check_q_adjoint(gens: GeneratorSet, tols: Tolerances = Tolerances()) -> Veri
     # the worst residual/scale of `check_lorentz_relations(gi)`, whose struct.*
     # records are exactly 0 and would build the Casimir: its eq4 lines in order
     lines = _eq4_lines(gi.generators(), gi.d, gi.c_scalar, gi.convention.line45_swap).values()
+    worst, wscale = _worst_ratio((float(r[0]), float(s[0])) for r, s in lines)
     rep.add(
         RelationResidual(
             "eq6.suite_at_inverse_q",
-            max(float(r[0]) / float(s[0]) for r, s in lines),
+            worst / wscale,
             1.0,
             tols.tier2,
             2,
@@ -764,7 +762,8 @@ def _st_scores(tri: SuQ2Triple, d: Deformation, convs: list[ConventionId]) -> li
     total = 0.0
     for tensor in tensors:
         # the satisfied variant's records are the tier-1 ones
-        tot_p, tot_a = (sum(r / s for _i, r, s in _tensor_rows(triple, tensor, d, sign)) for sign in (1.0, -1.0))
+        variants = (_rows(_tensor_rows(triple, tensor, d, sign)) for sign in (1.0, -1.0))
+        tot_p, tot_a = (sum(res / scales) for _ids, res, scales in variants)
         total = total + np.where(tot_p <= tot_a, tot_p, tot_a)
     return total.tolist()
 

@@ -53,6 +53,27 @@ def test_negative_l1_after_a_space_reads_as_its_joined_form(tmp_path, command, v
     assert run_cli([command, *label, *spaced], tmp_path, "spaced.json") == (code, want)
 
 
+@pytest.mark.parametrize("value", ["1e400i", "1-1e400i", "-1e400i", "1e400", "-1e400+2i"])
+@pytest.mark.parametrize("command", ["classify", "build", "verify", "chiral", "limit", "coproduct", "conventions"])
+def test_non_finite_l1_exits_2_naming_the_value(tmp_path, capsys, monkeypatch, command, value):
+    # a part that overflows a double is refused before any build, spaced
+    # ('--l1 -1e400i') as joined, and as --l1-b
+    import qlorentz.matrep as matrep
+
+    def no_build(*a, **kw):
+        raise AssertionError("built before the l1 check")
+
+    monkeypatch.setattr(matrep, "build_basis", no_build)
+    extra = ["--j-max", "2"] if command == "limit" else ["--q", "1.3"]
+    flags = [["--l1", value]]
+    if command == "coproduct":
+        flags.append(["--l1", "2.7i", "--l0-b", "1", "--l1-b", value])
+    for flag in flags:
+        code, raw = run_cli([command, "--l0", "1", *flag, *extra], tmp_path)
+        assert code == 2 and raw == b""
+        assert capsys.readouterr().err == f"error: l1 value '{value}' overflows a double: each part must be finite\n"
+
+
 def test_a_flag_after_l1_is_still_a_missing_value(capsys):
     assert main(["classify", "--l0", "1", "--l1", "--q", "1.3"]) == 2
     assert "expected one argument" in capsys.readouterr().err

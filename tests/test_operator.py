@@ -144,6 +144,10 @@ def test_stacked_algebra_matches_each_copy_bitwise(pair, z):
     sub = [np.abs(x.data[:, mask]) for x in a_copies]
     assert a.block_max(np.tile(mask, len(a_copies))).tolist() == [float(np.max(v)) if v.size else 0.0 for v in sub]
     assert a.block_max().tolist() == [x.max_norm for x in a_copies]
+    # one per-copy maximum, made once and read-only, which max_norm also reads
+    assert a.block_max().tolist() == [float(np.abs(v).max()) for v in np.hsplit(a.data, len(a_copies))]
+    assert a.block_max() is a.block_max() and not a.block_max().flags.writeable
+    assert a.max_norm == max(a.block_max().tolist())
 
 
 @pytest.mark.parametrize("l0,l1,q", [("1", 2.1j, 1.3), ("1/2", 1.5 - 0.7j, 0.5), ("2", 5, 2.0)])

@@ -9,17 +9,21 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_ab_inprocess_runs_a_tree_against_itself():
-    # A/A on one resolve_chiral batch: every command of the batch gets a row,
-    # and no op gives a different exit code or report on the two sides
+    # A/A on one resolve_chiral batch: every command of the batch gets a row
+    # with the same-run control A'/A beside B/A, and no op gives a different
+    # exit code or report on A, A' and B
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), "src", "src", "--workload", "resolve_chiral",
          "--seed", "0", "--batches", "1", "--reps", "1"],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH=""), capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    rows = {line.split()[0]: line.split() for line in out.stdout.splitlines()[1:]}
+    head, *lines = out.stdout.splitlines()
+    assert "A'/A B/A" in " ".join(head.split())
+    rows = {line.split()[0]: line.split() for line in lines}
     assert set(rows) == {"chiral", "conventions", "coproduct", "limit", "all"}
     assert rows["all"][1] == "10" and all(row[-1] == "0" for row in rows.values())
+    assert all(float(row[8]) > 0 and float(row[9]) > 0 for row in rows.values())  # A'/A and B/A
 
 
 def test_argv_file_mode_checks_report_identity(tmp_path):

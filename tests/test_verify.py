@@ -235,6 +235,104 @@ def test_variants_coincide_near_q_one():
     )
 
 
+# ---------------------------------------------------------------- the commutator-record evaluator
+
+# the two operators whose largest |entry| sets each eq4 line's scale (lines
+# 04/05 read N3 and N3~ the other way round under line45_swap)
+_EQ4_OPERANDS = {
+    "line01": ("m_plus", "m_minus"),
+    "line02": ("m3", "m_plus"),
+    "line03": ("n_plus", "n_minus"),
+    "line04": ("n3", "n_plus"),
+    "line05": ("n3_tilde", "n_minus"),
+    "line06": ("m3", "n_plus"),
+    "line07": ("m_plus", "n_minus"),
+    "line08": ("m_minus", "n_plus"),
+    "line09": ("m_plus", "n3_tilde"),
+    "line10": ("m_minus", "n3"),
+    "other1": ("n3", "n3_tilde"),
+    "other2": ("m3", "n3"),
+    "other3": ("m3", "n3_tilde"),
+}
+_EQ27_OPERANDS = {"1": ("I_plus", "I_minus"), "2": ("I3", "I_plus"), "3": ("I3_tilde", "I_minus"),
+                  "4": ("I3_tilde", "I_plus"), "5": ("I3", "I_minus")}
+
+
+def _chiral_scales(cs) -> tuple[dict, dict]:
+    """Each eq27 record's scale from its operands, and as reported; the
+    reported eq27.cross_LR scale is checked here to be one of the 16 pairs'
+    (or 1 when every cross commutator is exactly zero)."""
+    want = {}
+    for side in "LR":
+        t = cs.triple(side)
+        want.update({f"eq27.{side}{n}": max(1.0, t[a].max_norm * t[b].max_norm) for n, (a, b) in _EQ27_OPERANDS.items()})
+    pairs = {max(1.0, a.max_norm * b.max_norm) for a in cs.triple("L").values() for b in cs.triple("R").values()}
+    rep = check_chiral_relations(cs)
+    cross = by_id(rep, "eq27.cross_LR")
+    assert cross.scale in pairs or cross.residual == 0.0 and cross.scale == 1.0
+    return want, {r.relation_id: r.scale for r in rep.residuals if r.relation_id != "eq27.cross_LR"}
+
+
+@pytest.mark.parametrize("q", [0.1, 1.3, 10.0])
+def test_commutator_scales_are_the_floored_operand_norm_products(q):
+    # eq4, eq5, eq27 and eq1 scales: max(1, |a| |b|), or max(1, |a|) for one
+    # operand, on the four label classes, the spin-2 realization and a
+    # coproduct set
+    d = Deformation(q)
+    labels = [("0", 2.7j), ("0", 0.5), ("1", 1 - 0.5j), ("1/2", 3.5)]
+    sets = [build_generator_set(lab(l0, l1, q), HalfInt.parse(l0) + 3) for l0, l1 in labels]
+    for gens in sets + [build_from_suq2(2, d)]:
+        ops, cas = gens.matrices(), gens.casimir
+        d4, d5 = ("n3_tilde", "n3") if gens.convention.line45_swap else ("n3", "n3_tilde")
+        operands = {**_EQ4_OPERANDS, "line04": (d4, "n_plus"), "line05": (d5, "n_minus")}
+        want = {f"eq4.{line}": max(1.0, ops[a].max_norm * ops[b].max_norm) for line, (a, b) in operands.items()}
+        want["eq5.scalar"] = max(1.0, cas.max_norm)
+        want.update({f"eq5.central.{n}": max(1.0, cas.max_norm * op.max_norm) for n, op in gens.generators().items()})
+        got = {r.relation_id: r.scale for rep in (check_lorentz_relations(gens), check_casimir(gens))
+               for r in rep.residuals if not r.relation_id.startswith("struct.")}
+        assert got == want
+        want, got = _chiral_scales(build_chiral(gens))
+        assert got == want
+    tau = build_chiral(build_generator_set(spinor_labels(d)[0], HalfInt(1)))
+    want, got = _chiral_scales(coproduct(tau, tau))
+    assert got == want
+
+    tri = suq2_matrices(2, d)
+    for tensor in build_ST_vectors(2, d, RESOLVED_CONVENTION):
+        want = {}
+        for mu in (-1, 0, 1):
+            t_mu = tensor.component(mu)
+            for variant in ("primary", "alternative"):
+                want[f"eq1.{variant}.weight.m{mu:+d}"] = max(1.0, t_mu.max_norm)
+                want[f"eq1.{variant}.raise.m{mu:+d}"] = max(1.0, tri.m_plus.max_norm * t_mu.max_norm)
+                want[f"eq1.{variant}.lower.m{mu:+d}"] = max(1.0, tri.m_minus.max_norm * t_mu.max_norm)
+        assert {r.relation_id: r.scale for r in check_tensor_operator(tri, tensor, d).residuals} == want
+
+
+@pytest.mark.parametrize("q", [0.1, 1.3, 10.0])
+@pytest.mark.parametrize("l0,l1", [("0", 2.7j), ("0", 0.5), ("1", 1 - 0.5j), ("1/2", 3.5), ("1/2", 1.5)])
+def test_rows_on_a_stack_of_both_chiralities_give_each_side_bitwise(l0, l1, q):
+    # `_rows` over the L and R triples as two copies of one grid gives, copy
+    # by copy, the eq27 records `check_chiral_relations` gives per side
+    from qlorentz.chiral import _triple_rows
+    from qlorentz.matrep import StackedBasis
+    from qlorentz.verify import _rows
+
+    cs = build_chiral(build_generator_set(lab(l0, l1, q), HalfInt.parse(l0) + 3))
+    left, right = cs.triple("L"), cs.triple("R")
+    grid = StackedBasis(cs.basis, 2)
+    both = {}
+    for key in left:
+        assert left[key].steps == right[key].steps
+        both[key] = OperatorMatrix(grid, left[key].steps, np.hstack([left[key].data, right[key].data]))
+    ids, res, scales = _rows(_triple_rows(both, math.sqrt(q), ""), grid.interior_columns(2))
+    records = {r.relation_id: r for r in check_chiral_relations(cs).residuals}
+    for k, side in enumerate("LR"):
+        for n, residual, scale in zip(ids, res[:, k].tolist(), scales[:, k].tolist()):
+            r = records[f"eq27.{side}{n}"]
+            assert (residual.hex(), scale.hex()) == (r.residual.hex(), r.scale.hex())
+
+
 # ---------------------------------------------------------------- adjoints
 
 

@@ -2,22 +2,24 @@
 
     python3 tools/ab_inprocess.py PARENT/src src --workload resolve_chiral --seed 0 --batches 2 --reps 5
 
-Both trees are imported into one process.  Each tree's `qlorentz` modules
-are loaded once (every submodule, so a handler's lazy import finds its own
-tree's module) and set aside; before each op the tree's modules are put
-back into `sys.modules`, so `qlorentz.cli.main(argv)` and every import it
-makes run that tree's code.  The ops come from `perfbench/workloads.py`
-(the batches `perfbench/run.py` draws for the same workload and seed), and
-each op runs on both trees back to back, the order alternating from op to
-op and from rep to rep, so a drift of the host's speed falls on both sides
-alike.  BLAS is pinned to one thread before numpy loads, as in `run.py`.
+Both trees are imported into one process, tree A twice: A and A' are two
+independent module sets of the same source, so A'/A is the A/A control of
+the run, under the same host load as B/A.  Each module set (every
+submodule, so a handler's lazy import finds its own set's module) is loaded
+once and set aside; before each op its modules are put back into
+`sys.modules`, so `qlorentz.cli.main(argv)` and every import it makes run
+that set's code.  The ops come from `perfbench/workloads.py` (the batches
+`perfbench/run.py` draws for the same workload and seed), and each op runs
+on A, A' and B back to back, the order rotating from op to op and from rep
+to rep, so a drift of the host's speed falls on every side alike.  BLAS is
+pinned to one thread before numpy loads, as in `run.py`.
 
 For each command (`build --export` and `verify --import` ops apart) it
 prints the op count, the sum over its ops of each op's best time (of
-`--reps`) on A and on B, their ratio, the median over its ops of each op's
-best time, and how many ops gave a different outcome on the two trees (exit
-code, stderr, report or files, as in the identity mode below, compared on
-the first rep).
+`--reps`) on A, A' and B, the ratios A'/A and B/A side by side, the median
+over its ops of each op's best time on A and B, and how many ops gave
+outcomes that are not all equal on the three (exit code, stderr, report or
+files, as in the identity mode below, compared on the first rep).
 
     python3 tools/ab_inprocess.py PARENT/src src --argv-file tools/identity_argv.json
 
@@ -91,9 +93,9 @@ def run_op(tree: dict, argv: list[str], files: str, out: str) -> tuple[float, tu
     return wall, (code, err.getvalue().replace(files, "{tmp}"), raw.replace(files.encode(), b"{tmp}"), written)
 
 
-def _sides(tmp: str) -> list[tuple[str, str]]:
-    """(files directory, report path) of tree A and of tree B under `tmp`."""
-    sides = [(os.path.join(tmp, side, "files"), os.path.join(tmp, side, "report.json")) for side in "ab"]
+def _sides(tmp: str, n: int) -> list[tuple[str, str]]:
+    """(files directory, report path) of each of n module sets under `tmp`."""
+    sides = [(os.path.join(tmp, str(k), "files"), os.path.join(tmp, str(k), "report.json")) for k in range(n)]
     for files, _out in sides:
         os.makedirs(files)
     return sides
@@ -106,7 +108,7 @@ def identity(trees: list, argv_file: str) -> int:
         argvs = json.load(fh)
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
-        sides = _sides(tmp)
+        sides = _sides(tmp, 2)
         for argv in argvs:
             if run_op(trees[0], argv, *sides[0])[1] != run_op(trees[1], argv, *sides[1])[1]:
                 differ.append(argv)
@@ -132,16 +134,16 @@ def main(argv=None) -> int:
     ap.add_argument("--argv-file", help="check report identity on the argv of this JSON list instead of timing")
     args = ap.parse_args(argv)
 
-    trees = [load_tree(args.a), load_tree(args.b)]
     if args.argv_file:
-        return identity(trees, args.argv_file)
+        return identity([load_tree(args.a), load_tree(args.b)], args.argv_file)
+    trees = [load_tree(args.a), load_tree(args.a), load_tree(args.b)]  # A, A', B
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "ops")
         os.makedirs(base)
-        sides = _sides(tmp)
+        sides = _sides(tmp, len(trees))
         next_batch = workloads.batches(args.workload, args.seed, base)
         ops = [op for _ in range(args.batches) for op in next_batch()]
         best = [[float("inf")] * len(ops) for _ in trees]
@@ -149,26 +151,27 @@ def main(argv=None) -> int:
         for rep in range(args.reps):
             for i, op in enumerate(ops):
                 argv = [a.replace(base, "{tmp}") for a in op.argv]
-                outcomes = [None, None]
-                for k in ((0, 1) if (i + rep) % 2 == 0 else (1, 0)):
+                outcomes = [None] * len(trees)
+                for j in range(len(trees)):
+                    k = (i + rep + j) % len(trees)
                     wall, outcomes[k] = run_op(trees[k], argv, *sides[k])
                     best[k][i] = min(best[k][i], wall)
-                if rep == 0 and outcomes[0] != outcomes[1]:
+                if rep == 0 and outcomes.count(outcomes[0]) != len(outcomes):
                     differ[_kind(op)] += 1
     _drop_qlorentz()
 
-    print(f"{'command':<18} {'ops':>4} {'A sum-of-best':>14} {'B sum-of-best':>14} {'B/A':>6} "
-          f"{'A median':>9} {'B median':>9} {'differ':>6}")
+    heads = ("A sum-of-best", "A' sum-of-best", "B sum-of-best", "A'/A", "B/A", "A median", "B median", "differ")
+    print(f"{'command':<18} {'ops':>4} " + " ".join(f"{h:>{w}}" for h, w in zip(heads, (14, 15, 14, 6, 6, 9, 9, 6))))
     by_cmd = defaultdict(list)
     for i, op in enumerate(ops):
         by_cmd[_kind(op)].append(i)
     rows = sorted(by_cmd.items()) + [("all", list(range(len(ops))))]
     for cmd, idx in rows:
-        sa, sb = (sum(best[k][i] for i in idx) * 1e3 for k in (0, 1))
-        ma, mb = (statistics.median(best[k][i] for i in idx) * 1e3 for k in (0, 1))
+        sa, sa2, sb = (sum(best[k][i] for i in idx) * 1e3 for k in (0, 1, 2))
+        ma, mb = (statistics.median(best[k][i] for i in idx) * 1e3 for k in (0, 2))
         n_diff = sum(differ.values()) if cmd == "all" else differ[cmd]
-        print(f"{cmd:<18} {len(idx):>4} {sa:>11.2f} ms {sb:>11.2f} ms {sb / sa:>6.3f} "
-              f"{ma:>6.2f} ms {mb:>6.2f} ms {n_diff:>6}")
+        print(f"{cmd:<18} {len(idx):>4} {sa:>11.2f} ms {sa2:>12.2f} ms {sb:>11.2f} ms {sa2 / sa:>6.3f} "
+              f"{sb / sa:>6.3f} {ma:>6.2f} ms {mb:>6.2f} ms {n_diff:>6}")
     return 0
 
 

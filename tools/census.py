@@ -5,15 +5,17 @@
 draws 300 argv from `random.Random(20261020)` over every
 subcommand: l0 <= 3, |Re l1| <= 40, 0 <= Im l1 <= 20, q log-uniform in
 [0.1, 10] and j_max <= l0 + 24, with a stratum of finite labels
-(l1 = +-(l0 + n)) among them.  Two strata follow, from their own seeded
-draw:
+(l1 = +-(l0 + n)) among them.  Three strata follow, the first two from
+their own seeded draw:
 
 * 20 finite labels whose top spin lies within 1 of `spin_limit`, just inside
   the overflow bound (they must build) or just past it (they must exit 2),
   at q in [0.1, 0.15] or [7, 10], where that bound is a spin of 130-158;
 * q-periodic partners of 12 drawn labels: l1 + 4i pi/ln q, 2i pi/ln q - l1
   and, at l0 = 0, -l1, which build the label's own matrices, each next to
-  the label itself under the same subcommand.
+  the label itself under the same subcommand;
+* `verify` of the principal labels (0, i rho) at large rho, 1e3 to 1e5, at
+  q = 0.5, 1.3 and 8 (no draw).
 
 Each argv runs through `cli.main`.  The JSON written holds the exit tallies
 per subcommand and stratum, the failing record ids (a `=<value>` suffix
@@ -124,6 +126,12 @@ def partners(n: int) -> list[list[str]]:
     return out
 
 
+def large_rho() -> list[list[str]]:
+    """`verify` of (0, i rho) for rho in 1e3, 1e4, 3e4, 1e5 at q = 0.5, 1.3, 8."""
+    rhos = (1e3, 1e4, 3e4, 1e5)
+    return [["verify", "--l0", "0", "--l1", f"{rho:g}i", "--q", q] for q in ("0.5", "1.3", "8") for rho in rhos]
+
+
 def run_one(argv: list[str], out: str) -> dict:
     """Exit code (or the exception raised), stderr, warnings and failing
     records of one argv run through `cli.main`, its report written to `out`."""
@@ -192,7 +200,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--output", required=True, help="census JSON to write")
     args = ap.parse_args(argv)
-    doc = census({"random": draw(300), "near_limit": near_limit(20), "partners": partners(12)})
+    strata = {"random": draw(300), "near_limit": near_limit(20), "partners": partners(12), "large_rho": large_rho()}
+    doc = census(strata)
     with open(args.output, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
